@@ -9,8 +9,7 @@ Output is JSON (schema tag ``gamma-monodromy/1``) with complex numbers
 as [re, im] pairs; ``phi`` can emit CSV instead.  Payloads are
 deterministic for fixed inputs: grids and summation orders are fixed and
 wall-clock timings are kept out of the JSON.  Exit codes: 0 pass,
-1 tolerance breach, 2 numerical failure, 64 usage error.  GM_THREADS
-caps suite parallelism.
+1 tolerance breach, 2 numerical failure, 64 usage error.
 """
 
 from __future__ import annotations

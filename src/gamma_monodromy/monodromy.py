@@ -21,7 +21,7 @@ from .cohomology import (SpaceModel, euler_pairing, exceptional_sheaf,
                          intersection_pairing, make_blproj, make_proj, psi_map)
 from .numerics import (Arc, BranchState, NumericsError, Segment,
                        eig_unit_minus, principal_branch, scale_path)
-from .periods import SERIES_CAP, connection_rhs, fundamental_solution
+from .periods import SERIES_CAP, fundamental_solution
 from .quantum import (QuantumProduct, SSeries, quantum_mult_proj,
                       sseries_proj)
 from . import numerics
@@ -96,6 +96,9 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     genuinely large at high derivative levels (they match the algebraic
     reflection operator, whose components grow with the class degree), so
     residual checks against it must be scale-relative.
+
+    tol sets the base-point period series.  residuals: "solve" (relative
+    defect of I_base C = I_cont), "continuation", "truncation", "cond".
     """
     base = loop[0].start
     branch0 = principal_branch(base)
@@ -104,15 +107,15 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     cond = float(np.linalg.cond(i_base))
     if cond > 1e8:
         raise IllConditionedError("period matrix condition number %g" % cond)
-    sing = product.eigenvalues()
-    rhs = connection_rhs(space, product, level)
-    i_cont, _ = numerics.ode_continue(rhs, loop, i_base, tol,
-                                      branch0=branch0, singularities=sing)
+    upper = space.theta - (level + 0.5) * np.eye(space.size)
+    i_cont, _, cont_err = numerics.ode_continue(product.euler_mult, upper,
+                                                loop, i_base, branch0=branch0)
     cmat = np.linalg.solve(i_base, i_cont)
     solve_res = float(np.max(np.abs(i_base @ cmat - i_cont)))
     scale = float(np.max(np.abs(i_cont)))
     residuals = {
-        "ode": solve_res / scale if scale else solve_res,
+        "solve": solve_res / scale if scale else solve_res,
+        "continuation": cont_err,
         "truncation": sol.truncation_error,
         "cond": cond,
     }

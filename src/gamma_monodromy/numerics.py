@@ -1,6 +1,6 @@
 """Low-level numerics: truncated jets, complex special functions, branch
-tracking, adaptive continuation along piecewise paths, and small dense
-eigenvector extraction.
+tracking, Taylor-recurrence continuation of the constant-coefficient
+connection along piecewise paths, and small dense eigenvector extraction.
 
 Everything is plain double precision.  Downstream tolerances are 1e-10 or
 looser, so well-conditioned 1e-13 kernels are enough; no arbitrary
@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import mpmath
 import numpy as np
@@ -33,10 +33,6 @@ class NumericsError(Exception):
 
 class PoleError(NumericsError):
     """Evaluation requested at a pole of the function."""
-
-
-class StepUnderflowError(NumericsError):
-    """Adaptive step size fell below the resolvable arclength."""
 
 
 class EigenAmbiguityError(NumericsError):
@@ -345,46 +341,44 @@ def scale_path(path: PathSpec, w: complex) -> list:
 
 
 # ---------------------------------------------------------------------------
-# adaptive continuation (embedded Dormand-Prince 5(4) pair)
+# continuation of (lambda - E) Y' = U Y by its Taylor recurrence
 # ---------------------------------------------------------------------------
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-
-_MIN_ARC_STEP = 1e-13
+_SING_EPS = 1e-12
+_TERM_CAP = 200
 
 
 def ode_continue(
-    rhs: Callable[[complex, np.ndarray], np.ndarray],
+    euler: np.ndarray,
+    upper: np.ndarray,
     path: PathSpec,
     y0: np.ndarray,
-    tol: float,
     branch0: BranchState | None = None,
-    singularities: Sequence[complex] = (),
-) -> tuple[np.ndarray, BranchState]:
-    """Continue dY/dlambda = rhs(lambda, Y) along the path, tracking log(lambda).
+) -> tuple[np.ndarray, BranchState, float]:
+    """Continue a solution of (lambda - E) dY/dlambda = U Y along the path,
+    tracking log(lambda).
 
-    Local error is controlled per unit arclength.  The branch of log(lambda)
-    is integrated together with Y via dlog = dlambda/lambda; it is never
-    recomputed from the principal branch mid-path, only re-anchored on the
-    exact endpoint of each piece while keeping the accumulated winding.
+    E (euler) and U (upper) are constant square matrices; y0 is a vector
+    or a matrix of columns.  Around a node c the Taylor coefficients obey
+    Y_{j+1} = (c - E)^{-1} (U - j) Y_j / (j+1), and the series converges on
+    the disk reaching the nearest eigenvalue of E.  Each step h moves at
+    most half that distance and at most half of |c| along the piece, so
+    the terms decay at least like 2^-j up to a polynomial factor, and
+    log(lambda) advances exactly by the principal log1p(h/c).  A step sums
+    until two consecutive terms fall below machine epsilon times their
+    column's scale; there is no tolerance to choose.  The branch is only
+    re-anchored on the exact endpoint of each piece, keeping the
+    accumulated winding.
 
-    singularities: points whose distance caps the step size at 0.1*distance
-    (on top of the 0.2*piece-length cap), per declared singular locus of rhs.
+    Returns the continued solution, its branch state, and the continuation
+    error estimate: the sum over steps of the first omitted term relative
+    to its column's scale.  Raises NumericsError when a node comes within
+    1e-12 * max(1, |lambda|) of an eigenvalue of E or of the origin, or
+    when a step's series has not converged in _TERM_CAP terms.
     """
     validate_path(path)
-    y = np.array(y0, dtype=complex)
+    y0 = np.asarray(y0, dtype=complex)
+    y = y0.reshape(len(y0), -1).copy()
     start = path[0].start
     if branch0 is None:
         branch0 = principal_branch(start)
@@ -392,86 +386,52 @@ def ode_continue(
         raise ValueError("branch0.base does not match path start")
     branch0.check()
     logl = branch0.log_value
-    sing = np.asarray(list(singularities), dtype=complex)
+    sing = np.linalg.eigvals(euler)
+    eye = np.eye(len(euler))
+    eps = np.finfo(float).eps
+    trunc = 0.0
 
     for piece in path:
         plen = piece.length()
         if plen == 0.0:
             continue
         t = 0.0
-        # first step guess: a modest fraction of the piece
-        h = 0.05
-        ks: list = [None] * 7
+        c = piece.start
         while t < 1.0:
-            z_here = piece.point(t)
-            cap_arc = 0.2 * plen
-            if len(sing):
-                dmin = float(np.min(np.abs(z_here - sing)))
-                cap_arc = min(cap_arc, 0.1 * dmin)
-            dz_here = abs(piece.deriv(t))
-            if dz_here > 0:
-                h = min(h, cap_arc / dz_here)
-            h = min(h, 1.0 - t)
-
-            def f(tt: float, state_y: np.ndarray, state_l: complex):
-                z = piece.point(tt)
-                dz = piece.deriv(tt)
-                return rhs(z, state_y) * dz, dz / z
-
-            # one embedded step
-            ky = []
-            kl = []
-            for i in range(7):
-                yy = y
-                ll = logl
-                for j in range(i):
-                    a = _DP_A[i][j]
-                    if a != 0.0:
-                        yy = yy + h * a * ky[j]
-                        ll = ll + h * a * kl[j]
-                fy, fl = f(t + _DP_C[i] * h, yy, ll)
-                ky.append(fy)
-                kl.append(fl)
-            y5 = y
-            y4 = y
-            l5 = logl
-            l4 = logl
-            for i in range(7):
-                if _DP_B5[i] != 0.0:
-                    y5 = y5 + h * _DP_B5[i] * ky[i]
-                    l5 = l5 + h * _DP_B5[i] * kl[i]
-                if _DP_B4[i] != 0.0:
-                    y4 = y4 + h * _DP_B4[i] * ky[i]
-                    l4 = l4 + h * _DP_B4[i] * kl[i]
-
-            h_arc = abs(piece.point(t + h) - z_here)
-            h_arc = max(h_arc, _MIN_ARC_STEP)
-            # mixed absolute/relative norm per component: solution matrices
-            # can span several orders of magnitude across columns and a
-            # global max would starve the small ones of relative accuracy
-            denom = 1.0 + np.abs(y)
-            err = float(np.max(np.abs(y5 - y4) / denom))
-            err = max(err, abs(l5 - l4) / (1.0 + abs(logl)))
-            # floor at a few ulps: the 5th/4th-order difference cannot drop
-            # below roundoff, and short finishing steps would otherwise be
-            # rejected forever at tight tolerances
-            budget = tol * h_arc + 4.0e-16
-            if err <= budget:
-                t += h
-                y = y5
-                logl = l5
-                grow = 0.9 * (budget / err) ** 0.2 if err > 0 else 5.0
-                h *= min(5.0, max(0.2, grow))
+            # the origin is singular for log(lambda)
+            reach = min(float(np.min(np.abs(c - sing))), abs(c))
+            if reach < _SING_EPS * max(1.0, abs(c)):
+                raise NumericsError(
+                    "continuation node %r on a singular point" % c)
+            # arclength 0.5*reach bounds the chord |h| by the same amount
+            t_next = min(1.0, t + 0.5 * reach / plen)
+            z = piece.end if t_next == 1.0 else piece.point(t_next)
+            h = z - c
+            resolvent = np.linalg.inv(c * eye - euler)
+            term = y
+            acc = y.copy()
+            small = 0
+            for j in range(_TERM_CAP):
+                term = (h / (j + 1)) * (resolvent @ (upper @ term - j * term))
+                scale = np.max(np.abs(acc), axis=0)
+                rel = float(np.max(np.max(np.abs(term), axis=0)
+                                   / np.where(scale > 0, scale, 1.0)))
+                small = small + 1 if rel <= eps else 0
+                if small == 2:
+                    trunc += rel
+                    break
+                acc += term
             else:
-                h *= max(0.2, 0.9 * (budget / err) ** 0.2)
-            if h * dz_here < _MIN_ARC_STEP and t < 1.0:
-                raise StepUnderflowError(
-                    "step below %g near lambda=%r" % (_MIN_ARC_STEP, z_here))
+                raise NumericsError(
+                    "Taylor series did not converge at lambda=%r" % c)
+            y = acc
+            logl = logl + np.log1p(h / c)
+            t, c = t_next, z
         # re-anchor on the exact piece endpoint, keeping the winding
         logl = _resync_log(piece.end, logl)
 
     endpoint = path[-1].end
-    return y, BranchState(endpoint, logl)
+    return y.reshape(y0.shape), BranchState(endpoint, logl), trunc
 
 
 # ---------------------------------------------------------------------------
@@ -494,18 +454,7 @@ def eig_unit_minus(mat: np.ndarray, tol: float) -> np.ndarray:
             "no eigenvalue within %g of -1 (closest %g)" % (tol, dist.min()))
     if len(hits) > 1:
         raise EigenAmbiguityError("eigenvalue near -1 is not unique")
-    idx = int(hits[0])
-    vec = v[:, idx]
-    # one inverse-iteration polish at the computed eigenvalue
-    shift = w[idx]
-    n = mat.shape[0]
-    try:
-        refined = np.linalg.solve(mat - shift * np.eye(n) + 1e-300, vec)
-        nrm = np.linalg.norm(refined)
-        if np.isfinite(nrm) and nrm > 0:
-            vec = refined / nrm
-    except np.linalg.LinAlgError:
-        pass
+    vec = v[:, int(hits[0])]
     vec = vec / np.linalg.norm(vec)
     k = int(np.argmax(np.abs(vec)))
     phase = vec[k] / abs(vec[k])

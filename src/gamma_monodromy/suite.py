@@ -10,9 +10,7 @@ randomness.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +28,7 @@ from .quantum import (epsilon_matrix, pairing_adjoint, quantum_mult_proj,
                       quantum_mult_twisted, sseries_proj, sseries_twisted,
                       symplectic_residual)
 
+# tolerance of the base-point period series that starts each loop
 ODE_TOL = 1e-12
 SERIES_TOL = 1e-11
 
@@ -422,22 +421,10 @@ def run_suite(only: str | None = None) -> list[dict]:
              if only is None or only == name]
     if not items:
         raise ValueError("no criterion named %r" % only)
-    threads = int(os.environ.get("GM_THREADS", "1") or "1")
-    results = {}
-
-    def run_one(pair):
-        name, fn = pair
+    results = []
+    for _name, fn in items:
         t0 = time.perf_counter()
         out = fn()
         out["seconds"] = time.perf_counter() - t0
-        return name, out
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for name, out in pool.map(run_one, items):
-                results[name] = out
-    else:
-        for pair in items:
-            name, out = run_one(pair)
-            results[name] = out
-    return [results[name] for name, _ in items]
+        results.append(out)
+    return results

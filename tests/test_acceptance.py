@@ -6,7 +6,6 @@ one-line verdicts are written straight to the terminal so they survive
 pytest's capture.
 """
 
-import os
 import sys
 
 import pytest
@@ -21,7 +20,6 @@ _results = {}
 @pytest.fixture(scope="module")
 def results():
     if not _results:
-        os.environ.setdefault("GM_THREADS", "4")
         for res in suite_mod.run_suite():
             _results[res["name"]] = res
     return _results

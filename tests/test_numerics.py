@@ -223,28 +223,29 @@ def test_scale_path_maps_points():
 # ode_continue
 # ---------------------------------------------------------------------------
 
+def scalar(a: complex, size: int = 1) -> np.ndarray:
+    return a * np.eye(size, dtype=complex)
+
+
 def test_ode_zero_rhs_identity():
     y0 = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    rhs = lambda lam, y: np.zeros_like(y)
-    y1, br = nx.ode_continue(rhs, unit_circle(), y0, 1e-10)
+    y1, br, _ = nx.ode_continue(scalar(0.0, 2), scalar(0.0, 2),
+                                unit_circle(), y0)
     assert np.max(np.abs(y1 - y0)) < 1e-12
     # branch picked up one full turn
     assert abs(br.log_value.imag - 2 * math.pi) < 1e-9
 
 
 def test_ode_halfpower_monodromy():
+    # lam y' = y/2
     y0 = np.array([1.0 + 0.0j])
-    rhs = lambda lam, y: y / (2 * lam)
-    y1, _ = nx.ode_continue(rhs, unit_circle(), y0, 1e-11,
-                            singularities=[0.0])
+    y1, _, _ = nx.ode_continue(scalar(0.0), scalar(0.5), unit_circle(), y0)
     assert abs(y1[0] + 1.0) < 1e-9
 
 
 def test_ode_fullpower_monodromy_trivial():
     y0 = np.array([1.0 + 0.0j])
-    rhs = lambda lam, y: y / lam
-    y1, _ = nx.ode_continue(rhs, unit_circle(), y0, 1e-11,
-                            singularities=[0.0])
+    y1, _, _ = nx.ode_continue(scalar(0.0), scalar(1.0), unit_circle(), y0)
     assert abs(y1[0] - 1.0) < 1e-9
 
 
@@ -252,43 +253,59 @@ def test_ode_composability():
     # P then Q equals P||Q
     tol = 1e-10
     y0 = np.array([1.0 + 0.5j, -0.25j])
-    rhs = lambda lam, y: np.array([y[1], -y[0]]) / lam
+    upper = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    euler = scalar(0.0, 2)
     p = [nx.Segment(1.0, 2.0 + 1.0j)]
     qq = [nx.Segment(2.0 + 1.0j, 3.0 - 0.5j)]
-    ya, bra = nx.ode_continue(rhs, p, y0, tol, singularities=[0.0])
-    yb, _ = nx.ode_continue(rhs, qq, ya, tol, branch0=bra,
-                            singularities=[0.0])
-    yc, _ = nx.ode_continue(rhs, p + qq, y0, tol, singularities=[0.0])
+    ya, bra, _ = nx.ode_continue(euler, upper, p, y0)
+    yb, _, _ = nx.ode_continue(euler, upper, qq, ya, branch0=bra)
+    yc, _, _ = nx.ode_continue(euler, upper, p + qq, y0)
     assert np.max(np.abs(yb - yc)) < 3 * tol
 
 
 def test_ode_reversibility():
+    # (lam - 0.2i) y' = [[0, 2], [1, 0]] y
     tol = 1e-10
     y0 = np.array([0.3 + 1.0j, 0.8])
-    rhs = lambda lam, y: np.array([2 * y[1], y[0]]) / (lam - 0.2j)
+    upper = np.array([[0.0, 2.0], [1.0, 0.0]])
+    euler = scalar(0.2j, 2)
     p = [nx.Arc(0.0, 1.5, 0.0, math.pi), nx.Segment(-1.5, -2.5)]
-    y1, br = nx.ode_continue(rhs, p, y0, tol, singularities=[0.2j])
-    y2, _ = nx.ode_continue(rhs, nx.reverse_path(p), y1, tol,
-                            branch0=br, singularities=[0.2j])
+    y1, br, _ = nx.ode_continue(euler, upper, p, y0)
+    y2, _, _ = nx.ode_continue(euler, upper, nx.reverse_path(p), y1,
+                               branch0=br)
     assert np.max(np.abs(y2 - y0)) < 3 * tol
 
 
-def test_ode_step_underflow_near_singularity():
+def test_ode_segment_into_singular_point_raises():
     y0 = np.array([1.0 + 0.0j])
-    rhs = lambda lam, y: y / (lam - 1.0)
     path = [nx.Segment(0.5, 1.0)]  # runs straight into the singularity
-    # the 0.1*distance step cap shrinks geometrically and must underflow
-    with pytest.raises(nx.StepUnderflowError):
-        nx.ode_continue(rhs, path, y0, 1e-8, singularities=[1.0])
+    with pytest.raises(nx.NumericsError):
+        nx.ode_continue(scalar(1.0), scalar(1.0), path, y0)
 
 
 def test_ode_branch_tracks_windings():
     y0 = np.array([1.0 + 0.0j])
-    rhs = lambda lam, y: np.zeros_like(y)
     two_turns = [nx.Arc(0.0, 1.0, 0.0, 4 * math.pi)]
-    _, br = nx.ode_continue(rhs, two_turns, y0, 1e-10)
+    _, br, _ = nx.ode_continue(scalar(0.0), scalar(0.0), two_turns, y0)
     assert abs(br.log_value.imag - 4 * math.pi) < 1e-8
     br.check()
+
+
+def test_ode_loop_around_one_of_two_singular_points():
+    # E = diag(1, 1.5+0.25i): circling lambda = 1 only multiplies the first
+    # component by exp(2 pi i 0.3); the path passes 0.25 from the second
+    # singular point, whose component comes back unchanged
+    euler = np.diag([1.0, 1.5 + 0.25j])
+    upper = np.diag([0.3, 0.7])
+    path = [nx.Segment(3.0, 1.3), nx.Arc(1.0, 0.3, 0.0, 2 * math.pi),
+            nx.Segment(1.3, 3.0)]
+    y0 = np.array([1.0 + 0.0j, 1.0 + 0.0j])
+    y1, br, err = nx.ode_continue(euler, upper, path, y0)
+    assert abs(y1[0] - cmath.exp(2j * math.pi * 0.3)) < 1e-13
+    assert abs(y1[1] - 1.0) < 1e-13
+    # the loop does not wind around the origin
+    assert abs(br.log_value - math.log(3.0)) < 1e-14
+    assert 0.0 <= err < 1e-13
 
 
 # ---------------------------------------------------------------------------
