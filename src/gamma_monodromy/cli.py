@@ -25,8 +25,8 @@ import numpy as np
 from . import mirror
 from . import suite as suite_mod
 from .cohomology import line_bundle, make_proj, psi_map
-from .monodromy import (gamma_loop, monodromy_matrix, reflection_vector,
-                        twisted_reflection_check)
+from .monodromy import (BASE_SERIES_TOL, gamma_loop, monodromy_matrix,
+                        reflection_vector, twisted_reflection_check)
 from .numerics import NumericsError
 from .periods import SERIES_CAP
 from .quantum import quantum_mult_proj, sseries_proj
@@ -127,7 +127,6 @@ def _strip_seconds(obj):
 def cmd_reflections(cfg: RunConfig) -> int:
     kind, par = parse_space(cfg.space)
     tol = _check_tol(cfg.tol)
-    ode_tol = min(1e-9, max(tol * 1e-2, 1e-12))
     if kind == "proj":
         m_dim = par
         n = m_dim + 2
@@ -144,7 +143,7 @@ def cmd_reflections(cfg: RunConfig) -> int:
                 raise UsageError("k %d outside [0, %d]" % (k, n - 2))
             loop = gamma_loop(n, q_log, k)
             res = monodromy_matrix(space, product, sser, level, loop,
-                                   ode_tol)
+                                   BASE_SERIES_TOL)
             cand = psi_map(space, line_bundle(k), q_log)
             alpha = reflection_vector(res, space, candidate=cand)
             d_plus = float(np.max(np.abs(alpha - cand)))
@@ -178,7 +177,8 @@ def cmd_reflections(cfg: RunConfig) -> int:
         for k in ks:
             if not 0 <= k <= n - 2:
                 raise UsageError("k %d outside [0, %d]" % (k, n - 2))
-            rep = twisted_reflection_check(n, Q, k, m=cfg.m, tol=ode_tol)
+            rep = twisted_reflection_check(n, Q, k, m=cfg.m,
+                                           tol=BASE_SERIES_TOL)
             pair_res = abs(rep["exceptional_pairing"] - 1.0)
             entry = {
                 "k": k,

@@ -238,21 +238,6 @@ def ring_exp(space: SpaceModel, v: np.ndarray) -> np.ndarray:
     return np.exp(c0) * acc
 
 
-def ring_geom_inverse(space: SpaceModel, v: np.ndarray) -> np.ndarray:
-    """Inverse of v = c*(1 + nilpotent) under cup product."""
-    c0 = v[space._unit]
-    if c0 == 0:
-        raise ZeroDivisionError("ring inverse of a non-unit element")
-    unit = space.unit()
-    u = v / c0 - unit
-    acc = unit.copy()
-    term = unit.copy()
-    for k in range(1, space.dim + 1):
-        term = -space.cup_vec(term, u)
-        acc = acc + term
-    return acc / c0
-
-
 def ring_series(space: SpaceModel, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_j coeffs[j] * x^{cup j}, truncated by the grading."""
     unit = space.unit()
@@ -362,13 +347,8 @@ def todd_class(space: SpaceModel) -> np.ndarray:
     acc = space.unit()
     for root, mult in _tangent_roots(space):
         fac = ring_series(space, f, root)
-        if mult >= 0:
-            for _ in range(mult):
-                acc = space.cup_vec(acc, fac)
-        else:
-            inv = ring_geom_inverse(space, fac)
-            for _ in range(-mult):
-                acc = space.cup_vec(acc, inv)
+        for _ in range(mult):
+            acc = space.cup_vec(acc, fac)
     return acc
 
 

@@ -95,15 +95,16 @@ def make_mb_config(n: int, q: float, m: int, lam_max: float,
         T *= 1.4
 
 
-def _line_nodes(cfg: MBConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights covering [-T, T] in fixed panels."""
-    npanels = max(1, int(math.ceil(2.0 * cfg.T / cfg.quadrature_step)))
-    edges = np.linspace(-cfg.T, cfg.T, npanels + 1)
+def _gl_panels(lo: float, hi: float,
+               npanels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [lo, hi] in equal panels."""
+    edges = np.linspace(lo, hi, npanels + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[:-1] + edges[1:])
-    b = (mids[:, None] + half * _GL_X[None, :]).ravel()
-    w = np.broadcast_to(half * _GL_W[None, :], (npanels, _GL_NODES)).ravel()
-    return b, w
+    nodes = (mids[:, None] + half * _GL_X[None, :]).ravel()
+    weights = np.broadcast_to(half * _GL_W[None, :],
+                              (npanels, _GL_NODES)).ravel()
+    return nodes, weights
 
 
 def phi_mb_batch(n: int, q: float, m: int, lams: np.ndarray,
@@ -112,7 +113,8 @@ def phi_mb_batch(n: int, q: float, m: int, lams: np.ndarray,
     lams = np.asarray(lams, dtype=complex)
     if np.any(np.abs(lams.imag) > 0):
         warnings.warn("contour representation may diverge off the real axis")
-    b, w = _line_nodes(cfg)
+    b, w = _gl_panels(-cfg.T, cfg.T, max(1, int(math.ceil(
+        2.0 * cfg.T / cfg.quadrature_step))))
     c = _c_exp(n, m)
     pref = (2.0 * math.pi) ** ((1 - n) / 2.0)
     loglam = np.log(lams.astype(complex))
@@ -156,7 +158,7 @@ def _residue_poly(n: int, q: float, m: int, d: int) -> tuple:
     logq = math.log(q)
     # regular part of Gamma(-d+w): w * Gamma has jet 1/shifted(1/Gamma),
     # factored into leading magnitude times a unit-leading jet
-    rg = recip_gamma_jet(-d, order + 1).c
+    rg = recip_gamma_jet(-d, order + 1)
     rg1 = rg[1]
     gamma_reg = jet_recip(rg[1:order + 2] / rg1)
     log_scale = -(n - 1) * np.log(complex(rg1)) + d * logq
@@ -170,7 +172,7 @@ def _residue_poly(n: int, q: float, m: int, d: int) -> tuple:
     rounded = round(center)
     if abs(center - rounded) < 1e-9 and rounded <= 0:
         # zero of 1/Gamma: finite jet, pull out its first nonzero entry
-        gjet = recip_gamma_jet(rounded, order).c * scale
+        gjet = recip_gamma_jet(rounded, order) * scale
         if not np.all(np.isfinite(gjet)):
             raise NumericsError(
                 "residue term %d overflows at center %d; reduce terms"
@@ -180,7 +182,7 @@ def _residue_poly(n: int, q: float, m: int, d: int) -> tuple:
         gjet = gjet / s0
         log_scale += np.log(complex(s0))
     else:
-        lg = log_gamma_jet(center, order).c
+        lg = log_gamma_jet(center, order)
         lg0 = lg.copy()
         lg0[0] = 0.0
         gjet = jet_exp(-lg0) * scale
@@ -278,12 +280,7 @@ def mellin_inversion_j(n: int, q: float, T: float = 40.0) -> float:
     Here the integrand does decay exponentially (no Gamma in the
     denominator), so a short contour suffices.
     """
-    npanels = int(math.ceil(2 * T / 0.5))
-    edges = np.linspace(-T, T, npanels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    b = (mids[:, None] + half * _GL_X[None, :]).ravel()
-    w = np.broadcast_to(half * _GL_W[None, :], (npanels, _GL_NODES)).ravel()
+    b, w = _gl_panels(-T, T, int(math.ceil(2 * T / 0.5)))
     x = 1.0 + 1j * b
     vals = np.exp((n - 1) * scipy.special.loggamma(x) - x * math.log(q))
     return float(((vals @ w) / (2.0 * math.pi)).real)
@@ -335,13 +332,7 @@ def inversion_consistency(n: int, q: float) -> dict:
             outer += half * wg * oscillatory_j(n, s, tol=1e-11)
     lhs = 2j * math.pi * outer
 
-    T = 40.0
-    npanels = int(math.ceil(2 * T / 0.5))
-    edges = np.linspace(-T, T, npanels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    b = (mids[:, None] + half * _GL_X[None, :]).ravel()
-    w = np.broadcast_to(half * _GL_W[None, :], (npanels, _GL_NODES)).ravel()
+    b, w = _gl_panels(-40.0, 40.0, 160)  # panels 0.5 wide
     x = 1.0 + 1j * b
     vals = np.exp((n - 1) * scipy.special.loggamma(x) - x * math.log(q)) / x
     rhs = 1j * complex(vals @ w)
@@ -380,12 +371,7 @@ def laplace_spot_check(n: int, q: float, m: int,
         return out
 
     def lhs_on(lo: float, hi: float, npan: int) -> np.ndarray:
-        edges = np.linspace(lo, hi, npan + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        lams = (mids[:, None] + half * _GL_X[None, :]).ravel()
-        wts = np.broadcast_to(half * _GL_W[None, :],
-                              (npan, _GL_NODES)).ravel()
+        lams, wts = _gl_panels(lo, hi, npan)
         g = phi_vals(lams)
         return np.array([np.sum(wts * np.exp(-lams * s) * g)
                          for s in s_values])
@@ -393,14 +379,7 @@ def laplace_spot_check(n: int, q: float, m: int,
     lhs = lhs_on(u, lam_break, 8) + lhs_on(lam_break, lam_max, 20)
     lhs_wider = lhs + lhs_on(lam_max, lam_max + 15.0 / smin, 6)
 
-    c = _c_exp(n, m)
-    T = 40.0
-    npanels = int(math.ceil(2 * T / 0.5))
-    edges = np.linspace(-T, T, npanels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    b = (mids[:, None] + half * _GL_X[None, :]).ravel()
-    w = np.broadcast_to(half * _GL_W[None, :], (npanels, _GL_NODES)).ravel()
+    b, w = _gl_panels(-40.0, 40.0, 160)  # panels 0.5 wide
     x = cfg.epsilon + 1j * b
     base = np.exp((n - 1) * scipy.special.loggamma(x)
                   - x * math.log(q) - np.log(x))

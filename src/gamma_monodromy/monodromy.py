@@ -26,6 +26,9 @@ from .quantum import (QuantumProduct, SSeries, quantum_mult_proj,
                       sseries_proj)
 from . import numerics
 
+# tolerance of the base-point period series that starts each loop
+BASE_SERIES_TOL = 1e-12
+
 
 class IllConditionedError(NumericsError):
     pass
@@ -97,8 +100,12 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     reflection operator, whose components grow with the class degree), so
     residual checks against it must be scale-relative.
 
-    tol sets the base-point period series.  residuals: "solve" (relative
-    defect of I_base C = I_cont), "continuation", "truncation", "cond".
+    tol sets the base-point period series (BASE_SERIES_TOL in the suite
+    and the CLI).  residuals: "solve" (defect of I_base C = I_cont over
+    max|I_cont|), "continuation" (first omitted Taylor terms, relative to
+    their columns), "truncation" (the base series' last terms over
+    max|I_base|), all three relative so they add into one budget; and
+    "cond", the condition number of I_base.
     """
     base = loop[0].start
     branch0 = principal_branch(base)
@@ -116,7 +123,7 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     residuals = {
         "solve": solve_res / scale if scale else solve_res,
         "continuation": cont_err,
-        "truncation": sol.truncation_error,
+        "truncation": sol.truncation_error / float(np.max(np.abs(i_base))),
         "cond": cond,
     }
     return MonodromyResult(loop=list(loop), matrix=cmat, residuals=residuals)

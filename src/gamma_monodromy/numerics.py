@@ -2,6 +2,11 @@
 tracking, Taylor-recurrence continuation of the constant-coefficient
 connection along piecewise paths, and small dense eigenvector extraction.
 
+A truncated jet sum_k c[k] w^k is the complex coefficient array c itself,
+of length order + 1 <= 13; jet_mul, jet_recip and jet_exp do the
+arithmetic.  polygamma is an upward recurrence followed by the Stirling
+series, one route for real and complex arguments.
+
 Everything is plain double precision.  Downstream tolerances are 1e-10 or
 looser, so well-conditioned 1e-13 kernels are enough; no arbitrary
 precision is attempted.  All summations run in a fixed order so repeated
@@ -15,7 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import mpmath
 import numpy as np
 import scipy.special
 
@@ -25,6 +29,15 @@ MAX_JET_ORDER = 12
 
 # for detecting arguments that sit exactly on a pole of Gamma
 _POLE_EPS = 1e-9
+
+# Bernoulli numbers B_2 .. B_20, and the Stirling-series coefficients
+# B_2j (2j+k-1)! / (2j)! of z^-(2j+k) in (-1)^(k+1) psi^(k)(z), k <= 12
+_BERNOULLI_2J = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+                 -3617 / 510, 43867 / 798, -174611 / 330)
+_STIRLING = tuple(
+    tuple(b * (math.factorial(2 * j + k - 1) / math.factorial(2 * j))
+          for j, b in enumerate(_BERNOULLI_2J, start=1))
+    for k in range(MAX_JET_ORDER + 1))
 
 
 class NumericsError(Exception):
@@ -77,67 +90,6 @@ def jet_exp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class Jet:
-    """Truncated Taylor expansion sum_k c[k] w^k, order = len(c)-1 <= 12."""
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=complex)
-        if self.c.ndim != 1:
-            raise ValueError("jet coefficients must be a vector")
-        if len(self.c) - 1 > MAX_JET_ORDER:
-            raise ValueError("jet order above %d" % MAX_JET_ORDER)
-
-    @property
-    def order(self) -> int:
-        return len(self.c) - 1
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.c + other.c)
-        out = self.c.copy()
-        out[0] += other
-        return Jet(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.c - other.c)
-        out = self.c.copy()
-        out[0] -= other
-        return Jet(out)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            return Jet(jet_mul(self.c, other.c))
-        return Jet(self.c * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return Jet(jet_mul(self.c, jet_recip(other.c)))
-        return Jet(self.c / other)
-
-    def exp(self) -> "Jet":
-        return Jet(jet_exp(self.c))
-
-    def __getitem__(self, k: int) -> complex:
-        return complex(self.c[k])
-
-
-def jet_variable(center: complex, order: int) -> Jet:
-    """The jet of z = center + w."""
-    c = np.zeros(order + 1, dtype=complex)
-    c[0] = center
-    if order >= 1:
-        c[1] = 1.0
-    return Jet(c)
-
-
 # ---------------------------------------------------------------------------
 # special functions
 # ---------------------------------------------------------------------------
@@ -159,28 +111,55 @@ def log_gamma(z: complex) -> complex:
 
 
 def polygamma(k: int, z: complex) -> complex:
-    """psi^(k)(z) for complex z, k <= 12."""
+    """psi^(k)(z) for complex z, k <= 12, by one float64 route for every z.
+
+    z is shifted upward with psi^(k)(z) = psi^(k)(z+1) + (-1)^(k+1) k!/z^(k+1)
+    until Re z >= 18 + 1.5k, where the Stirling series
+
+        (-1)^(k+1) [(k-1)!/z^k + k!/(2 z^(k+1))
+                    + sum_j B_2j (2j+k-1)!/((2j)! z^(2j+k))]
+
+    (with -log z in place of (k-1)!/z^k at k = 0) is summed to j = 10.
+    The shift terms are added by math.fsum: at a negative half-integer the
+    terms at z+j and -(z+j) cancel exactly, and psi^(k) can sit many
+    orders below its largest term.
+    """
     if not 0 <= k <= MAX_JET_ORDER:
         raise ValueError("polygamma order out of range")
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError("polygamma pole at %r" % z)
-    val = mpmath.polygamma(k, mpmath.mpc(z))
-    return complex(val)
+    shift = []
+    while z.real < 18.0 + 1.5 * k:
+        shift.append(z ** -(k + 1))
+        z += 1.0
+    w = 1.0 / (z * z)
+    series = 0.0
+    for c in reversed(_STIRLING[k]):
+        series = (series + c) * w
+    kfact = math.factorial(k)
+    lead = -cmath.log(z) if k == 0 else math.factorial(k - 1) / z ** k
+    shift_sum = complex(math.fsum(t.real for t in shift),
+                        math.fsum(t.imag for t in shift))
+    val = (lead + kfact / (2.0 * z ** (k + 1)) + series / z ** k
+           + kfact * shift_sum)
+    return val if k % 2 else -val
 
 
-def log_gamma_jet(z: complex, order: int) -> Jet:
+def log_gamma_jet(z: complex, order: int) -> np.ndarray:
     """Jet of log Gamma(z + w); z must avoid nonpositive integers."""
+    if order > MAX_JET_ORDER:
+        raise ValueError("jet order above %d" % MAX_JET_ORDER)
     c = np.zeros(order + 1, dtype=complex)
     c[0] = log_gamma(z)
     fact = 1.0
     for k in range(1, order + 1):
         fact *= k
         c[k] = polygamma(k - 1, z) / fact
-    return Jet(c)
+    return c
 
 
-def recip_gamma_jet(z: complex, order: int) -> Jet:
+def recip_gamma_jet(z: complex, order: int) -> np.ndarray:
     """Jet of the entire function 1/Gamma at center z.
 
     At a nonpositive integer center the logarithmic expansion breaks down,
@@ -192,11 +171,17 @@ def recip_gamma_jet(z: complex, order: int) -> Jet:
     z = complex(z)
     if _is_nonpositive_integer(z):
         shift = 1 - round(z.real)
-        acc = jet_variable(z, order)
+        # the linear factor z + j + w
+        lin = np.zeros(order + 1, dtype=complex)
+        if order >= 1:
+            lin[1] = 1.0
+        lin[0] = z
+        acc = lin.copy()
         for j in range(1, shift):
-            acc = acc * jet_variable(z + j, order)
-        return acc * recip_gamma_jet(z + shift, order)
-    return Jet(jet_exp(-log_gamma_jet(z, order).c))
+            lin[0] = z + j
+            acc = jet_mul(acc, lin)
+        return jet_mul(acc, recip_gamma_jet(z + shift, order))
+    return jet_exp(-log_gamma_jet(z, order))
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +233,6 @@ class Segment:
     def point(self, t: float) -> complex:
         return self.z0 + (self.z1 - self.z0) * t
 
-    def deriv(self, t: float) -> complex:
-        return self.z1 - self.z0
-
     def length(self) -> float:
         return abs(self.z1 - self.z0)
 
@@ -286,10 +268,6 @@ class Arc:
     def point(self, t: float) -> complex:
         a = self.angle0 + (self.angle1 - self.angle0) * t
         return self.center + self.radius * cmath.exp(1j * a)
-
-    def deriv(self, t: float) -> complex:
-        a = self.angle0 + (self.angle1 - self.angle0) * t
-        return 1j * (self.angle1 - self.angle0) * self.radius * cmath.exp(1j * a)
 
     def length(self) -> float:
         return abs(self.angle1 - self.angle0) * self.radius

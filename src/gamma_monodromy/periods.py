@@ -49,7 +49,7 @@ class MatrixSolution:
 
 @lru_cache(maxsize=4096)
 def _rg_jet_coeffs(nu_half: complex, order: int) -> tuple:
-    return tuple(recip_gamma_jet(nu_half, order).c)
+    return tuple(recip_gamma_jet(nu_half, order))
 
 
 def _log_pow_jet(branch: BranchState, nu: complex, order: int) -> np.ndarray:
@@ -163,9 +163,10 @@ def connection_rhs(space: SpaceModel, product: QuantumProduct, level: int):
 
 
 def sigma_transform(space: SpaceModel, v: np.ndarray) -> np.ndarray:
-    """Componentwise multiplication by exp(pi i theta_i)."""
+    """Componentwise multiplication by exp(pi i theta_i); a matrix is
+    transformed column by column."""
     phases = np.exp(1j * np.pi * np.diag(space.theta))
-    return phases * np.asarray(v, dtype=complex)
+    return (phases * np.asarray(v, dtype=complex).T).T
 
 
 def twisted_period(n: int, Q: complex, m: int, beta: np.ndarray,
@@ -186,7 +187,8 @@ def twisted_projective_match(n: int, Q: complex, m: int, beta: np.ndarray,
     Left: the twisted period of beta at (Q, lambda).  Right: the level -m
     period on P^{n-2} at q = -Q^{-(n-1)} of sigma(beta), conjugated by
     exp(-pi i theta), transported through e^i -> p^{i-1}.  Both use the
-    same branch of log lambda.
+    same branch of log lambda.  beta is a class or a matrix whose columns
+    are classes; the two sides then have one column per class.
     """
     lhs = twisted_period(n, Q, m, beta, branch, tol)
     proj = make_proj(n - 2)
@@ -194,6 +196,6 @@ def twisted_projective_match(n: int, Q: complex, m: int, beta: np.ndarray,
     product = quantum_mult_proj(n - 2, q)
     sser = sseries_proj(n - 2, q, SERIES_CAP)
     sol = fundamental_solution(proj, product, sser, -m, branch, tol)
-    vec = sol.value @ sigma_transform(proj, np.asarray(beta, dtype=complex))
+    vec = sol.value @ sigma_transform(proj, beta)
     phases = np.exp(-1j * np.pi * np.diag(proj.theta))
-    return lhs, phases * vec
+    return lhs, (phases * vec.T).T

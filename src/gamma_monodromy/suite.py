@@ -18,18 +18,15 @@ import numpy as np
 from . import mirror, vanishing
 from .cohomology import (euler_char, euler_pairing, intersection_pairing,
                          line_bundle, make_proj, make_twisted, psi_map)
-from .monodromy import (base_radius, big_circle_matrix, gamma_loop,
-                        monodromy_matrix, reflection_vector,
+from .monodromy import (BASE_SERIES_TOL, base_radius, big_circle_matrix,
+                        gamma_loop, monodromy_matrix, reflection_vector,
                         twisted_reflection_check)
-from .numerics import principal_branch, BranchState
+from .numerics import principal_branch
 from .periods import (SERIES_CAP, connection_rhs, fundamental_solution,
-                      master_period)
-from .quantum import (epsilon_matrix, pairing_adjoint, quantum_mult_proj,
-                      quantum_mult_twisted, sseries_proj, sseries_twisted,
-                      symplectic_residual)
+                      twisted_projective_match)
+from .quantum import (epsilon_matrix, quantum_mult_proj, quantum_mult_twisted,
+                      sseries_proj, sseries_twisted, symplectic_residual)
 
-# tolerance of the base-point period series that starts each loop
-ODE_TOL = 1e-12
 SERIES_TOL = 1e-11
 
 
@@ -50,7 +47,8 @@ def _proj_reflection_data(n: int) -> dict:
     entries = []
     for k in range(n - 1):
         loop = gamma_loop(n, 0.0, k)
-        result = monodromy_matrix(space, product, sser, level, loop, ODE_TOL)
+        result = monodromy_matrix(space, product, sser, level, loop,
+                                  BASE_SERIES_TOL)
         cand = psi_map(space, line_bundle(k), 0.0)
         alpha = reflection_vector(result, space, candidate=cand)
         entries.append({"k": k, "result": result, "alpha": alpha,
@@ -104,7 +102,7 @@ def criterion_twisted() -> dict:
     consts = {}
     for n in (3, 4):
         for k in range(n - 1):
-            r = twisted_reflection_check(n, 1.0, k, tol=ODE_TOL)
+            r = twisted_reflection_check(n, 1.0, k, tol=BASE_SERIES_TOL)
             worst_dev = max(worst_dev, r["constant_deviation"])
             worst_fit = max(worst_fit, r["fit_residual"])
             worst_pair = max(worst_pair, abs(r["exceptional_pairing"] - 1.0))
@@ -122,28 +120,15 @@ def criterion_identification() -> dict:
     q = -Q^{-(n-1)}, on a 10-point lambda grid."""
     tol = 1e-8
     worst = 0.0
+    Q = 1.0
     for n in (3, 4, 5):
-        m = n
-        Q = 1.0
-        tw_space = make_twisted(n)
-        tw_prod = quantum_mult_twisted(n, Q)
-        tw_ser = sseries_twisted(n, complex(Q), SERIES_CAP)
-        proj = make_proj(n - 2)
-        q = -complex(Q) ** (-(n - 1))
-        p_prod = quantum_mult_proj(n - 2, q)
-        p_ser = sseries_proj(n - 2, q, SERIES_CAP)
-        sig = np.exp(1j * np.pi * np.diag(proj.theta))
-        phases = np.exp(-1j * np.pi * np.diag(proj.theta))
         radii = np.linspace(2.1, 3.8, 10) * (n - 1) / abs(Q)
         args = np.linspace(-0.35, 0.35, 10)
         for rr, aa in zip(radii, args):
-            lam = rr * np.exp(1j * aa)
-            br = principal_branch(lam)
-            lhs = fundamental_solution(tw_space, tw_prod, tw_ser, -m, br,
-                                       SERIES_TOL).value
-            sol = fundamental_solution(proj, p_prod, p_ser, -m, br,
-                                       SERIES_TOL).value
-            rhs = np.diag(phases) @ sol @ np.diag(sig)
+            br = principal_branch(rr * np.exp(1j * aa))
+            # the identity's columns are the basis classes
+            lhs, rhs = twisted_projective_match(n, Q, n, np.eye(n - 1), br,
+                                                SERIES_TOL)
             worst = max(worst, _mat_rel(lhs, rhs))
     return {"name": "identification", "pass": bool(worst < tol), "tol": tol,
             "residual": worst, "details": {}}

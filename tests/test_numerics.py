@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -62,14 +64,84 @@ def test_polygamma_recurrence_random_grid():
         count += 1
 
 
+# psi^(k)(z) from 30-digit mpmath, rounded to double; 1.46 sits near the
+# zero of psi, -2.5 is a negative half-integer where psi^(12) is 1e11 times
+# smaller than its largest shift term
+POLYGAMMA_REFS = [
+    (0, 0.5, -1.9635100260214235),
+    (0, 1.0, -0.5772156649015329),
+    (0, 1.46, -0.0015805619870834522),
+    (0, 7.5, 1.9467574842460869),
+    (0, -2.5, 1.103156640645243),
+    (0, 0.3 + 4j, complex(1.3849293523158994, 1.6210197716815968)),
+    (0, 15 - 12j, complex(2.9350234898466327, -0.6912214059558269)),
+    (1, 0.5, 4.934802200544679),
+    (1, 1.0, 1.6449340668482264),
+    (1, 1.46, 0.9691196215098878),
+    (1, 7.5, 0.1426158966967038),
+    (1, -2.5, 9.539246644989124),
+    (1, 0.3 + 4j, complex(-0.012670063832095277, -0.25068810261755137)),
+    (1, 15 - 12j, complex(0.04093756104705762, 0.03386342965014345)),
+    (2, 0.5, -16.82879664423432),
+    (2, 1.0, -2.4041138063191885),
+    (2, 1.46, -0.8880630425818332),
+    (2, 7.5, -0.020305252536644666),
+    (2, -2.5, -0.1082040516417274),
+    (2, 0.3 + 4j, complex(0.06302186862849432, -0.006423313820031893)),
+    (2, 15 - 12j, complex(-0.0005297686603296614, -0.0027723269195575606)),
+    (5, 0.5, 7691.113548602436),
+    (5, 1.0, 122.0811674381339),
+    (5, 1.46, 13.024059586928812),
+    (5, 7.5, 0.0013927076560043099),
+    (5, -2.5, 15382.140048026304),
+    (5, 0.3 + 4j, complex(-0.006479818735702193, -0.02447079677877429)),
+    (5, 15 - 12j, complex(-9.665130972860771e-06, -3.11338076967304e-06)),
+    (11, 0.5, 163499521134.7588),
+    (11, 1.0, 39926622.987731084),
+    (11, 1.46, 426348.4194083104),
+    (11, 7.5, 0.0016490341849347435),
+    (11, -2.5, 326999042257.0655),
+    (11, 0.3 + 4j, complex(0.7456623129270022, 1.1044858006936065)),
+    (11, 15 - 12j, complex(9.006958118101919e-09, 3.3256962541409754e-08)),
+    (12, 0.5, -3923983571677.6094),
+    (12, 1.0, -479060379.8898314),
+    (12, 1.46, -3501449.8370378995),
+    (12, 7.5, -0.0025431917396943953),
+    (12, -2.5, -42.17265738445786),
+    (12, 0.3 + 4j, complex(-3.2742172429061003, 2.444843248251452)),
+    (12, 15 - 12j, complex(8.281540248416534e-09, -1.8342629224247997e-08)),
+]
+
+
+@pytest.mark.parametrize("k,z,ref", POLYGAMMA_REFS)
+def test_polygamma_frozen_references(k, z, ref):
+    assert abs(nx.polygamma(k, z) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_polygamma_order_and_pole_errors():
+    with pytest.raises(ValueError):
+        nx.polygamma(nx.MAX_JET_ORDER + 1, 1.0)
+    with pytest.raises(nx.PoleError):
+        nx.polygamma(3, -2.0)
+
+
+def test_import_leaves_mpmath_unloaded():
+    code = ("import sys, gamma_monodromy.cli, gamma_monodromy.suite; "
+            "print('mpmath' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # jets
 # ---------------------------------------------------------------------------
 
 def test_recip_gamma_jet_trivial_points():
-    assert abs(nx.recip_gamma_jet(1.0, 0).c[0] - 1.0) < 1e-13
-    assert abs(nx.recip_gamma_jet(-3.0, 0).c[0]) < 1e-13
-    j = nx.recip_gamma_jet(0.0, 1).c
+    assert abs(nx.recip_gamma_jet(1.0, 0)[0] - 1.0) < 1e-13
+    assert abs(nx.recip_gamma_jet(-3.0, 0)[0]) < 1e-13
+    j = nx.recip_gamma_jet(0.0, 1)
     assert abs(j[0]) < 1e-13
     assert abs(j[1] - 1.0) < 1e-12
 
@@ -78,7 +150,7 @@ def test_recip_gamma_jet_finite_difference():
     # derivative of 1/Gamma at a generic point vs central difference
     z = 1.7 - 0.3j
     h = 1e-4  # large enough that the second difference is not all roundoff
-    jet = nx.recip_gamma_jet(z, 2).c
+    jet = nx.recip_gamma_jet(z, 2)
     f = lambda w: cmath.exp(-nx.log_gamma(w))
     d1 = (f(z + h) - f(z - h)) / (2 * h)
     d2 = (f(z + h) - 2 * f(z) + f(z - h)) / h ** 2
@@ -88,7 +160,7 @@ def test_recip_gamma_jet_finite_difference():
 
 def test_recip_gamma_jet_pole_center_small_values():
     # entire function: values at Gamma poles are finite and start with zeros
-    j = nx.recip_gamma_jet(-6.0, 3).c
+    j = nx.recip_gamma_jet(-6.0, 3)
     assert abs(j[0]) < 1e-12
     assert abs(j[1] - 720.0) < 1e-9 * 720  # derivative is (-1)^6 * 6!
 
@@ -97,7 +169,7 @@ def test_recip_times_gamma_is_one():
     rng = np.random.default_rng(3)
     for _ in range(25):
         z = complex(rng.uniform(0.2, 10), rng.uniform(-5, 5))
-        val = nx.recip_gamma_jet(z, 0).c[0] * cmath.exp(nx.log_gamma(z))
+        val = nx.recip_gamma_jet(z, 0)[0] * cmath.exp(nx.log_gamma(z))
         assert abs(val - 1.0) < 1e-10
 
 
@@ -142,13 +214,13 @@ def test_jet_exp_log_gamma_consistency():
     # exp of the logGamma jet should reproduce Gamma itself at order 0
     z = 2.3 + 0.4j
     lg = nx.log_gamma_jet(z, 4)
-    g = nx.Jet(nx.jet_exp(lg.c))
-    assert abs(g.c[0] - cmath.exp(nx.log_gamma(z))) < 1e-11 * abs(g.c[0])
+    g = nx.jet_exp(lg)
+    assert abs(g[0] - cmath.exp(nx.log_gamma(z))) < 1e-11 * abs(g[0])
 
 
 def test_jet_order_cap():
     with pytest.raises(ValueError):
-        nx.jet_variable(0.0, nx.MAX_JET_ORDER + 1)
+        nx.recip_gamma_jet(0.0, nx.MAX_JET_ORDER + 1)
 
 
 # ---------------------------------------------------------------------------
