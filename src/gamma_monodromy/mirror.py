@@ -25,10 +25,9 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
-import scipy.integrate
 import scipy.special
 
 from .numerics import (NumericsError, jet_exp, jet_mul, jet_recip,
@@ -274,68 +273,73 @@ def local_exponent_fit(n: int, q: float, m: int, num: int = 9) -> dict:
 # the inversion-integral cross checks
 # ---------------------------------------------------------------------------
 
-def mellin_inversion_j(n: int, q: float, T: float = 40.0) -> float:
-    """J(q) = (1/2 pi i) int q^{-x} Gamma(x)^{n-1} dx on Re x = 1.
-
-    Here the integrand does decay exponentially (no Gamma in the
-    denominator), so a short contour suffices.
-    """
-    b, w = _gl_panels(-T, T, int(math.ceil(2 * T / 0.5)))
+def _gamma_line(n: int, q: float) -> tuple:
+    """Nodes x on Re x = 1, |Im x| <= 40 (160 panels), their weights, and
+    q^{-x} Gamma(x)^{n-1} there; the cut drops less than e^{-115} / q."""
+    b, w = _gl_panels(-40.0, 40.0, 160)
     x = 1.0 + 1j * b
-    vals = np.exp((n - 1) * scipy.special.loggamma(x) - x * math.log(q))
+    return x, w, np.exp((n - 1) * scipy.special.loggamma(x) - x * math.log(q))
+
+
+def mellin_inversion_j(n: int, q: float) -> float:
+    """J(q) = (1/2 pi i) int q^{-x} Gamma(x)^{n-1} dx on Re x = 1, by the
+    Gauss-Legendre panels of ``_gamma_line``."""
+    _, w, vals = _gamma_line(n, q)
     return float(((vals @ w) / (2.0 * math.pi)).real)
 
 
-def oscillatory_j(n: int, q: float, tol: float = 1e-10) -> float:
-    """The same J(q) as a real oscillation-free integral over (log) tori.
+# log-torus box [lo, hi]^(n-2) of J(q) and its panels per axis (about 3 wide)
+_TORUS_BOX = {3: (-40.0, 10.0, 17), 4: (-25.0, 8.0, 11)}
 
-    n = 3: int exp(-(e^t + q e^{-t})) dt;
-    n = 4: int int exp(-(e^t1 + e^t2 + q e^{-t1-t2})) dt1 dt2.
+
+@lru_cache(maxsize=None)
+def _torus_rule(n: int) -> tuple:
+    """Weights, sum_i e^{t_i} and e^{-sum_i t_i} on the flattened
+    tensor-product nodes of the log-torus box, read-only."""
+    t, w = _gl_panels(*_TORUS_BOX[n])
+    rule = (reduce(np.multiply.outer, [w] * (n - 2)).ravel(),
+            reduce(np.add.outer, [np.exp(t)] * (n - 2)).ravel(),
+            reduce(np.multiply.outer, [np.exp(-t)] * (n - 2)).ravel())
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+def oscillatory_j(n: int, q: float) -> float:
+    """The same J(q) as an oscillation-free integral over log-tori,
+    int exp(-(e^{t_1} + .. + e^{t_d} + q e^{-t_1-..-t_d})) dt with d = n - 2,
+    on [-40, 10] (n = 3) or [-25, 8]^2 (n = 4) by ``_torus_rule``.
+
+    Truncation: the integrand is at most exp(-e^{hi}) on the upper faces,
+    and exp(-q e^{40}) (n = 3) or exp(-2 sqrt(q) e^{12.5}) (n = 4) on the
+    lower faces; it falls doubly exponentially beyond every face.
     """
-    if n == 3:
-        val, _ = scipy.integrate.quad(
-            lambda t: math.exp(-(math.exp(t) + q * math.exp(-t))),
-            -40.0, 10.0, epsabs=tol, epsrel=1e-10, limit=300)
-        return float(val)
-    if n == 4:
-        def f(t2, t1):
-            a = math.exp(t1) + math.exp(t2) + q * math.exp(-t1 - t2)
-            return math.exp(-a) if a < 700 else 0.0
-
-        val, _ = scipy.integrate.dblquad(
-            f, -25.0, 8.0, lambda t1: -25.0, lambda t1: 8.0,
-            epsabs=max(tol, 1e-9), epsrel=1e-8)
-        return float(val)
-    raise ValueError("oscillatory route implemented for n in {3, 4}")
+    if n not in _TORUS_BOX:
+        raise ValueError("oscillatory route implemented for n in {3, 4}")
+    weights, exp_sum, inv_prod = _torus_rule(n)
+    return float(weights @ np.exp(-(exp_sum + q * inv_prod)))
 
 
 def inversion_consistency(n: int, q: float) -> dict:
     """Two routes to int q^{-x} Gamma(x)^{n-1} dx / x on the vertical line.
 
-    Left: 2 pi i times the outer integral int_0^inf J(q e^v) dv with J from
-    the oscillation-free route.  Right: direct contour quadrature.  The two
-    never share code paths, so agreement pins the contour bookkeeping.
+    Left: 2 pi i times int_0^inf J(q e^v) dv, J by ``oscillatory_j``, on six
+    panels over [0, vmax].  Right: the contour rule of ``_gamma_line``.  The
+    two share no integrand, so agreement pins the contour bookkeeping.
     """
     vmax = max(9.0, math.log(4000.0 / q))
-    npan = 6
-    edges = np.linspace(0.0, vmax, npan + 1)
+    v, wv = _gl_panels(0.0, vmax, 6)
     outer = 0.0
-    for a, b_edge in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b_edge - a)
-        mid = 0.5 * (b_edge + a)
-        for xg, wg in zip(_GL_X, _GL_W):
-            v = mid + half * xg
-            s = q * math.exp(v)
-            # crude superexponential bound: skip points that cannot matter
-            if (n - 1) * s ** (1.0 / (n - 1)) > 45.0 + math.log1p(s):
-                continue
-            outer += half * wg * oscillatory_j(n, s, tol=1e-11)
+    for vk, wk in zip(v, wv):
+        s = q * math.exp(vk)
+        # crude superexponential bound: skip points that cannot matter
+        if (n - 1) * s ** (1.0 / (n - 1)) > 45.0 + math.log1p(s):
+            continue
+        outer += wk * oscillatory_j(n, s)
     lhs = 2j * math.pi * outer
 
-    b, w = _gl_panels(-40.0, 40.0, 160)  # panels 0.5 wide
-    x = 1.0 + 1j * b
-    vals = np.exp((n - 1) * scipy.special.loggamma(x) - x * math.log(q)) / x
-    rhs = 1j * complex(vals @ w)
+    x, w, vals = _gamma_line(n, q)
+    rhs = 1j * complex((vals / x) @ w)
     return {"lhs": lhs, "rhs": rhs, "abs_diff": abs(lhs - rhs),
             "rel_diff": abs(lhs - rhs) / max(abs(rhs), 1e-300)}
 
@@ -379,12 +383,9 @@ def laplace_spot_check(n: int, q: float, m: int,
     lhs = lhs_on(u, lam_break, 8) + lhs_on(lam_break, lam_max, 20)
     lhs_wider = lhs + lhs_on(lam_max, lam_max + 15.0 / smin, 6)
 
-    b, w = _gl_panels(-40.0, 40.0, 160)  # panels 0.5 wide
-    x = cfg.epsilon + 1j * b
-    base = np.exp((n - 1) * scipy.special.loggamma(x)
-                  - x * math.log(q) - np.log(x))
+    x, w, vals = _gamma_line(n, q)
     pref = (2.0 * math.pi) ** ((1 - n) / 2.0)
-    rhs = np.array([pref * complex((base * np.exp(
+    rhs = np.array([pref * complex((vals / x * np.exp(
         (n / 2.0 - (n - 1) * x - m - 0.5) * math.log(s))) @ w)
         for s in s_values])
 

@@ -39,7 +39,6 @@ class MonodromyResult:
     loop: list
     matrix: np.ndarray
     residuals: dict = field(default_factory=dict)
-    reflection: np.ndarray | None = None
 
 
 def base_radius(n: int) -> float:
@@ -137,7 +136,8 @@ def reflection_vector(result: MonodromyResult, space: SpaceModel,
     The leftover sign is fixed against the candidate vector when one is
     supplied (maximizing the real part of the intersection pairing with
     it), else by rotating the first nonzero coefficient to the positive
-    real half-line.  The result is recorded on the MonodromyResult.
+    real half-line.  The eigenvector and pairing defects of alpha are
+    recorded in ``result.residuals`` under "eigen" and "pairing".
     """
     vec = eig_unit_minus(result.matrix, eig_tol)
     c2 = intersection_pairing(space, vec, vec)
@@ -153,7 +153,6 @@ def reflection_vector(result: MonodromyResult, space: SpaceModel,
         lead = alpha[int(nz[0])]
         if lead.real < 0.0 or (abs(lead.real) < 1e-12 and lead.imag < 0.0):
             alpha = -alpha
-    result.reflection = alpha
     result.residuals["eigen"] = float(
         np.max(np.abs(result.matrix @ alpha + alpha)) / np.max(np.abs(alpha)))
     result.residuals["pairing"] = abs(

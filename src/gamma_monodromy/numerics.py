@@ -250,20 +250,13 @@ class Segment:
 
 @dataclass(frozen=True)
 class Arc:
-    """Circular arc center + radius*exp(i*angle), angle from angle0 to angle1.
-
-    Orientation is the sign of angle1 - angle0 (positive = counterclockwise).
-    """
+    """Circular arc center + radius*exp(i*angle), angle from angle0 to angle1
+    (counterclockwise when angle1 > angle0)."""
 
     center: complex
     radius: float
     angle0: float
     angle1: float
-
-    @property
-    def orientation(self) -> int:
-        d = self.angle1 - self.angle0
-        return (d > 0) - (d < 0)
 
     def point(self, t: float) -> complex:
         a = self.angle0 + (self.angle1 - self.angle0) * t

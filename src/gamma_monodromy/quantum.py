@@ -214,11 +214,11 @@ def s_inverse_blowup_unit(n: int, q1: complex, K: int) -> list[np.ndarray]:
 # matrix series and inversion
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SSeries:
     space: SpaceModel
     param: complex
-    mats: list[np.ndarray]  # mats[l] multiplies z^-l
+    mats: tuple[np.ndarray, ...]  # mats[l] multiplies z^-l
 
     @property
     def order(self) -> int:
@@ -232,25 +232,28 @@ def pairing_adjoint(space: SpaceModel, mat: np.ndarray) -> np.ndarray:
 
 
 def s_from_inverse(sinv: SSeries) -> SSeries:
-    """Recover S from S^{-1} via S(z) = adjoint of S^{-1}(-z)."""
-    mats = [(-1.0) ** l * pairing_adjoint(sinv.space, a)
-            for l, a in enumerate(sinv.mats)]
+    """Recover S from S^{-1} via S(z) = adjoint of S^{-1}(-z), read-only
+    because the caches below hand one object to every caller."""
+    mats = tuple((-1.0) ** l * pairing_adjoint(sinv.space, a)
+                 for l, a in enumerate(sinv.mats))
+    for mat in mats:
+        mat.flags.writeable = False
     return SSeries(sinv.space, sinv.param, mats)
 
 
 def s_inverse_series_proj(m: int, q: complex, K: int) -> SSeries:
     space = make_proj(m)
     cols = [s_inverse_proj(m, q, i, K) for i in range(m + 1)]
-    mats = [np.column_stack([cols[i][l] for i in range(m + 1)])
-            for l in range(K + 1)]
+    mats = tuple(np.column_stack([cols[i][l] for i in range(m + 1)])
+                 for l in range(K + 1))
     return SSeries(space, complex(q), mats)
 
 
 def s_inverse_series_twisted(n: int, Q: complex, K: int) -> SSeries:
     space = make_twisted(n)
     cols = [s_inverse_twisted(n, Q, i, K) for i in range(1, n)]
-    mats = [np.column_stack([cols[i][l] for i in range(n - 1)])
-            for l in range(K + 1)]
+    mats = tuple(np.column_stack([cols[i][l] for i in range(n - 1)])
+                 for l in range(K + 1))
     return SSeries(space, complex(Q), mats)
 
 

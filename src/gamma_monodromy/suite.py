@@ -236,10 +236,12 @@ def criterion_pairing() -> dict:
 
 def criterion_mirror() -> dict:
     """Vanishing window, series/contour agreement, local exponent,
-    inversion consistency, and the Laplace spot check."""
+    inversion consistency, and the Laplace spot check; details["margins"]
+    holds residual/tol of each of the five sub-gates."""
     t0 = time.perf_counter()
+    tols = {"zero_window": 1e-6, "series_contour": 1e-6, "exponent": 0.02,
+            "inversion": 1e-4, "laplace": 1e-4}
     details = {}
-    ok = True
 
     worst_zero = 0.0
     for n in (3, 4):
@@ -247,7 +249,6 @@ def criterion_mirror() -> dict:
             scan = mirror.zero_region_scan(n, q, n, npts=20, tol=1e-7)
             worst_zero = max(worst_zero, scan["max_abs"])
     details["zero_region_max"] = worst_zero
-    ok = ok and worst_zero < 1e-6
 
     worst_sc = 0.0
     for n in (3, 4):
@@ -260,7 +261,6 @@ def criterion_mirror() -> dict:
                         for lv in lams])
         worst_sc = max(worst_sc, float(np.max(np.abs(mb - ser))))
     details["series_contour_max"] = worst_sc
-    ok = ok and worst_sc < 1e-6
 
     worst_exp = 0.0
     for n, m in ((3, 3), (3, 6), (4, 4)):
@@ -269,19 +269,22 @@ def criterion_mirror() -> dict:
         details["exponent_%d_%d" % (n, m)] = fit["slope"]
         worst_exp = max(worst_exp, dev)
     details["exponent_worst_dev"] = worst_exp
-    ok = ok and worst_exp < 0.02
 
     worst_inv = 0.0
     for n in (3, 4):
         inv = mirror.inversion_consistency(n, 1.0)
         worst_inv = max(worst_inv, inv["rel_diff"])
     details["inversion_rel"] = worst_inv
-    ok = ok and worst_inv < 1e-4
 
     lap = mirror.laplace_spot_check(3, 1.0, 3)
     details["laplace_rel"] = float(np.max(lap["rel_errors"]))
     details["laplace_sensitivity"] = lap["extension_sensitivity"]
-    ok = ok and bool(lap["pass"])
+
+    residuals = {"zero_window": worst_zero, "series_contour": worst_sc,
+                 "exponent": worst_exp, "inversion": worst_inv,
+                 "laplace": details["laplace_rel"]}
+    details["margins"] = {key: residuals[key] / tols[key] for key in tols}
+    ok = all(residuals[key] < tols[key] for key in tols)
 
     seconds = time.perf_counter() - t0
     details["seconds"] = seconds

@@ -39,3 +39,10 @@ def test_criterion(results, name):
 def test_every_criterion_is_covered(results):
     assert sorted(results) == sorted(NAMES)
     assert len(NAMES) == 10
+
+
+def test_mirror_reports_every_sub_gate_margin(results):
+    margins = results["mirror"]["details"]["margins"]
+    assert sorted(margins) == sorted(["zero_window", "series_contour",
+                                      "exponent", "inversion", "laplace"])
+    assert all(margin < 1.0 for margin in margins.values()), margins

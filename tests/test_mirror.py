@@ -14,8 +14,12 @@ import scipy.special
 from gamma_monodromy import mirror as mr
 from gamma_monodromy.numerics import NumericsError
 
-J3 = {0.5: 0.478284421452162, 1.0: 0.227787745499067, 2.0: 0.084783547996803}
-J4 = {1.0: 0.164041606748376, 2.0: 0.0607710339620886}
+J3 = {0.5: 0.4782844214521623, 1.0: 0.22778774549906688,
+      2.0: 0.08478354799680299, 10.0: 0.0017533146068215747,
+      100.0: 1.148247563067305e-09}
+J4 = {0.5: 0.3757021237846899, 1.0: 0.16404160674837606,
+      2.0: 0.06077103396208862, 10.0: 0.0025030566951819923,
+      100.0: 6.846405092429212e-07}
 INVERSION_N3_Q1 = 0.90923943249776
 
 
@@ -96,14 +100,15 @@ def test_exponent_fit_rejects_noise(monkeypatch):
 def test_oscillatory_j_against_bessel():
     for q, want in J3.items():
         got = mr.oscillatory_j(3, q)
-        assert abs(got - want) < 1e-9
+        assert abs(got - want) < 1e-13 * want
         # same constant through scipy's Bessel implementation
-        assert abs(got - 2.0 * scipy.special.k0(2.0 * math.sqrt(q))) < 1e-9
+        bessel = 2.0 * scipy.special.k0(2.0 * math.sqrt(q))
+        assert abs(got - bessel) < 1e-13 * bessel
 
 
 def test_oscillatory_j_against_meijer_g():
     for q, want in J4.items():
-        assert abs(mr.oscillatory_j(4, q) - want) < 1e-7
+        assert abs(mr.oscillatory_j(4, q) - want) < 1e-13 * want
 
 
 def test_oscillatory_j_rejects_other_n():
@@ -124,9 +129,10 @@ def test_mellin_inversion_j_matches():
 
 def test_inversion_consistency_two_routes():
     out = mr.inversion_consistency(3, 1.0)
-    assert out["rel_diff"] < 1e-6
+    assert out["rel_diff"] < 1e-12
     assert abs(out["lhs"].real) < 1e-8
     assert abs(out["lhs"].imag - INVERSION_N3_Q1) < 1e-6
+    assert mr.inversion_consistency(4, 1.0)["rel_diff"] < 1e-12
 
 
 def test_laplace_spot_check_p1():

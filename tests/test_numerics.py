@@ -127,11 +127,12 @@ def test_polygamma_order_and_pole_errors():
 
 def test_import_leaves_mpmath_unloaded():
     code = ("import sys, gamma_monodromy.cli, gamma_monodromy.suite; "
-            "print('mpmath' in sys.modules)")
+            "print('mpmath' in sys.modules, "
+            "'scipy.integrate' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 # ---------------------------------------------------------------------------

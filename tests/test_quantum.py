@@ -209,6 +209,15 @@ def test_s_from_inverse_is_involutive():
         assert np.max(np.abs(a - b)) < 1e-12
 
 
+def test_cached_sseries_is_read_only():
+    first = qm.sseries_proj(2, 1.0 + 0.0j, 8)
+    before = [mat.copy() for mat in first.mats]
+    with pytest.raises(ValueError):
+        first.mats[0][0, 0] = 99.0
+    again = qm.sseries_proj(2, 1.0 + 0.0j, 8)
+    assert all(np.array_equal(a, b) for a, b in zip(again.mats, before))
+
+
 def test_symplectic_residuals():
     assert qm.symplectic_residual(qm.sseries_proj(2, 1.0 + 0.0j, 10)) < 1e-10
     assert qm.symplectic_residual(qm.sseries_proj(4, 0.6 + 0.2j, 8)) < 1e-10
