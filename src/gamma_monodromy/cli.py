@@ -3,7 +3,13 @@
 Three subcommands: ``reflections`` extracts reflection vectors from
 monodromy and scores them against the Gamma-structure candidates,
 ``phi`` tabulates the oscillatory integral against its residue series,
-and ``suite`` runs the package acceptance checks.
+and ``suite`` runs the package acceptance checks.  Each takes only the
+flags it reads; any other flag is a usage error:
+
+- ``reflections``: --space, --q, --q-arg, --Q, --Q-arg, --k, --m, --tol,
+  --out
+- ``phi``: --space, --q, --q-arg, --m, --tol, --out, --format
+- ``suite``: --only, --out
 
 Output is JSON (schema tag ``gamma-monodromy/1``) with complex numbers
 as [re, im] pairs; ``phi`` can emit CSV instead.  Payloads are
@@ -18,18 +24,16 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from . import mirror
 from . import suite as suite_mod
-from .cohomology import line_bundle, make_proj, psi_map
-from .monodromy import (BASE_SERIES_TOL, gamma_loop, monodromy_matrix,
-                        reflection_vector, twisted_reflection_check)
-from .numerics import NumericsError
-from .periods import SERIES_CAP
-from .quantum import quantum_mult_proj, sseries_proj
+from .monodromy import (BASE_SERIES_TOL, proj_reflection_check,
+                        twisted_reflection_check)
+from .numerics import BranchState, NumericsError
 
 SCHEMA = "gamma-monodromy/1"
 EXIT_OK, EXIT_FAIL, EXIT_NUMERIC, EXIT_USAGE = 0, 1, 2, 64
@@ -70,9 +74,9 @@ def _cvec(v) -> list:
 
 def parse_space(text: str) -> tuple[str, int]:
     kind, _, par = (text or "").partition(":")
-    if kind not in ("proj", "twisted", "blproj") or not par.isdigit():
-        raise UsageError("invalid space %r, expected proj:m, twisted:n "
-                         "or blproj:n" % text)
+    if kind not in ("proj", "twisted") or not par.isdigit():
+        raise UsageError("invalid space %r, expected proj:m or twisted:n"
+                         % text)
     return kind, int(par)
 
 
@@ -124,84 +128,52 @@ def _strip_seconds(obj):
     return obj
 
 
+def _proj_entry(rep: dict, tol: float) -> dict:
+    res = rep["monodromy"].residuals
+    return {"k": rep["k"], "alpha": _cvec(rep["alpha"]),
+            "candidate": _cvec(rep["candidate"]), "sign": rep["sign"],
+            "residual": rep["residual"], "tolerance": tol,
+            "pairing_residual": res["pairing"], "pairing_tolerance": 1e-6,
+            "solver_residuals": {kk: float(vv) for kk, vv in res.items()},
+            "pass": bool(rep["residual"] < tol and res["pairing"] < 1e-6)}
+
+
+def _twisted_entry(rep: dict, tol: float) -> dict:
+    pair_res = abs(rep["exceptional_pairing"] - 1.0)
+    return {"k": rep["k"], "constant": _c(rep["constant"]),
+            "constant_deviation": rep["constant_deviation"],
+            "fit_residual": rep["fit_residual"], "tolerance": tol,
+            "exceptional_pairing": _c(rep["exceptional_pairing"]),
+            "pairing_residual": pair_res, "pairing_tolerance": 1e-8,
+            "beta": _cvec(rep["beta"]), "candidate": _cvec(rep["candidate"]),
+            "pass": bool(rep["constant_deviation"] < tol
+                         and rep["fit_residual"] < tol and pair_res < 1e-8)}
+
+
 def cmd_reflections(cfg: RunConfig) -> int:
     kind, par = parse_space(cfg.space)
     tol = _check_tol(cfg.tol)
+    payload = {"schema": SCHEMA, "config": _config_dict(cfg)}
     if kind == "proj":
-        m_dim = par
-        n = m_dim + 2
-        q = _branch_value(cfg.q, "--q")
-        q_log = math.log(cfg.q[0]) + 1j * math.pi * cfg.q[1]
-        level = -(cfg.m if cfg.m is not None else n)
-        space = make_proj(m_dim)
-        product = quantum_mult_proj(m_dim, q)
-        sser = sseries_proj(m_dim, q, SERIES_CAP)
-        ks = [cfg.k] if cfg.k is not None else list(range(n - 1))
-        results = []
-        for k in ks:
-            if not 0 <= k <= n - 2:
-                raise UsageError("k %d outside [0, %d]" % (k, n - 2))
-            loop = gamma_loop(n, q_log, k)
-            res = monodromy_matrix(space, product, sser, level, loop,
-                                   BASE_SERIES_TOL)
-            cand = psi_map(space, line_bundle(k), q_log)
-            alpha = reflection_vector(res, space, candidate=cand)
-            d_plus = float(np.max(np.abs(alpha - cand)))
-            d_minus = float(np.max(np.abs(alpha + cand)))
-            sign = 1 if d_plus <= d_minus else -1
-            residual = min(d_plus, d_minus)
-            results.append({
-                "k": k,
-                "alpha": _cvec(alpha),
-                "candidate": _cvec(cand),
-                "sign": sign,
-                "residual": residual,
-                "tolerance": tol,
-                "pairing_residual": res.residuals["pairing"],
-                "pairing_tolerance": 1e-6,
-                "solver_residuals": {kk: float(vv) for kk, vv
-                                     in res.residuals.items()},
-                "pass": bool(residual < tol
-                             and res.residuals["pairing"] < 1e-6),
-            })
-        payload = {"schema": SCHEMA, "config": _config_dict(cfg),
-                   "level": level, "results": results,
-                   "pass": all(r["pass"] for r in results)}
-        _emit(payload, cfg.out)
-        return EXIT_OK if payload["pass"] else EXIT_FAIL
-    if kind == "twisted":
+        n = par + 2
+        q = BranchState(_branch_value(cfg.q, "--q"),
+                        math.log(cfg.q[0]) + 1j * math.pi * cfg.q[1])
+        check = partial(proj_reflection_check, n, q, m=cfg.m)
+        entry = _proj_entry
+        payload["level"] = -(cfg.m if cfg.m is not None else n)
+    else:
         n = par
-        Q = _branch_value(cfg.Q, "--Q")
-        ks = [cfg.k] if cfg.k is not None else list(range(n - 1))
-        results = []
-        for k in ks:
-            if not 0 <= k <= n - 2:
-                raise UsageError("k %d outside [0, %d]" % (k, n - 2))
-            rep = twisted_reflection_check(n, Q, k, m=cfg.m,
-                                           tol=BASE_SERIES_TOL)
-            pair_res = abs(rep["exceptional_pairing"] - 1.0)
-            entry = {
-                "k": k,
-                "constant": _c(rep["constant"]),
-                "constant_deviation": rep["constant_deviation"],
-                "fit_residual": rep["fit_residual"],
-                "tolerance": tol,
-                "exceptional_pairing": _c(rep["exceptional_pairing"]),
-                "pairing_residual": pair_res,
-                "pairing_tolerance": 1e-8,
-                "beta": _cvec(rep["beta"]),
-                "candidate": _cvec(rep["candidate"]),
-                "pass": bool(rep["constant_deviation"] < tol
-                             and rep["fit_residual"] < tol
-                             and pair_res < 1e-8),
-            }
-            results.append(entry)
-        payload = {"schema": SCHEMA, "config": _config_dict(cfg),
-                   "results": results,
-                   "pass": all(r["pass"] for r in results)}
-        _emit(payload, cfg.out)
-        return EXIT_OK if payload["pass"] else EXIT_FAIL
-    raise UsageError("reflections requires proj:m or twisted:n")
+        check = partial(twisted_reflection_check, n,
+                        _branch_value(cfg.Q, "--Q"), m=cfg.m,
+                        tol=BASE_SERIES_TOL)
+        entry = _twisted_entry
+    if cfg.k is not None and not 0 <= cfg.k <= n - 2:
+        raise UsageError("k %d outside [0, %d]" % (cfg.k, n - 2))
+    ks = [cfg.k] if cfg.k is not None else range(n - 1)
+    payload["results"] = [entry(check(k), tol) for k in ks]
+    payload["pass"] = all(r["pass"] for r in payload["results"])
+    _emit(payload, cfg.out)
+    return EXIT_OK if payload["pass"] else EXIT_FAIL
 
 
 def cmd_phi(cfg: RunConfig) -> int:
@@ -286,29 +258,43 @@ def cmd_suite(cfg: RunConfig, only: str | None) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--space", help="proj:m, twisted:n or blproj:n")
-    sub.add_argument("--q", type=float, help="modulus of q")
-    sub.add_argument("--q-arg", type=float, default=0.0,
-                     help="argument of q in units of pi (default 0)")
-    sub.add_argument("--Q", type=float, help="modulus of Q")
-    sub.add_argument("--Q-arg", type=float, default=0.0,
-                     help="argument of Q in units of pi (default 0)")
-    sub.add_argument("--k", type=int, help="single line-bundle index")
-    sub.add_argument("--m", type=int, help="period level magnitude "
-                     "(default: n of the ambient space)")
-    sub.add_argument("--tol", type=float, default=1e-4,
-                     help="report tolerance, in [1e-12, 1e-3]")
-    sub.add_argument("--out", help="write the payload to this path")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+# argparse options of every flag
+_FLAGS = {
+    "space": {"help": "proj:m or twisted:n"},
+    "q": {"type": float, "help": "modulus of q"},
+    "q-arg": {"type": float, "default": 0.0,
+              "help": "argument of q in units of pi (default 0)"},
+    "Q": {"type": float, "help": "modulus of Q"},
+    "Q-arg": {"type": float, "default": 0.0,
+              "help": "argument of Q in units of pi (default 0)"},
+    "k": {"type": int, "help": "single line-bundle index"},
+    "m": {"type": int, "help": "period level magnitude "
+          "(default: n of the ambient space)"},
+    "tol": {"type": float, "default": 1e-4,
+            "help": "report tolerance, in [1e-12, 1e-3]"},
+    "out": {"help": "write the payload to this path"},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+    "only": {"help": "run a single criterion"},
+}
+
+# each command takes only the flags it reads
+_COMMANDS = (
+    ("reflections", "extract reflection vectors",
+     "space q q-arg Q Q-arg k m tol out"),
+    ("phi", "oscillatory integral comparison",
+     "space q q-arg m tol out format"),
+    ("suite", "run the acceptance checks", "only out"),
+)
 
 
-def _to_config(args: argparse.Namespace, command: str) -> RunConfig:
-    q = [args.q, args.q_arg] if args.q is not None else None
-    Q = [args.Q, args.Q_arg] if args.Q is not None else None
-    return RunConfig(command=command, space=args.space, q=q, Q=Q,
-                     k=args.k, m=args.m, tol=args.tol, out=args.out,
-                     format=args.format)
+def _to_config(args: argparse.Namespace) -> RunConfig:
+    """Fields of flags the command does not take keep their defaults."""
+    names = {f.name for f in fields(RunConfig)}
+    given = {key: val for key, val in vars(args).items() if key in names}
+    for key in ("q", "Q"):
+        if given.get(key) is not None:
+            given[key] = [given[key], getattr(args, key + "_arg")]
+    return RunConfig(**given)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -316,15 +302,12 @@ def main(argv: list[str] | None = None) -> int:
                      description="reflection vectors from quantum "
                                  "cohomology monodromy")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, text in (("reflections", "extract reflection vectors"),
-                       ("phi", "oscillatory integral comparison"),
-                       ("suite", "run the acceptance checks")):
+    for name, text, flags in _COMMANDS:
         sub = subs.add_parser(name, help=text)
-        _add_common(sub)
-        if name == "suite":
-            sub.add_argument("--only", help="run a single criterion")
+        for flag in flags.split():
+            sub.add_argument("--" + flag, **_FLAGS[flag])
     args = parser.parse_args(argv)
-    cfg = _to_config(args, args.command)
+    cfg = _to_config(args)
     try:
         if args.command == "reflections":
             return cmd_reflections(cfg)

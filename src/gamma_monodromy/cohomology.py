@@ -80,14 +80,13 @@ class SpaceModel:
     def integral(self, v: np.ndarray) -> complex:
         return self.pair(v, self.unit())
 
-    def nilpotency(self, mat: np.ndarray | None = None) -> int:
-        """Smallest D with mat^D = 0 (default mat = rho)."""
-        m = self.rho if mat is None else mat
+    def nilpotency(self) -> int:
+        """Smallest D with rho^D = 0."""
         acc = np.eye(self.size, dtype=complex)
         for d in range(self.size + 2):
             if np.max(np.abs(acc)) == 0.0:
                 return d
-            acc = m @ acc
+            acc = self.rho @ acc
         raise ValueError("matrix is not nilpotent")
 
 
@@ -181,43 +180,6 @@ def make_blproj(n: int) -> SpaceModel:
     c1 = (n + 1) * sp.basis_vector("h") - (n - 1) * sp.basis_vector("e")
     sp.rho = sp.mult_matrix(c1)
     return sp
-
-
-def make_space(kind: str, param: int) -> SpaceModel:
-    if kind == "proj":
-        return make_proj(param)
-    if kind == "twisted":
-        return make_twisted(param)
-    if kind == "blproj":
-        return make_blproj(param)
-    raise ValueError("unknown space kind %r" % kind)
-
-
-def validate_space(space: SpaceModel, tol: float = 0.0) -> dict:
-    """Structural invariants; returns the residuals actually achieved."""
-    g = space.pairing
-    res = {}
-    res["pairing_symmetry"] = float(np.max(np.abs(g - g.T)))
-    res["pairing_nondegenerate"] = float(abs(np.linalg.det(g)))
-    comp = 0.0
-    for a in range(space.size):
-        for b in range(space.size):
-            if g[a, b] != 0.0 and space.degrees[a] + space.degrees[b] != space.dim:
-                comp = 1.0
-    res["pairing_degree"] = comp
-    th = space.theta
-    res["theta_skew"] = float(np.max(np.abs(th @ g + g @ th)))
-    r = space.rho
-    res["commutator"] = float(np.max(np.abs(th @ r - r @ th + r)))
-    acc = np.linalg.matrix_power(r, space.dim + 1)
-    res["rho_nilpotent"] = float(np.max(np.abs(acc)))
-    if tol:
-        bad = {k: v for k, v in res.items()
-               if (k == "pairing_nondegenerate" and v < 1e-12)
-               or (k != "pairing_nondegenerate" and v > tol)}
-        if bad:
-            raise ValueError("space invariants violated: %r" % bad)
-    return res
 
 
 # ---------------------------------------------------------------------------

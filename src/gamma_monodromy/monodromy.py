@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohomology import (SpaceModel, euler_pairing, exceptional_sheaf,
-                         intersection_pairing, make_blproj, make_proj, psi_map)
+                         intersection_pairing, line_bundle, make_blproj,
+                         make_proj, psi_map)
 from .numerics import (Arc, BranchState, NumericsError, Segment,
                        eig_unit_minus, principal_branch, scale_path)
 from .periods import SERIES_CAP, fundamental_solution
@@ -28,6 +29,8 @@ from . import numerics
 
 # tolerance of the base-point period series that starts each loop
 BASE_SERIES_TOL = 1e-12
+# radius of the disk around -1 that must hold exactly one eigenvalue
+EIG_TOL = 1e-4
 
 
 class IllConditionedError(NumericsError):
@@ -45,32 +48,21 @@ def base_radius(n: int) -> float:
     return 2.0 * (n - 1)
 
 
-def proj_punctures(n: int, q_log: complex) -> np.ndarray:
-    """Eigenvalues (n-1) eta^{-2k} q^{1/(n-1)} of the Euler product, ordered
-    by k = 0 .. n-2, on the branch q^{1/(n-1)} = exp(q_log/(n-1))."""
-    w = cmath.exp(complex(q_log) / (n - 1))
-    return np.array([(n - 1) * w * cmath.exp(-2j * math.pi * k / (n - 1))
-                     for k in range(n - 1)])
-
-
-def gamma_loop(n: int, q_log: complex, k: int, shrink: float = 0.5) -> list:
+def gamma_loop(n: int, q_log: complex, k: int) -> list:
     """Closed loop around the k-th singular point, based at 2(n-1)q^{1/(n-1)}.
 
-    The small circle radius is shrink * (n-1) capped at a fifth of the
-    minimal pairwise distance between singular points, so the loop can
-    never link two of them.
+    The small circle radius is (n-1)/2 capped at a fifth of the minimal
+    pairwise distance between singular points, so the loop can never link
+    two of them.
     """
     if not 0 <= k <= n - 2:
         raise ValueError("loop index k out of range [0, n-2]")
-    if not 0.0 < shrink < 1.0:
-        raise ValueError("shrink must sit strictly between 0 and 1")
     lam0 = base_radius(n)
     phi = -2.0 * math.pi * k / (n - 1)
+    r = 0.5 * (lam0 - (n - 1))
     if n > 2:
         minpd = 2.0 * (n - 1) * math.sin(math.pi / (n - 1))
-        r = min(shrink * (lam0 - (n - 1)), 0.2 * minpd)
-    else:
-        r = shrink * (lam0 - (n - 1))
+        r = min(r, 0.2 * minpd)
     direction = cmath.exp(1j * phi)
     outer = lam0 * direction
     inner = (n - 1 + r) * direction
@@ -129,9 +121,10 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
 
 
 def reflection_vector(result: MonodromyResult, space: SpaceModel,
-                      candidate: np.ndarray | None = None,
-                      eig_tol: float = 1e-4) -> np.ndarray:
+                      candidate: np.ndarray | None = None) -> np.ndarray:
     """Extract the anti-invariant vector, normalized to (alpha|alpha) = 2.
+
+    The eigenvalue must be the only one within EIG_TOL of -1.
 
     The leftover sign is fixed against the candidate vector when one is
     supplied (maximizing the real part of the intersection pairing with
@@ -139,7 +132,7 @@ def reflection_vector(result: MonodromyResult, space: SpaceModel,
     real half-line.  The eigenvector and pairing defects of alpha are
     recorded in ``result.residuals`` under "eigen" and "pairing".
     """
-    vec = eig_unit_minus(result.matrix, eig_tol)
+    vec = eig_unit_minus(result.matrix, EIG_TOL)
     c2 = intersection_pairing(space, vec, vec)
     if abs(c2) < 1e-12:
         raise NumericsError("anti-invariant direction is isotropic")
@@ -160,18 +153,6 @@ def reflection_vector(result: MonodromyResult, space: SpaceModel,
     return alpha
 
 
-def reflection_action(space: SpaceModel, alpha: np.ndarray,
-                      x: np.ndarray) -> np.ndarray:
-    """x - (x|alpha) alpha."""
-    return np.asarray(x, complex) - intersection_pairing(space, x, alpha) * alpha
-
-
-def reflection_matrix(space: SpaceModel, alpha: np.ndarray) -> np.ndarray:
-    cols = [reflection_action(space, alpha, col)
-            for col in np.eye(space.size, dtype=complex)]
-    return np.column_stack(cols)
-
-
 def big_circle_matrix(space: SpaceModel, product: QuantumProduct,
                       sseries: SSeries, level: int, base: complex,
                       tol: float) -> np.ndarray:
@@ -187,8 +168,34 @@ def big_circle_matrix(space: SpaceModel, product: QuantumProduct,
     return np.linalg.solve(i0, i1)
 
 
+def proj_reflection_check(n: int, q: BranchState, k: int,
+                          m: int | None = None) -> dict:
+    """Compare the reflection vector of the level -m (default -n) periods
+    around the k-th singular point of P^{n-2} against the Gamma-structure
+    image c of O(k), with loop and c on the branch of log q that q carries.
+
+    residual is min(|alpha - c|, |alpha + c|) in the max norm; sign (+1 or
+    -1) says which of the two it is.
+    """
+    q.check()
+    if m is None:
+        m = n
+    space = make_proj(n - 2)
+    product = quantum_mult_proj(n - 2, q.base)
+    sser = sseries_proj(n - 2, q.base, SERIES_CAP)
+    result = monodromy_matrix(space, product, sser, -m,
+                              gamma_loop(n, q.log_value, k), BASE_SERIES_TOL)
+    cand = psi_map(space, line_bundle(k), q.log_value)
+    alpha = reflection_vector(result, space, candidate=cand)
+    d_plus = float(np.max(np.abs(alpha - cand)))
+    d_minus = float(np.max(np.abs(alpha + cand)))
+    return {"n": n, "k": k, "m": m, "alpha": alpha, "candidate": cand,
+            "sign": 1 if d_plus <= d_minus else -1,
+            "residual": min(d_plus, d_minus), "monodromy": result}
+
+
 def twisted_reflection_check(n: int, Q: float, k: int, m: int | None = None,
-                             tol: float = 1e-6, shrink: float = 0.5) -> dict:
+                             tol: float = 1e-6) -> dict:
     """Compare the reflection vector around the k-th twisted singular point
     against the Gamma-structure image of the exceptional sheaf class.
 
@@ -217,8 +224,8 @@ def twisted_reflection_check(n: int, Q: float, k: int, m: int | None = None,
     proj = make_proj(n - 2)
     product = quantum_mult_proj(n - 2, q)
     sser = sseries_proj(n - 2, q, SERIES_CAP)
-    loop = gamma_loop(n, q_log, k, shrink)
-    result = monodromy_matrix(proj, product, sser, -m, loop, tol)
+    result = monodromy_matrix(proj, product, sser, -m,
+                              gamma_loop(n, q_log, k), tol)
     alpha = reflection_vector(result, proj)
 
     # the projective class is sigma(beta); undo sigma and pass to the blowup

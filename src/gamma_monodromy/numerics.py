@@ -293,10 +293,6 @@ def validate_path(path: PathSpec, closed: bool = False, tol: float = 1e-12) -> N
         raise ValueError("path does not close up")
 
 
-def reverse_path(path: PathSpec) -> list:
-    return [p.reversed() for p in reversed(path)]
-
-
 def scale_path(path: PathSpec, w: complex) -> list:
     """Image of the path under multiplication by w."""
     out = []
@@ -430,14 +426,3 @@ def eig_unit_minus(mat: np.ndarray, tol: float) -> np.ndarray:
     k = int(np.argmax(np.abs(vec)))
     phase = vec[k] / abs(vec[k])
     return vec / phase
-
-
-def check_inverse(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Invert mat; raise if ||mat*inv - id|| is above tol."""
-    mat = np.asarray(mat, dtype=complex)
-    inv = np.linalg.inv(mat)
-    n = mat.shape[0]
-    res = np.max(np.abs(mat @ inv - np.eye(n)))
-    if res > tol:
-        raise NumericsError("inverse residual %g above %g" % (res, tol))
-    return inv

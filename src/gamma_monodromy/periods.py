@@ -81,31 +81,6 @@ def master_period(space: SpaceModel, level: int, branch: BranchState) -> np.ndar
     return acc
 
 
-def master_period_right(space: SpaceModel, level: int,
-                        branch: BranchState) -> np.ndarray:
-    """Same function with the nilpotent part acting from the right.
-
-    The two forms agree because rho theta = (theta + 1) rho; keeping both
-    gives an internal consistency check on the expansion conventions.
-    """
-    depth = space.nilpotency()
-    order = depth - 1
-    size = space.size
-    theta = np.diag(space.theta)
-    acc = np.zeros((size, size), dtype=complex)
-    rho_pow = np.eye(size, dtype=complex)
-    for k in range(depth):
-        diag = np.zeros(size, dtype=complex)
-        for i in range(size):
-            nu = theta[i] - level
-            jet = jet_mul(_log_pow_jet(branch, nu, order),
-                          np.asarray(_rg_jet_coeffs(nu + 0.5, order)))
-            diag[i] = jet[k]
-        acc = acc + np.diag(diag) @ rho_pow
-        rho_pow = space.rho @ rho_pow
-    return acc
-
-
 def convergence_radius(product: QuantumProduct) -> float:
     return float(np.max(np.abs(product.eigenvalues())))
 

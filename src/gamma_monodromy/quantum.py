@@ -198,18 +198,6 @@ def blowup_unit_terms(n: int, K: int) -> dict[int, list[np.ndarray]]:
     return out
 
 
-def s_inverse_blowup_unit(n: int, q1: complex, K: int) -> list[np.ndarray]:
-    """z-expansion of blS^{-1} 1 on the blowup model at q2 = 0."""
-    terms = blowup_unit_terms(n, K)
-    size = make_blproj(n).size
-    out = [np.zeros(size, dtype=complex) for _ in range(K + 1)]
-    for d, col in terms.items():
-        w = complex(q1) ** d
-        for l in range(K + 1):
-            out[l] += w * col[l]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # matrix series and inversion
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from functools import lru_cache
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from . import mirror, vanishing
 from .cohomology import (euler_char, euler_pairing, intersection_pairing,
                          line_bundle, make_proj, make_twisted, psi_map)
 from .monodromy import (BASE_SERIES_TOL, base_radius, big_circle_matrix,
-                        gamma_loop, monodromy_matrix, reflection_vector,
+                        gamma_loop, monodromy_matrix, proj_reflection_check,
                         twisted_reflection_check)
 from .numerics import principal_branch
 from .periods import (SERIES_CAP, connection_rhs, fundamental_solution,
@@ -35,27 +34,10 @@ def _mat_rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / scale
 
 
-@lru_cache(maxsize=16)
-def _proj_reflection_data(n: int) -> dict:
-    """Monodromy matrices and reflection vectors for P^{n-2} at q = 1."""
-    m = n - 2
-    space = make_proj(m)
-    product = quantum_mult_proj(m, 1.0)
-    sser = sseries_proj(m, complex(1.0), SERIES_CAP)
-    level = -n
-    t0 = time.perf_counter()
-    entries = []
-    for k in range(n - 1):
-        loop = gamma_loop(n, 0.0, k)
-        result = monodromy_matrix(space, product, sser, level, loop,
-                                  BASE_SERIES_TOL)
-        cand = psi_map(space, line_bundle(k), 0.0)
-        alpha = reflection_vector(result, space, candidate=cand)
-        entries.append({"k": k, "result": result, "alpha": alpha,
-                        "candidate": cand})
-    seconds = time.perf_counter() - t0
-    return {"space": space, "product": product, "sser": sser, "level": level,
-            "entries": entries, "seconds": seconds}
+def _proj_model(n: int) -> tuple:
+    """Space, quantum product and S-series of P^{n-2} at q = 1."""
+    return (make_proj(n - 2), quantum_mult_proj(n - 2, 1.0),
+            sseries_proj(n - 2, complex(1.0), SERIES_CAP))
 
 
 def criterion_reflections() -> dict:
@@ -65,13 +47,15 @@ def criterion_reflections() -> dict:
     worst = {"vector": 0.0, "pairing": 0.0, "det": 0.0, "invol": 0.0}
     per_n = {}
     ok = True
+    q = principal_branch(1.0)
     for n in (3, 4, 5):
-        data = _proj_reflection_data(n)
-        size = data["space"].size
-        for item in data["entries"]:
-            alpha, cand, res = item["alpha"], item["candidate"], item["result"]
-            vec_res = min(float(np.max(np.abs(alpha - cand))),
-                          float(np.max(np.abs(alpha + cand))))
+        t0 = time.perf_counter()
+        reps = [proj_reflection_check(n, q, k) for k in range(n - 1)]
+        per_n[n] = time.perf_counter() - t0
+        ok = ok and per_n[n] < 60.0
+        for rep in reps:
+            res = rep["monodromy"]
+            size = res.matrix.shape[0]
             det_res = abs(np.linalg.det(res.matrix) + 1.0)
             # the reflection operator has intrinsically large entries at
             # high class degree, so measure the involution defect per unit
@@ -79,12 +63,10 @@ def criterion_reflections() -> dict:
             cscale = max(1.0, float(np.max(np.abs(res.matrix))))
             invol = float(np.max(np.abs(
                 res.matrix @ res.matrix - np.eye(size)))) / cscale
-            worst["vector"] = max(worst["vector"], vec_res)
+            worst["vector"] = max(worst["vector"], rep["residual"])
             worst["pairing"] = max(worst["pairing"], res.residuals["pairing"])
             worst["det"] = max(worst["det"], det_res)
             worst["invol"] = max(worst["invol"], invol)
-        per_n[n] = data["seconds"]
-        ok = ok and data["seconds"] < 60.0
     ok = ok and worst["vector"] < tol_vec and worst["pairing"] < tol_pair \
         and worst["det"] < tol_mat and worst["invol"] < tol_mat
     return {"name": "reflections", "pass": bool(ok), "tol": tol_vec,
@@ -155,8 +137,7 @@ def criterion_hrr() -> dict:
 
 def _ladder_configs():
     for n in (3, 4, 5):
-        yield (make_proj(n - 2), quantum_mult_proj(n - 2, 1.0),
-               sseries_proj(n - 2, complex(1.0), SERIES_CAP), -n, n - 1)
+        yield (*_proj_model(n), -n, n - 1)
     yield (make_twisted(3), quantum_mult_twisted(3, 1.0),
            sseries_twisted(3, complex(1.0), SERIES_CAP), -3, 2.0)
 
@@ -204,9 +185,7 @@ def criterion_pairing() -> dict:
     tol = 1e-7
     worst_var = 0.0
     worst_match = 0.0
-    configs = [(make_proj(n - 2), quantum_mult_proj(n - 2, 1.0),
-                sseries_proj(n - 2, complex(1.0), SERIES_CAP), n - 1)
-               for n in (3, 4, 5)]
+    configs = [(*_proj_model(n), n - 1) for n in (3, 4, 5)]
     configs.append((make_twisted(3), quantum_mult_twisted(3, 1.0),
                     sseries_twisted(3, complex(1.0), SERIES_CAP), 2.0))
     for space, product, sser, scale in configs:
@@ -376,13 +355,14 @@ def criterion_composite() -> dict:
     worst = 0.0
     per_n = {}
     for n in (3, 4, 5):
-        data = _proj_reflection_data(n)
-        cs = [item["result"].matrix for item in data["entries"]]
-        big = big_circle_matrix(data["space"], data["product"], data["sser"],
-                                data["level"], base_radius(n), SERIES_TOL)
-        prod_desc = np.eye(data["space"].size, dtype=complex)
-        for c in reversed(cs):
-            prod_desc = prod_desc @ c
+        space, product, sser = _proj_model(n)
+        big = big_circle_matrix(space, product, sser, -n, base_radius(n),
+                                SERIES_TOL)
+        prod_desc = np.eye(space.size, dtype=complex)
+        for k in reversed(range(n - 1)):
+            prod_desc = prod_desc @ monodromy_matrix(
+                space, product, sser, -n, gamma_loop(n, 0.0, k),
+                BASE_SERIES_TOL).matrix
         res = float(np.max(np.abs(prod_desc - big)))
         per_n[n] = res
         worst = max(worst, res)

