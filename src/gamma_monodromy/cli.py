@@ -31,6 +31,7 @@ import numpy as np
 
 from . import mirror
 from . import suite as suite_mod
+from .cohomology import make_blproj, make_proj
 from .monodromy import (BASE_SERIES_TOL, proj_reflection_check,
                         twisted_reflection_check)
 from .numerics import BranchState, NumericsError
@@ -73,11 +74,22 @@ def _cvec(v) -> list:
 
 
 def parse_space(text: str) -> tuple[str, int]:
+    """proj:m or twisted:n, in the ranges of the models the commands build:
+    make_proj(m), or make_proj(n - 2) and make_blproj(n)."""
     kind, _, par = (text or "").partition(":")
     if kind not in ("proj", "twisted") or not par.isdigit():
         raise UsageError("invalid space %r, expected proj:m or twisted:n"
                          % text)
-    return kind, int(par)
+    num = int(par)
+    try:
+        if kind == "proj":
+            make_proj(num)
+        else:
+            make_proj(num - 2)
+            make_blproj(num)
+    except ValueError as exc:
+        raise UsageError("invalid space %r: %s" % (text, exc))
+    return kind, num
 
 
 def _check_tol(tol: float) -> float:

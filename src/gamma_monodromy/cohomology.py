@@ -43,6 +43,7 @@ class SpaceModel:
     rho: np.ndarray
     delta: np.ndarray | None = None
     _unit: int | None = field(default=0, repr=False)
+    depth: int = 0         # smallest D with rho^D = 0, found by set_rho
 
     @property
     def size(self) -> int:
@@ -80,13 +81,15 @@ class SpaceModel:
     def integral(self, v: np.ndarray) -> complex:
         return self.pair(v, self.unit())
 
-    def nilpotency(self) -> int:
-        """Smallest D with rho^D = 0."""
+    def set_rho(self, rho: np.ndarray) -> None:
+        """Set rho and, once per model, its nilpotency depth."""
+        self.rho = rho
         acc = np.eye(self.size, dtype=complex)
         for d in range(self.size + 2):
             if np.max(np.abs(acc)) == 0.0:
-                return d
-            acc = self.rho @ acc
+                self.depth = d
+                return
+            acc = rho @ acc
         raise ValueError("matrix is not nilpotent")
 
 
@@ -105,8 +108,7 @@ def make_proj(m: int) -> SpaceModel:
     for i in range(size):
         pairing[i, m - i] = 1.0
     sp = SpaceModel("proj", m, basis, degrees, m, cup, pairing, np.zeros((size, size)))
-    sp.rho = (m + 1) * sp.mult_matrix(sp.basis_vector("p"))
-    sp.delta = None
+    sp.set_rho((m + 1) * sp.mult_matrix(sp.basis_vector("p")))
     return sp
 
 
@@ -131,7 +133,7 @@ def make_twisted(n: int) -> SpaceModel:
     sp = SpaceModel("twisted", n, basis, degrees, n, cup, pairing,
                     np.zeros((size, size)), _unit=None)
     # classical part of the twisted Euler pairing field: -(n-1) e cup
-    sp.rho = -(n - 1) * sp.mult_matrix(sp.basis_vector("e"))
+    sp.set_rho(-(n - 1) * sp.mult_matrix(sp.basis_vector("e")))
     sp.delta = np.diag(-degrees.astype(float))
     return sp
 
@@ -178,7 +180,7 @@ def make_blproj(n: int) -> SpaceModel:
     sp = SpaceModel("blproj", n, basis, degrees, n, cup, pairing,
                     np.zeros((size, size)), delta=np.diag(delta))
     c1 = (n + 1) * sp.basis_vector("h") - (n - 1) * sp.basis_vector("e")
-    sp.rho = sp.mult_matrix(c1)
+    sp.set_rho(sp.mult_matrix(c1))
     return sp
 
 

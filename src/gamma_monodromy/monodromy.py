@@ -21,7 +21,7 @@ from .cohomology import (SpaceModel, euler_pairing, exceptional_sheaf,
                          intersection_pairing, line_bundle, make_blproj,
                          make_proj, psi_map)
 from .numerics import (Arc, BranchState, NumericsError, Segment,
-                       eig_unit_minus, principal_branch, scale_path)
+                       principal_branch, scale_path)
 from .periods import SERIES_CAP, fundamental_solution
 from .quantum import (QuantumProduct, SSeries, quantum_mult_proj,
                       sseries_proj)
@@ -29,7 +29,7 @@ from . import numerics
 
 # tolerance of the base-point period series that starts each loop
 BASE_SERIES_TOL = 1e-12
-# radius of the disk around -1 that must hold exactly one eigenvalue
+# bound on sigma_2/sigma_1 of C - I and on |nontrivial eigenvalue of C + 1|
 EIG_TOL = 1e-4
 
 
@@ -120,34 +120,50 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     return MonodromyResult(loop=list(loop), matrix=cmat, residuals=residuals)
 
 
+def _orient(v: np.ndarray) -> np.ndarray:
+    """v or -v, making the larger part, real or imaginary, of the first
+    entry above 1e-8 max|v| positive: noise decides only near 45 degrees."""
+    lead = v[np.flatnonzero(np.abs(v) > 1e-8 * np.max(np.abs(v)))[0]]
+    part = lead.real if abs(lead.real) >= abs(lead.imag) else lead.imag
+    return -v if part < 0.0 else v
+
+
 def reflection_vector(result: MonodromyResult, space: SpaceModel,
                       candidate: np.ndarray | None = None) -> np.ndarray:
-    """Extract the anti-invariant vector, normalized to (alpha|alpha) = 2.
+    """alpha with C = I - alpha (alpha|.) and (alpha|alpha) = 2.
 
-    The eigenvalue must be the only one within EIG_TOL of -1.
-
-    The leftover sign is fixed against the candidate vector when one is
-    supplied (maximizing the real part of the intersection pairing with
-    it), else by rotating the first nonzero coefficient to the positive
-    real half-line.  The eigenvector and pairing defects of alpha are
-    recorded in ``result.residuals`` under "eigen" and "pairing".
+    D = C - I has rank one and column space span alpha, so alpha is the
+    dominant left singular vector u of D scaled by sqrt(2 / (u|u)), which
+    fixes it up to sign whatever the phase of u.  NumericsError unless
+    sigma_1 > 0, sigma_2 <= EIG_TOL sigma_1 and the nontrivial eigenvalue
+    1 + u^H D u is within EIG_TOL of -1 (a transvection I + N fails).
+    The sign maximizes Re (alpha|candidate) if a candidate is given, else
+    is set by _orient.  sigma_2/sigma_1 and the defects of C alpha = -alpha
+    and (alpha|alpha) = 2 go to ``result.residuals`` as "rank_one",
+    "eigen" and "pairing".
     """
-    vec = eig_unit_minus(result.matrix, EIG_TOL)
+    mat = result.matrix
+    d = mat - np.eye(len(mat))
+    u, sv, _ = np.linalg.svd(d)
+    vec = u[:, 0]
+    eig = 1.0 + complex(np.vdot(vec, d @ vec))
+    if not (sv[0] > 0.0 and sv[1] <= EIG_TOL * sv[0]
+            and abs(eig + 1.0) <= EIG_TOL):
+        raise NumericsError("not a reflection: C - I has singular values "
+                            "%g, %g and C the eigenvalue %s"
+                            % (sv[0], sv[1], eig))
     c2 = intersection_pairing(space, vec, vec)
     if abs(c2) < 1e-12:
         raise NumericsError("anti-invariant direction is isotropic")
     alpha = vec * cmath.sqrt(2.0 / c2)
-    if candidate is not None:
-        ip = intersection_pairing(space, alpha, np.asarray(candidate, complex))
-        if ip.real < 0.0:
-            alpha = -alpha
-    else:
-        nz = np.nonzero(np.abs(alpha) > 1e-8 * np.max(np.abs(alpha)))[0]
-        lead = alpha[int(nz[0])]
-        if lead.real < 0.0 or (abs(lead.real) < 1e-12 and lead.imag < 0.0):
-            alpha = -alpha
+    if candidate is None:
+        alpha = _orient(alpha)
+    elif intersection_pairing(space, alpha,
+                              np.asarray(candidate, complex)).real < 0.0:
+        alpha = -alpha
+    result.residuals["rank_one"] = float(sv[1] / sv[0])
     result.residuals["eigen"] = float(
-        np.max(np.abs(result.matrix @ alpha + alpha)) / np.max(np.abs(alpha)))
+        np.max(np.abs(mat @ alpha + alpha)) / np.max(np.abs(alpha)))
     result.residuals["pairing"] = abs(
         intersection_pairing(space, alpha, alpha) - 2.0)
     return alpha
@@ -236,7 +252,7 @@ def twisted_reflection_check(n: int, Q: float, k: int, m: int | None = None,
     for i in range(1, n):
         beta_dir[bl.index("e" if i == 1 else "e^%d" % i)] = beta_p[i - 1]
     c2 = intersection_pairing(bl, beta_dir, beta_dir)
-    beta = beta_dir * cmath.sqrt(2.0 / c2)
+    beta = _orient(beta_dir * cmath.sqrt(2.0 / c2))
 
     cand = psi_map(bl, exceptional_sheaf(-k + 1), (0.0, (n - 1) * math.log(Q)))
     emask = np.array([lbl.startswith("e") for lbl in bl.basis])

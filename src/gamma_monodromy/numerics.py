@@ -1,6 +1,6 @@
 """Low-level numerics: truncated jets, complex special functions, branch
-tracking, Taylor-recurrence continuation of the constant-coefficient
-connection along piecewise paths, and small dense eigenvector extraction.
+tracking, and Taylor-recurrence continuation of the constant-coefficient
+connection along piecewise paths.
 
 A truncated jet sum_k c[k] w^k is the complex coefficient array c itself,
 of length order + 1 <= 13; jet_mul, jet_recip and jet_exp do the
@@ -46,10 +46,6 @@ class NumericsError(Exception):
 
 class PoleError(NumericsError):
     """Evaluation requested at a pole of the function."""
-
-
-class EigenAmbiguityError(NumericsError):
-    """Eigenvalue near -1 missing or not unique within tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -399,30 +395,3 @@ def ode_continue(
 
     endpoint = path[-1].end
     return y.reshape(y0.shape), BranchState(endpoint, logl), trunc
-
-
-# ---------------------------------------------------------------------------
-# eigenvector near -1
-# ---------------------------------------------------------------------------
-
-def eig_unit_minus(mat: np.ndarray, tol: float) -> np.ndarray:
-    """Unit-norm eigenvector for the unique eigenvalue within tol of -1.
-
-    Raises EigenAmbiguityError when no eigenvalue or more than one falls
-    inside the tol-disk around -1.  The returned vector's largest component
-    is rotated to the positive real axis so repeated runs agree.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    w, v = np.linalg.eig(mat)
-    dist = np.abs(w + 1.0)
-    hits = np.nonzero(dist <= tol)[0]
-    if len(hits) == 0:
-        raise EigenAmbiguityError(
-            "no eigenvalue within %g of -1 (closest %g)" % (tol, dist.min()))
-    if len(hits) > 1:
-        raise EigenAmbiguityError("eigenvalue near -1 is not unique")
-    vec = v[:, int(hits[0])]
-    vec = vec / np.linalg.norm(vec)
-    k = int(np.argmax(np.abs(vec)))
-    phase = vec[k] / abs(vec[k])
-    return vec / phase

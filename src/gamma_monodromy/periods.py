@@ -63,7 +63,7 @@ def _log_pow_jet(branch: BranchState, nu: complex, order: int) -> np.ndarray:
 
 def master_period(space: SpaceModel, level: int, branch: BranchState) -> np.ndarray:
     """Master period matrix at the given integer level and branch of log."""
-    depth = space.nilpotency()
+    depth = space.depth
     order = depth - 1
     size = space.size
     theta = np.diag(space.theta)

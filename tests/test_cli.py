@@ -62,6 +62,14 @@ def test_usage_errors_return_64():
     assert cli.main(["suite", "--only", "nonsense"]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("space", ["proj:0", "proj:9", "twisted:1",
+                                   "twisted:2", "twisted:9"])
+def test_space_out_of_range_exits_usage(space, capsys):
+    assert cli.main(["reflections", "--space", space, "--q", "1",
+                     "--Q", "1"]) == cli.EXIT_USAGE
+    assert "out of range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["suite", "--q", "1"],
     ["reflections", "--space", "proj:1", "--q", "1", "--k", "0",

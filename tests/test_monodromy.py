@@ -9,8 +9,8 @@ import pytest
 from gamma_monodromy import monodromy as md
 from gamma_monodromy.cohomology import (euler_char, line_bundle, make_proj,
                                         psi_map)
-from gamma_monodromy.numerics import (Arc, BranchState, EigenAmbiguityError,
-                                      NumericsError, validate_path)
+from gamma_monodromy.numerics import (Arc, BranchState, NumericsError,
+                                      validate_path)
 from gamma_monodromy.periods import MatrixSolution
 from gamma_monodromy.quantum import quantum_mult_proj, sseries_proj
 
@@ -190,6 +190,7 @@ def test_reflection_vector_candidate_fixes_sign():
     plus = md.reflection_vector(res, space, candidate=cand)
     res2 = _algebraic_result(space, cand)
     minus = md.reflection_vector(res2, space, candidate=-cand)
+    assert np.max(np.abs(plus - cand)) < 1e-12
     assert np.max(np.abs(plus + minus)) < 1e-10
     assert md.intersection_pairing(space, plus, cand).real > 0.0
 
@@ -209,7 +210,27 @@ def test_reflection_vector_default_sign_is_deterministic():
 def test_reflection_vector_requires_minus_one_eigenvalue():
     space = make_proj(1)
     res = md.MonodromyResult(loop=[], matrix=np.eye(2, dtype=complex))
-    with pytest.raises(EigenAmbiguityError):
+    with pytest.raises(NumericsError):
+        md.reflection_vector(res, space)
+
+
+def test_reflection_vector_rejects_rank_two_defect():
+    # the product of two reflections moves a plane, so C - I has rank two
+    space = make_proj(2)
+    mats = [reflection_matrix(space, psi_map(space, line_bundle(k), 0.0))
+            for k in (0, 1)]
+    res = md.MonodromyResult(loop=[], matrix=mats[0] @ mats[1])
+    with pytest.raises(NumericsError, match="not a reflection"):
+        md.reflection_vector(res, space)
+
+
+def test_reflection_vector_rejects_transvection():
+    # I + N has C - I of rank one, but its only eigenvalue is 1
+    space = make_proj(2)
+    mat = np.eye(3, dtype=complex)
+    mat[0, 2] = 5.0
+    res = md.MonodromyResult(loop=[], matrix=mat)
+    with pytest.raises(NumericsError, match="not a reflection"):
         md.reflection_vector(res, space)
 
 
@@ -218,7 +239,7 @@ def test_reflection_vector_rejects_isotropic_direction():
     # to it can be normalized to square 2
     space = make_proj(1)
     res = md.MonodromyResult(loop=[], matrix=np.diag([1.0, -1.0]).astype(complex))
-    with pytest.raises(NumericsError):
+    with pytest.raises(NumericsError, match="isotropic"):
         md.reflection_vector(res, space)
 
 
@@ -254,6 +275,42 @@ def test_proj_reflection_check_rejects_mismatched_branch():
         md.proj_reflection_check(3, BranchState(1.0, 0.1), 0)
 
 
+# q = 1, 0.55 e^{-0.8 pi i} and 1.8 e^{0.75 pi i}, each on its principal branch
+_QS = [BranchState(mod * cmath.exp(1j * math.pi * arg),
+                   math.log(mod) + 1j * math.pi * arg)
+       for mod, arg in ((1.0, 0.0), (0.55, -0.8), (1.8, 0.75))]
+
+
+@pytest.fixture(scope="module")
+def proj_checks():
+    """proj_reflection_check for every loop of P^1 .. P^4 at each of _QS."""
+    return {(n, i): [md.proj_reflection_check(n, q, k) for k in range(n - 1)]
+            for n in range(3, 7) for i, q in enumerate(_QS)}
+
+
+def test_proj_reflection_check_p4(proj_checks):
+    for i in range(len(_QS)):
+        for out in proj_checks[6, i]:
+            assert out["residual"] < 1e-5
+            assert out["monodromy"].residuals["rank_one"] < 1e-12
+
+
+def test_monodromy_is_integral_in_exceptional_basis(proj_checks):
+    # in the basis P = [Psi(O(0)) .. Psi(O(n-2))] the k-th loop is the
+    # integer reflection I - e_k (chi(O(k),O(j)) + chi(O(j),O(k)))_j
+    for (n, _), outs in proj_checks.items():
+        space = make_proj(n - 2)
+        basis = np.column_stack([out["candidate"] for out in outs])
+        for k, out in enumerate(outs):
+            want = np.eye(n - 1)
+            want[k] -= [(euler_char(space, line_bundle(k), line_bundle(j))
+                         + euler_char(space, line_bundle(j),
+                                      line_bundle(k))).real
+                        for j in range(n - 1)]
+            got = np.linalg.solve(basis, out["monodromy"].matrix @ basis)
+            assert np.max(np.abs(got - want)) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # twisted reflections
 # ---------------------------------------------------------------------------
@@ -270,3 +327,25 @@ def test_twisted_reflection_check_rejects_bad_q():
         md.twisted_reflection_check(3, -1.0, 0)
     with pytest.raises(ValueError):
         md.twisted_reflection_check(3, 0.0, 0)
+
+
+@pytest.mark.parametrize("n, Q", [(4, 1.3), (6, 1.0)])
+def test_twisted_constant_survives_roundoff(monkeypatch, n, Q):
+    # 2/c2 is -1 up to rounding for even n; noise in C at the 1e-15 level
+    # must not pick the sign of beta and so of the constant
+    want = [md.twisted_reflection_check(n, Q, k, tol=md.BASE_SERIES_TOL)
+            ["constant"] for k in range(n - 1)]
+    exact = md.monodromy_matrix
+    rng = np.random.default_rng(11)
+
+    def perturbed(*args):
+        res = exact(*args)
+        res.matrix = res.matrix * (1.0 + 1e-15 * rng.standard_normal(
+            res.matrix.shape))
+        return res
+
+    monkeypatch.setattr(md, "monodromy_matrix", perturbed)
+    for _ in range(3):
+        for k in range(n - 1):
+            got = md.twisted_reflection_check(n, Q, k, tol=md.BASE_SERIES_TOL)
+            assert abs(got["constant"] - want[k]) < 1e-6

@@ -383,40 +383,3 @@ def test_ode_loop_around_one_of_two_singular_points():
     # the loop does not wind around the origin
     assert abs(br.log_value - math.log(3.0)) < 1e-14
     assert 0.0 <= err < 1e-13
-
-
-# ---------------------------------------------------------------------------
-# linear algebra helpers
-# ---------------------------------------------------------------------------
-
-def test_eig_unit_minus_diagonal():
-    m = np.diag([-1.0, 1.0, 1.0]).astype(complex)
-    v = nx.eig_unit_minus(m, 1e-8)
-    assert abs(abs(v[0]) - 1.0) < 1e-10
-    assert np.max(np.abs(v[1:])) < 1e-10
-
-
-def test_eig_unit_minus_identity_ambiguous():
-    with pytest.raises(nx.EigenAmbiguityError):
-        nx.eig_unit_minus(np.eye(3, dtype=complex), 1e-8)
-
-
-def test_eig_unit_minus_householder():
-    rng = np.random.default_rng(5)
-    u = rng.normal(size=4)
-    u = u / np.linalg.norm(u)
-    h = np.eye(4) - 2.0 * np.outer(u, u)
-    v = nx.eig_unit_minus(h.astype(complex), 1e-9)
-    # eigenvector for -1 is the reflection normal, up to phase
-    overlap = abs(np.vdot(u, v))
-    assert abs(overlap - 1.0) < 1e-9
-
-
-def test_eig_unit_minus_deterministic_phase():
-    rng = np.random.default_rng(9)
-    u = rng.normal(size=3) + 1j * rng.normal(size=3)
-    u = u / np.linalg.norm(u)
-    h = np.eye(3) - 2.0 * np.outer(u, u.conj())
-    v1 = nx.eig_unit_minus(h, 1e-9)
-    v2 = nx.eig_unit_minus(h, 1e-9)
-    assert np.max(np.abs(v1 - v2)) < 1e-12

@@ -24,7 +24,7 @@ def master_period_right(space, level, branch):
     It agrees with ``master_period`` because rho theta = (theta + 1) rho,
     which checks the expansion conventions from the other side.
     """
-    depth = space.nilpotency()
+    depth = space.depth
     order = depth - 1
     size = space.size
     theta = np.diag(space.theta)
@@ -48,7 +48,7 @@ def master_period_right(space, level, branch):
 
 def test_master_period_diagonal_when_rho_vanishes():
     sp = make_proj(2)
-    sp.rho = np.zeros_like(sp.rho)
+    sp.set_rho(np.zeros_like(sp.rho))
     br = principal_branch(3.0 + 1.0j)
     level = 1
     got = pd.master_period(sp, level, br)
