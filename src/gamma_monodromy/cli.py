@@ -238,7 +238,9 @@ def cmd_phi(cfg: RunConfig) -> int:
                         "points": len(scan["lambdas"])},
         "comparison": {"rows": rows, "max_abs_diff": max_diff,
                        "tolerance": max(tol, 1e-6),
-                       "tail_bound": mb_cfg.tail_bound,
+                       "quadrature_error": mb_cfg.error_estimate,
+                       "quadrature_h": mb_cfg.h,
+                       "nodes_per_lambda": mb_cfg.nodes,
                        "columns": ["lambda", "re_phi_series",
                                    "re_phi_mb", "abs_diff"]},
         "exponent_fit": {"slope": fit["slope"],

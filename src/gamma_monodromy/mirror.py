@@ -13,10 +13,14 @@ series over x = 0, -1, -2, ...; the two routes must agree for
 lambda > u(q) = (n-1) q^{1/(n-1)}, and Phi vanishes identically on
 0 < lambda <= u(q).
 
-On the vertical line the Gamma-quotient decays only polynomially,
-|integrand| ~ |b|^{-(m+1/2)}: the exponential decay of Gamma(x)^{n-1} is
-eaten by 1/Gamma((n-1)x + c).  Truncation at height T therefore costs
-about |f(eps+iT)| * T / (m - 1/2), which is the tail bound used to pick T.
+On the vertical line x = eps + ib the integrand is e^{i omega b} H(b) with
+omega = (n-1) log(lambda/u): H is smooth and non-oscillatory, and it decays
+only polynomially, |H| ~ |b|^{-(m+1/2)}, because the exponential decay of
+Gamma(x)^{n-1} is eaten by 1/Gamma((n-1)x + c).  That is the integrand the
+Ooura-Mori double-exponential Fourier rule is built for (T. Ooura and
+M. Mori, "A robust double exponential formula for Fourier-type integrals",
+J. Comput. Appl. Math. 112 (1999) 229-241); ``make_mb_config`` picks its
+step h by halving.
 """
 
 from __future__ import annotations
@@ -35,7 +39,23 @@ from .numerics import (NumericsError, jet_exp, jet_mul, jet_recip,
 
 _GL_NODES = 32
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
-_CHUNK = 1 << 18
+
+# Ooura-Mori rule: beta, the cut _DE_TLO <= t <= _DE_THI, the first step
+# and the number of halvings allowed, and the floor on |omega| in the node
+# map (omega = 0 at lambda = u would send every node to infinity).  The
+# lower cut drops about M phi(_DE_TLO) / _OMEGA_FLOOR * |H(0)|, at most
+# 4e-18 |H(0)| down to the finest h, _DE_H0 / 2^_DE_HALVINGS; at t = -6 it
+# reaches 1e-15 by h = 0.0125.
+_DE_BETA = 0.25
+_DE_TLO = -7.0
+_DE_THI = 6.0
+_DE_H0 = 0.1
+_DE_HALVINGS = 5
+_OMEGA_FLOOR = 1e-3
+# roundoff of a rule sum, in units of eps * sum_j w_j |F(b_j)|: at most 5
+# against h = 0.003125 for h = 0.025..0.00625, n = 3, 4, m = 3..8,
+# q = 0.3..2 and lambda = 0.05u..4u
+_ROUNDOFF_UNITS = 16.0
 
 
 class FitQualityError(NumericsError):
@@ -44,10 +64,12 @@ class FitQualityError(NumericsError):
 
 @dataclass
 class MBConfig:
+    """Contour line Re x = epsilon, step h of the Ooura-Mori rule, its nodes
+    per lambda, and the error estimate of ``make_mb_config``."""
     epsilon: float
-    T: float
-    quadrature_step: float
-    tail_bound: float
+    h: float
+    nodes: int
+    error_estimate: float
 
 
 def u_of_q(n: int, q: float) -> float:
@@ -67,31 +89,114 @@ def _log_integrand(n: int, q: float, m: int, x: np.ndarray) -> np.ndarray:
             - x * math.log(q) - np.log(x))
 
 
-def _tail_estimate(n: int, q: float, m: int, lam_max: float,
-                   eps: float, T: float) -> float:
-    x = complex(eps, T)
+@lru_cache(maxsize=None)
+def _de_rule(h: float) -> tuple:
+    """M = pi/h, then phi(t) and h phi'(t) at the sine nodes t = kh
+    followed by the cosine nodes t = (k+1/2)h, _DE_TLO <= t <= _DE_THI,
+    and the number of sine nodes; the arrays are read-only.
+
+    phi(t) = t / (1 - exp(-g)), g = 2 pi t + alpha (1 - e^{-t})
+    + beta (e^t - 1), tends to t fast as t -> inf, so M phi(kh) and
+    M phi((k+1/2)h) approach the zeros of sin and cos; it tends to 0
+    double-exponentially as t -> -inf.
+    """
+    big_m = math.pi / h
+    beta = _DE_BETA
+    alpha = beta / math.sqrt(1.0 + big_m * math.log1p(big_m)
+                             / (4.0 * math.pi))
+    lo, hi = int(round(_DE_TLO / h)), int(round(_DE_THI / h))
+    t = np.concatenate([np.arange(lo, hi + 1) * h,
+                        (np.arange(lo, hi) + 0.5) * h])
+    g = 2.0 * math.pi * t - alpha * np.expm1(-t) + beta * np.expm1(t)
+    dg = 2.0 * math.pi + alpha * np.exp(-t) + beta * np.exp(t)
+    one_minus = -np.expm1(-g)
+    zero = t == 0.0
+    safe = np.where(zero, 1.0, one_minus)
+    phi = t / safe
+    dphi = (one_minus - t * np.exp(-g) * dg) / safe ** 2
+    # limits at t = 0 (g = 0 there), needed by the sine sum
+    a = 2.0 * math.pi + alpha + beta
+    phi[zero] = 1.0 / a
+    dphi[zero] = ((alpha - beta) + a * a) / (2.0 * a * a)
+    weights = h * dphi
+    for arr in (phi, weights):
+        arr.flags.writeable = False
+    return big_m, phi, weights, hi - lo + 1
+
+
+def _phi_de(n: int, q: float, m: int, lams: np.ndarray, eps: float,
+            h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Phi at each lambda by the Ooura-Mori rule of step h on Re x = eps,
+    and the scale pref sum_j w_j |F(b_j)| + |F(-b_j)| of its roundoff.
+
+    Phi = pref int F(b) db over the whole line, F(b) = e^{i omega b} H(b)
+    (x = eps + ib).  Folding b -> -b gives int_0^inf of
+    cos(omega b) (H(b) + H(-b)) + i sin(omega b) (H(b) - H(-b)): the
+    cosine part goes to the cosine nodes, the sine part to the sine nodes,
+    on b = M phi(t) / max(|omega|, _OMEGA_FLOOR).  For real lambda
+    H(-b) = conj H(b).
+    """
+    big_m, phi, weights, nsin = _de_rule(h)
+    logu = math.log(u_of_q(n, q))
     c = _c_exp(n, m)
-    top = _log_integrand(n, q, m, np.array([x]))[0] \
-        + ((n - 1) * x + c - 1) * math.log(lam_max)
     pref = (2.0 * math.pi) ** ((1 - n) / 2.0)
-    if m <= 0.5:
-        raise ValueError("tail estimate needs m > 1/2")
-    return 4.0 * pref * float(np.exp(top.real)) * T / (m - 0.5)
+    vals = np.empty(len(lams), dtype=complex)
+    mags = np.empty(len(lams))
+    # one lambda at a time: each has its own nodes
+    for i, lam in enumerate(lams):
+        loglam = cmath.log(lam)
+        omega = (n - 1) * (loglam.real - logu)
+        stretch = big_m / max(abs(omega), _OMEGA_FLOOR)
+        b = stretch * phi
+        x = eps + 1j * b
+        base = _log_integrand(n, q, m, x)
+        theta = omega * b
+        h_pos = np.exp(base + loglam * ((n - 1) * x + c - 1) - 1j * theta)
+        if loglam.imag == 0.0:
+            h_neg = np.conj(h_pos)
+        else:
+            h_neg = np.exp(np.conj(base) + 1j * theta
+                           + loglam * ((n - 1) * np.conj(x) + c - 1))
+        odd = 1j * np.sin(theta[:nsin]) * (h_pos[:nsin] - h_neg[:nsin])
+        even = np.cos(theta[nsin:]) * (h_pos[nsin:] + h_neg[nsin:])
+        norm = pref * stretch
+        vals[i] = norm * (odd @ weights[:nsin] + even @ weights[nsin:])
+        mags[i] = norm * ((np.abs(h_pos) + np.abs(h_neg)) @ weights)
+    return vals, mags
 
 
 def make_mb_config(n: int, q: float, m: int, lam_max: float,
                    tol: float) -> MBConfig:
-    """Pick the truncation height so the polynomial tail sits below tol/10."""
+    """Halve the step h from _DE_H0 until |I_h - I_2h| <= tol, or until it
+    is down to the roundoff bound of I_h where that is above tol.
+
+    Both are taken at the edge lambda = u, where the oscillation stops and
+    the rule converges slowest, and at lam_max; the error estimate is the
+    larger of |I_h - I_2h| + roundoff there, so it exceeds tol only when
+    roundoff sets the floor.  h = _DE_H0 only serves as I_2h: that rule is
+    too coarse to be in its asymptotic regime, and the difference can come
+    out small by accident."""
+    if m <= 0.5:
+        raise ValueError("contour needs m > 1/2 for a decaying integrand")
+    if q <= 0:
+        raise ValueError("q must be real positive")
     eps = 1.0
-    T = 64.0
-    while True:
-        bound = _tail_estimate(n, q, m, lam_max, eps, T)
-        if bound <= tol / 10.0:
-            return MBConfig(epsilon=eps, T=T, quadrature_step=0.5,
-                            tail_bound=bound)
-        if T > 5e5:
-            raise NumericsError("tail bound %g not reachable" % tol)
-        T *= 1.4
+    probes = np.unique([u_of_q(n, q), float(lam_max)])
+    h = _DE_H0
+    coarse, _ = _phi_de(n, q, m, probes, eps, h)
+    for _ in range(_DE_HALVINGS):
+        h /= 2.0
+        fine, magnitude = _phi_de(n, q, m, probes, eps, h)
+        roundoff = _ROUNDOFF_UNITS * np.finfo(float).eps * magnitude
+        diff = np.abs(fine - coarse)
+        est = float(np.max(diff + roundoff))
+        # a finer rule cannot push the difference below its roundoff
+        if np.all(diff <= np.maximum(tol, roundoff)):
+            return MBConfig(epsilon=eps, h=h, nodes=len(_de_rule(h)[1]),
+                            error_estimate=est)
+        coarse = fine
+    raise NumericsError("quadrature error %g not reachable (%g at h = %g)"
+                        % (tol, est, h))
 
 
 def _gl_panels(lo: float, hi: float,
@@ -108,25 +213,11 @@ def _gl_panels(lo: float, hi: float,
 
 def phi_mb_batch(n: int, q: float, m: int, lams: np.ndarray,
                  cfg: MBConfig) -> np.ndarray:
-    """Phi at several lambda, sharing one set of contour evaluations."""
+    """Phi at several lambda by the contour rule of ``cfg``."""
     lams = np.asarray(lams, dtype=complex)
     if np.any(np.abs(lams.imag) > 0):
         warnings.warn("contour representation may diverge off the real axis")
-    b, w = _gl_panels(-cfg.T, cfg.T, max(1, int(math.ceil(
-        2.0 * cfg.T / cfg.quadrature_step))))
-    c = _c_exp(n, m)
-    pref = (2.0 * math.pi) ** ((1 - n) / 2.0)
-    loglam = np.log(lams.astype(complex))
-    out = np.zeros(len(lams), dtype=complex)
-    # keep the 2-d work array around _CHUNK elements however many lambdas
-    step = max(64, _CHUNK // max(1, len(lams)))
-    for lo in range(0, len(b), step):
-        x = cfg.epsilon + 1j * b[lo:lo + step]
-        base = _log_integrand(n, q, m, x)
-        lam_part = np.exp(base[None, :]
-                          + loglam[:, None] * ((n - 1) * x + c - 1)[None, :])
-        out += lam_part @ w[lo:lo + step]
-    return pref * out
+    return _phi_de(n, q, m, lams, cfg.epsilon, cfg.h)[0]
 
 
 @lru_cache(maxsize=100000)
@@ -300,7 +391,12 @@ def oscillatory_j(n: int, q: float) -> float:
     if n not in _TORUS_BOX:
         raise ValueError("oscillatory route implemented for n in {3, 4}")
     weights, exp_sum, inv_prod = _torus_rule(n)
-    return float(weights @ np.exp(-(exp_sum + q * inv_prod)))
+    # one work array, exponentiated in place: fresh temporaries of the
+    # 1 MB n = 4 rule would each be mapped and faulted in anew
+    arg = inv_prod * -q
+    arg -= exp_sum
+    np.exp(arg, out=arg)
+    return float(weights @ arg)
 
 
 def inversion_consistency(n: int, q: float) -> dict:
@@ -340,10 +436,8 @@ def laplace_spot_check(n: int, q: float, m: int) -> dict:
     lambda-power replaced by its Laplace image s^{n/2 - (n-1)x - m - 1/2}.
     Lambda values are produced by the contour only on the edge region
     [u, 1.5 u], where the residue series has not kicked in; past that the
-    series is used (the two agree to ~1e-10 on the overlap, far below the
-    1e-4 target here, and a contour sized for the whole range would need
-    an enormous truncation height for the same certified error).  Lambda
-    sensitivity is reported alongside.
+    series is used (the two agree to ~1e-14 on the overlap, far below the
+    1e-4 target here).  Lambda sensitivity is reported alongside.
     """
     u = u_of_q(n, q)
     smin = min(_LAPLACE_S)

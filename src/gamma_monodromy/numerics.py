@@ -5,7 +5,8 @@ connection along piecewise paths.
 A truncated jet sum_k c[k] w^k is the complex coefficient array c itself,
 of length order + 1 <= 13; jet_mul, jet_recip and jet_exp do the
 arithmetic.  polygamma is an upward recurrence followed by the Stirling
-series, one route for real and complex arguments.
+series; on the negative real axis the reflection formula first moves the
+argument to the right half-plane.
 
 Everything is plain double precision.  Downstream tolerances are 1e-10 or
 looser, so well-conditioned 1e-13 kernels are enough; no arbitrary
@@ -38,6 +39,25 @@ _STIRLING = tuple(
     tuple(b * (math.factorial(2 * j + k - 1) / math.factorial(2 * j))
           for j, b in enumerate(_BERNOULLI_2J, start=1))
     for k in range(MAX_JET_ORDER + 1))
+
+
+def _cot_derivative_polys() -> tuple:
+    """Integer coefficients, lowest degree first, of P_k with
+    cot^(k)(x) = P_k(cot x), k <= 12: P_0(c) = c and
+    P_{k+1}(c) = -(1 + c^2) P_k'(c).  Every coefficient of P_k has the sign
+    (-1)^k, so Horner's rule at real c does not cancel."""
+    polys = [(0, 1)]
+    for _ in range(MAX_JET_ORDER):
+        deriv = [j * a for j, a in enumerate(polys[-1])][1:]
+        nxt = [0] * (len(deriv) + 2)
+        for j, a in enumerate(deriv):
+            nxt[j] -= a
+            nxt[j + 2] -= a
+        polys.append(tuple(nxt))
+    return tuple(polys)
+
+
+_COT_POLYS = _cot_derivative_polys()
 
 
 class NumericsError(Exception):
@@ -107,7 +127,14 @@ def log_gamma(z: complex) -> complex:
 
 
 def polygamma(k: int, z: complex) -> complex:
-    """psi^(k)(z) for complex z, k <= 12, by one float64 route for every z.
+    """psi^(k)(z) for complex z, k <= 12.
+
+    On the negative real axis the reflection formula
+    psi^(k)(z) = (-1)^k psi^(k)(1-z) - pi^(k+1) cot^(k)(pi z) moves z to
+    1 - z > 1 in one step; cot^(k) is P_k(cot) of ``_COT_POLYS`` at
+    cot(pi r), r = z - round(z) exact, and cot(pi r) is exactly 0 at a
+    half-integer.  Off the real axis P_k cancels near cot = -+i, so there
+    z keeps the upward shift below.
 
     z is shifted upward with psi^(k)(z) = psi^(k)(z+1) + (-1)^(k+1) k!/z^(k+1)
     until Re z >= 18 + 1.5k, where the Stirling series
@@ -116,15 +143,31 @@ def polygamma(k: int, z: complex) -> complex:
                     + sum_j B_2j (2j+k-1)!/((2j)! z^(2j+k))]
 
     (with -log z in place of (k-1)!/z^k at k = 0) is summed to j = 10.
-    The shift terms are added by math.fsum: at a negative half-integer the
-    terms at z+j and -(z+j) cancel exactly, and psi^(k) can sit many
-    orders below its largest term.
+    The shift terms are added by math.fsum: left of the origin the terms
+    at z+j and near -(z+j) nearly cancel, and psi^(k) can sit many orders
+    below its largest term.
     """
     if not 0 <= k <= MAX_JET_ORDER:
         raise ValueError("polygamma order out of range")
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError("polygamma pole at %r" % z)
+    if z.imag == 0.0 and z.real < 0.0:
+        r = z.real - round(z.real)
+        if abs(r) <= 0.25:
+            cot = math.cos(math.pi * r) / math.sin(math.pi * r)
+        else:
+            cot = math.copysign(math.tan(math.pi * (0.5 - abs(r))), r)
+        poly = 0.0
+        for a in reversed(_COT_POLYS[k]):
+            poly = poly * cot + a
+        return ((-1) ** k * _polygamma_shifted(k, 1.0 - z)
+                - math.pi ** (k + 1) * poly)
+    return _polygamma_shifted(k, z)
+
+
+def _polygamma_shifted(k: int, z: complex) -> complex:
+    """The upward shift and Stirling series of ``polygamma``."""
     shift = []
     while z.real < 18.0 + 1.5 * k:
         shift.append(z ** -(k + 1))

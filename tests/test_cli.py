@@ -162,6 +162,11 @@ def test_phi_json_payload(tmp_path):
     comp = data["comparison"]
     assert comp["max_abs_diff"] < comp["tolerance"]
     assert len(comp["rows"]) == 10
+    # the contour's own error estimate, step and rule size travel along
+    assert "tail_bound" not in comp
+    assert 0.0 < comp["quadrature_error"] <= 1e-7
+    assert comp["quadrature_h"] == 0.025
+    assert comp["nodes_per_lambda"] == 1041
     fit = data["exponent_fit"]
     assert fit["expected"] == 2.5
     assert fit["deviation"] < fit["tolerance"]

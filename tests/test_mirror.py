@@ -1,8 +1,9 @@
 """Oscillatory integral Phi: vanishing window, residue series, cross checks.
 
 The closed-form oracles were frozen from 30-digit mpmath evaluations:
-2*besselk(0, 2*sqrt(q)) for the 2-torus integral and
-meijerg([[],[]], [[0,0,0],[]], q) for the 3-torus one.
+2*besselk(0, 2*sqrt(q)) for the 2-torus integral,
+meijerg([[],[]], [[0,0,0],[]], q) for the 3-torus one, and Phi itself at
+n = 3, m = 3, q = 1 (u = 2) for the contour rule.
 """
 
 import math
@@ -21,6 +22,9 @@ J4 = {0.5: 0.3757021237846899, 1.0: 0.16404160674837606,
       2.0: 0.06077103396208862, 10.0: 0.0025030566951819923,
       100.0: 6.846405092429212e-07}
 INVERSION_N3_Q1 = 0.90923943249776
+# Phi(n=3, m=3, q=1) at lambda = ratio * u; Gauss-Legendre on the truncated
+# line read 2.9957e-10 at 1.0001 u
+PHI33 = {1.5: 0.43616936203784354629, 1.0001: 3.0168488664925214693e-10}
 
 
 def phi_mellin_barnes(n, q, m, lam):
@@ -41,12 +45,50 @@ def test_u_of_q_examples():
     assert abs(mr.u_of_q(4, 8.0) - 6.0) < 1e-14
 
 
-def test_tail_bound_certifies_config():
-    cfg = mr.make_mb_config(3, 1.0, 3, 3.0, 1e-7)
-    assert cfg.tail_bound <= 1e-8
+def test_error_estimate_certifies_config():
+    cfg = mr.make_mb_config(3, 1.0, 3, 3.0, 1e-4)
+    assert cfg.error_estimate <= 1e-4
     tight = mr.make_mb_config(3, 1.0, 3, 3.0, 1e-10)
-    assert tight.T >= cfg.T
-    assert tight.tail_bound <= 1e-11
+    assert tight.h < cfg.h and tight.nodes > cfg.nodes
+    assert tight.error_estimate <= 1e-10
+    # roundoff, not the rule, sets the floor of a tolerance beyond reach
+    floor = mr.make_mb_config(3, 1.0, 3, 3.0, 1e-20)
+    assert 1e-20 < floor.error_estimate < 1e-13
+    # at m = 1 the tail |b|^(-3/2) leaves too much beyond the cut at u
+    with pytest.raises(NumericsError):
+        mr.make_mb_config(3, 1.0, 1, 3.0, 1e-7)
+
+
+def test_contour_matches_frozen_references():
+    cfg = mr.make_mb_config(3, 1.0, 3, 3.0, 1e-10)
+    got = mr.phi_mb_batch(3, 1.0, 3, 2.0 * np.array(list(PHI33)), cfg)
+    assert np.all(got.imag == 0.0)
+    assert abs(got[0] - PHI33[1.5]) < 2e-15
+    assert abs(got[1] - PHI33[1.0001]) < 1e-16
+
+
+def test_contour_vanishes_at_the_edge():
+    # omega = (n-1) log(lambda/u) is 0 or 2e-12 here: the node map's floor
+    # on |omega| keeps the rule finite and the lower cut negligible
+    cfg = mr.make_mb_config(3, 1.0, 3, 2.0, 1e-7)
+    lams = 2.0 * np.array([1.0, 1.0 + 1e-12, 1.0 - 1e-12])
+    assert np.max(np.abs(mr.phi_mb_batch(3, 1.0, 3, lams, cfg))) < 1e-15
+
+
+def test_error_estimate_bounds_the_true_error():
+    # Phi(u) = 0 and the frozen references give the true error
+    for tol in (1e-4, 1e-7, 1e-10):
+        cfg = mr.make_mb_config(3, 1.0, 3, 3.0, tol)
+        got = mr.phi_mb_batch(3, 1.0, 3, np.array([2.0, 3.0, 2.0002]), cfg)
+        err = np.abs(got - np.array([0.0, PHI33[1.5], PHI33[1.0001]]))
+        assert np.max(err) <= cfg.error_estimate <= tol
+
+
+def test_cached_rule_is_read_only():
+    _, phi, weights, _ = mr._de_rule(0.025)
+    for arr in (phi, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_tail_bound_needs_decaying_integrand():

@@ -66,8 +66,15 @@ def test_polygamma_recurrence_random_grid():
 
 # psi^(k)(z) from 30-digit mpmath, rounded to double; 1.46 sits near the
 # zero of psi, -2.5 is a negative half-integer where psi^(12) is 1e11 times
-# smaller than its largest shift term
+# smaller than its largest shift term; -60.5 and -178.5 are reached by
+# reflection, and -178.5 lies past the deepest centre of the residue series
 POLYGAMMA_REFS = [
+    (0, -60.5, 4.110885061353463),
+    (3, -60.5, 194.81817325787839),
+    (12, -60.5, -1.5012037448676867e-14),
+    (0, -178.5, 5.187387106250826),
+    (3, -178.5, 194.8181817192951),
+    (12, -178.5, -3.6883425687507057e-20),
     (0, 0.5, -1.9635100260214235),
     (0, 1.0, -0.5772156649015329),
     (0, 1.46, -0.0015805619870834522),
@@ -116,6 +123,14 @@ POLYGAMMA_REFS = [
 @pytest.mark.parametrize("k,z,ref", POLYGAMMA_REFS)
 def test_polygamma_frozen_references(k, z, ref):
     assert abs(nx.polygamma(k, z) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_polygamma_reflection_keeps_relative_accuracy():
+    # the frozen test above is absolute below |psi| = 1; psi^(12) at a
+    # negative half-integer is psi^(12)(1 - z) exactly and is tiny
+    for k, z, ref in POLYGAMMA_REFS:
+        if z in (-60.5, -178.5):
+            assert abs(nx.polygamma(k, z) - ref) <= 1e-14 * abs(ref)
 
 
 def test_polygamma_order_and_pole_errors():
