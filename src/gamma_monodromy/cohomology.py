@@ -44,6 +44,7 @@ class SpaceModel:
     delta: np.ndarray | None = None
     _unit: int | None = field(default=0, repr=False)
     depth: int = 0         # smallest D with rho^D = 0, found by set_rho
+    rho_powers: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -82,14 +83,17 @@ class SpaceModel:
         return self.pair(v, self.unit())
 
     def set_rho(self, rho: np.ndarray) -> None:
-        """Set rho and, once per model, its nilpotency depth."""
+        """Set rho and, once per model, its nilpotency depth D and the
+        read-only stack rho^0 .. rho^(D-1)."""
         self.rho = rho
-        acc = np.eye(self.size, dtype=complex)
-        for d in range(self.size + 2):
-            if np.max(np.abs(acc)) == 0.0:
-                self.depth = d
+        pows = [np.eye(self.size, dtype=complex)]
+        for _ in range(self.size + 2):
+            if np.max(np.abs(pows[-1])) == 0.0:
+                self.depth = len(pows) - 1
+                self.rho_powers = np.array(pows[:-1])
+                self.rho_powers.flags.writeable = False
                 return
-            acc = rho @ acc
+            pows.append(rho @ pows[-1])
         raise ValueError("matrix is not nilpotent")
 
 

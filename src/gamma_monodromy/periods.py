@@ -13,6 +13,19 @@ The full period matrix is the convergent series
     I_ell(lambda) = sum_{k>=0} (-1)^k S_k M_{ell+k}(lambda),   |lambda| large,
 
 whose columns solve dY/dlam = (lam - E*)^{-1} (theta - ell - 1/2) Y.
+
+`fundamental_solution` does not rebuild M_{ell+k} from Gamma at every term.
+With g(nu, w) = lam^{nu+w-1/2}/Gamma(nu+w+1/2), consecutive levels obey
+
+    g(nu - 1, w) = (nu - 1/2 + w) g(nu, w) / lam,
+
+a product with a linear jet.  So the series carries one complex block of
+jets, G[i, s] = jet of g at nu = theta_i - ell - s for s = 0 .. D-1
+(D the nilpotency depth of rho), built from Gamma once per call.  Each
+term reads M_ell = sum_k rho^k diag_i(G[i, k, k]) against the cached
+powers of rho, then drops the s = 0 jets and appends the next deeper ones
+by the recurrence, vectorised over i, with 1/lam = exp(-log lam) on the
+carried branch.  `master_period` stays the direct evaluation.
 """
 
 from __future__ import annotations
@@ -45,6 +58,7 @@ class MatrixSolution:
     value: np.ndarray
     branch: BranchState
     truncation_error: float
+    terms: int             # series terms summed
 
 
 @lru_cache(maxsize=4096)
@@ -62,7 +76,8 @@ def _log_pow_jet(branch: BranchState, nu: complex, order: int) -> np.ndarray:
 
 
 def master_period(space: SpaceModel, level: int, branch: BranchState) -> np.ndarray:
-    """Master period matrix at the given integer level and branch of log."""
+    """Master period matrix at the given integer level and branch of log,
+    evaluated directly from Gamma jets (the oracle for `_LevelLadder`)."""
     depth = space.depth
     order = depth - 1
     size = space.size
@@ -81,6 +96,44 @@ def master_period(space: SpaceModel, level: int, branch: BranchState) -> np.ndar
     return acc
 
 
+class _LevelLadder:
+    """The jets of g(nu, w) at nu = theta_i - level - s, s = 0 .. depth-1,
+    as one (size, depth, depth) array that moves up one level at a time by
+    the recurrence."""
+
+    def __init__(self, space: SpaceModel, level: int, branch: BranchState):
+        depth = space.depth
+        order = depth - 1
+        self.theta = np.diag(space.theta)
+        self.rho_powers = space.rho_powers
+        self.level = level
+        self.inv_lam = branch_power(branch, -1.0)
+        self.jets = np.empty((space.size, depth, depth), dtype=complex)
+        for i, th in enumerate(self.theta):
+            for s in range(depth):
+                nu = th - level - s
+                self.jets[i, s] = jet_mul(
+                    _log_pow_jet(branch, nu, order),
+                    np.asarray(_rg_jet_coeffs(nu + 0.5, order)))
+
+    def master(self) -> np.ndarray:
+        """M_level = sum_k rho^k diag_i(G[i, k, k])."""
+        diag = np.diagonal(self.jets, axis1=1, axis2=2)
+        return np.einsum("kab,bk->ab", self.rho_powers, diag)
+
+    def step(self) -> None:
+        """Move to level + 1: drop s = 0 and append the jet at the deepest
+        nu - 1 as (nu - 1/2 + w) g(nu) / lam."""
+        depth = self.jets.shape[1]
+        last = self.jets[:, -1]
+        a = self.theta - self.level - (depth - 1) - 0.5
+        nxt = a[:, None] * last
+        nxt[:, 1:] += last[:, :-1]
+        self.jets[:, :-1] = self.jets[:, 1:]
+        self.jets[:, -1] = self.inv_lam * nxt
+        self.level += 1
+
+
 def convergence_radius(product: QuantumProduct) -> float:
     return float(np.max(np.abs(product.eigenvalues())))
 
@@ -91,8 +144,9 @@ def fundamental_solution(space: SpaceModel, product: QuantumProduct,
     """Sum the period series at the point and branch carried by `branch`.
 
     Requires |lambda| > 1.5 * (largest eigenvalue of E*).  Stops once three
-    consecutive terms fall below tol * ||partial sum||; raises if 200 terms
-    do not get there.
+    consecutive terms fall below tol * ||partial sum||; raises if the terms
+    available (the S-series length, at most SERIES_CAP + 1) do not get
+    there.  The master periods M_{level+k} come from one level ladder.
     """
     lam_abs = abs(branch.base)
     radius = convergence_radius(product)
@@ -103,8 +157,12 @@ def fundamental_solution(space: SpaceModel, product: QuantumProduct,
     acc = np.zeros((space.size, space.size), dtype=complex)
     small_run = 0
     recent: list[float] = []
-    for k in range(min(len(sseries.mats), SERIES_CAP + 1)):
-        term = (-1.0) ** k * sseries.mats[k] @ master_period(space, level + k, branch)
+    ladder = _LevelLadder(space, level, branch)
+    n_terms = min(len(sseries.mats), SERIES_CAP + 1)
+    for k in range(n_terms):
+        if k:
+            ladder.step()
+        term = (-1.0) ** k * sseries.mats[k] @ ladder.master()
         acc = acc + term
         tnorm = float(np.max(np.abs(term)))
         recent.append(tnorm)
@@ -114,12 +172,12 @@ def fundamental_solution(space: SpaceModel, product: QuantumProduct,
             if small_run >= CONVERGED_RUN:
                 est = sum(recent[-CONVERGED_RUN:])
                 return MatrixSolution(space, level, acc, branch,
-                                      max(est, 1e-14 * scale))
+                                      max(est, 1e-14 * scale), k + 1)
         else:
             small_run = 0
     raise ConvergenceError(
         "period series did not converge in %d terms at |lambda|=%g"
-        % (SERIES_CAP, lam_abs))
+        % (n_terms, lam_abs))
 
 
 def connection_rhs(space: SpaceModel, product: QuantumProduct, level: int):

@@ -117,6 +117,17 @@ def test_rho_nilpotent():
         assert np.max(np.abs(np.linalg.matrix_power(sp.rho, sp.dim + 1))) == 0.0
 
 
+def test_rho_powers_cached_read_only():
+    for sp in (make_proj(5), make_blproj(4), make_twisted(4)):
+        pows = sp.rho_powers
+        assert pows.shape == (sp.depth, sp.size, sp.size)
+        for k in range(sp.depth):
+            assert np.array_equal(pows[k], np.linalg.matrix_power(sp.rho, k))
+        assert np.max(np.abs(sp.rho @ pows[-1])) == 0.0
+        with pytest.raises(ValueError):
+            pows[0, 0, 0] = 2.0
+
+
 # ---------------------------------------------------------------------------
 # Gamma class
 # ---------------------------------------------------------------------------

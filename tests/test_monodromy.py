@@ -248,7 +248,7 @@ def test_ill_conditioned_period_matrix_raises(monkeypatch):
 
     def fake(space_, product_, sser_, level_, branch_, tol_):
         bad = np.diag([1.0, 1e-12]).astype(complex)
-        return MatrixSolution(space_, level_, bad, branch_, 0.0)
+        return MatrixSolution(space_, level_, bad, branch_, 0.0, 0)
 
     monkeypatch.setattr(md, "fundamental_solution", fake)
     loop = md.gamma_loop(3, 0.0, 0)

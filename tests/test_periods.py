@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from gamma_monodromy import periods as pd
-from gamma_monodromy.cohomology import intersection_pairing, make_proj
+from gamma_monodromy.cohomology import (intersection_pairing, make_proj,
+                                        make_twisted)
 from gamma_monodromy.numerics import (BranchState, branch_power, jet_mul,
                                       log_gamma, principal_branch)
 from gamma_monodromy.quantum import (quantum_mult_proj, sseries_proj,
@@ -95,8 +96,78 @@ def test_master_period_finite_at_gamma_poles():
 
 
 # ---------------------------------------------------------------------------
+# level ladder
+# ---------------------------------------------------------------------------
+
+LADDER_LAMS = (2.0 + 0.5j, -7.3 + 1.0j, 15.0 - 20.0j, 0.6 + 0.1j, 40.0 + 3.0j)
+
+
+def _ladder_deviation(sp, levels=45):
+    """Worst |ladder - master_period| / max|M_ell| over consecutive levels
+    from -(size + 2), three windings and LADDER_LAMS."""
+    worst = 0.0
+    start = -(sp.size + 2)
+    for lam in LADDER_LAMS:
+        for winding in (-1, 0, 1):
+            br = principal_branch(lam, winding=winding)
+            ladder = pd._LevelLadder(sp, start, br)
+            for j in range(levels):
+                if j:
+                    ladder.step()
+                want = pd.master_period(sp, start + j, br)
+                dev = np.max(np.abs(ladder.master() - want))
+                worst = max(worst, dev / np.max(np.abs(want)))
+    return worst
+
+
+@pytest.mark.parametrize("sp", [make_proj(m) for m in range(1, 7)]
+                         + [make_twisted(n) for n in range(3, 9)],
+                         ids=lambda sp: "%s:%d" % (sp.kind, sp.param))
+def test_level_ladder_matches_master_period(sp):
+    # odd proj:m and odd twisted:n have half-integer theta, so the
+    # levels cross the poles of Gamma(nu + w + 1/2)
+    assert _ladder_deviation(sp) < 1e-12
+
+
+def test_level_ladder_depth_one():
+    # rho = 0: depth 1, jets of order 0
+    sp = make_proj(2)
+    sp.set_rho(np.zeros_like(sp.rho))
+    assert sp.depth == 1
+    assert _ladder_deviation(sp, levels=12) < 1e-12
+
+
+# ---------------------------------------------------------------------------
 # fundamental solution
 # ---------------------------------------------------------------------------
+
+def test_fundamental_solution_never_calls_master_period(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("master_period called")
+
+    monkeypatch.setattr(pd, "master_period", boom)
+    m = 2
+    sp = make_proj(m)
+    prod = quantum_mult_proj(m, 1.0)
+    sol = pd.fundamental_solution(sp, prod, _series(m, 1.0), -3,
+                                  principal_branch(8.0), 1e-11)
+    assert np.all(np.isfinite(sol.value))
+
+
+def test_fundamental_solution_counts_terms():
+    m = 2
+    sp = make_proj(m)
+    prod = quantum_mult_proj(m, 1.0)
+    sser = _series(m, 1.0)
+    br = principal_branch(8.0)
+    counts = []
+    for tol in (1e-4, 1e-8, 1e-12):
+        first = pd.fundamental_solution(sp, prod, sser, -3, br, tol).terms
+        again = pd.fundamental_solution(sp, prod, sser, -3, br, tol).terms
+        assert first == again
+        counts.append(first)
+    assert pd.MIN_TERMS < counts[0] < counts[1] < counts[2] <= len(sser.mats)
+
 
 def test_fundamental_solution_reduces_to_master_at_q_zero():
     m = 2
@@ -124,7 +195,8 @@ def test_fundamental_solution_nonconvergence_error():
     sp = make_proj(m)
     prod = quantum_mult_proj(m, 1.0)
     sser = _series(m, 1.0, K=30)
-    with pytest.raises(pd.ConvergenceError):
+    assert len(sser.mats) == 31
+    with pytest.raises(pd.ConvergenceError, match="in 31 terms"):
         pd.fundamental_solution(sp, prod, sser, -3,
                                 principal_branch(6.0), 0.0)
 
