@@ -29,7 +29,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 import scipy.special
@@ -362,18 +362,38 @@ def _gamma_line(n: int, q: float) -> tuple:
     return x, w, np.exp((n - 1) * scipy.special.loggamma(x) - x * math.log(q))
 
 
-# log-torus box [lo, hi]^(n-2) of J(q) and its panels per axis (about 3 wide)
-_TORUS_BOX = {3: (-40.0, 10.0, 17), 4: (-25.0, 8.0, 11)}
+# sigma = t_1 + .. + t_d: its box [lo, hi] and panels per n (about 3 wide),
+# and for n = 4 the cut and panels of tau, t = sigma/2 +- u with u a
+# stretch of tau
+_SIGMA_BOX = {3: (-40.0, 10.0, 17), 4: (-50.0, 10.0, 20)}
+_TAU_BOX = (0.0, 36.0, 12)
 
 
 @lru_cache(maxsize=None)
 def _torus_rule(n: int) -> tuple:
-    """Weights, sum_i e^{t_i} and e^{-sum_i t_i} on the flattened
-    tensor-product nodes of the log-torus box, read-only."""
-    t, w = _gl_panels(*_TORUS_BOX[n])
-    rule = (reduce(np.multiply.outer, [w] * (n - 2)).ravel(),
-            reduce(np.add.outer, [np.exp(t)] * (n - 2)).ravel(),
-            reduce(np.multiply.outer, [np.exp(-t)] * (n - 2)).ravel())
+    """w F_d(sigma) and e^{-sigma} on the sigma nodes, read-only, where
+    F_d(sigma) is the q-free part of the log-torus integrand summed over
+    the slice t_1 + .. + t_d = sigma (d = n - 2, unit Jacobian).
+
+    F_1(sigma) = exp(-e^sigma).  F_2(sigma) = 2 int_0^inf exp(-2 e^{sigma/2}
+    cosh u) du, from t = sigma/2 +- u; its peak at u = 0 narrows as
+    e^{-sigma/4} past sigma = 0, so u = e^{-max(sigma, 0)/4} tau keeps it
+    on the panels of tau.  The tau sum runs one panel at a time: a whole
+    sigma x tau block would be one more large temporary.
+    """
+    sigma, w = _gl_panels(*_SIGMA_BOX[n])
+    if n == 3:
+        prof = np.exp(-np.exp(sigma))
+    else:
+        amp = 2.0 * np.exp(0.5 * sigma)
+        stretch = np.exp(-0.25 * np.maximum(sigma, 0.0))
+        tau, wt = _gl_panels(*_TAU_BOX)
+        prof = np.zeros_like(sigma)
+        for tp, wp in zip(tau.reshape(-1, _GL_NODES),
+                          wt.reshape(-1, _GL_NODES)):
+            prof += np.exp(-amp[:, None] * np.cosh(np.outer(stretch, tp))) @ wp
+        prof *= 2.0 * stretch
+    rule = (w * prof, np.exp(-sigma))
     for arr in rule:
         arr.flags.writeable = False
     return rule
@@ -382,21 +402,18 @@ def _torus_rule(n: int) -> tuple:
 def oscillatory_j(n: int, q: float) -> float:
     """The same J(q) as an oscillation-free integral over log-tori,
     int exp(-(e^{t_1} + .. + e^{t_d} + q e^{-t_1-..-t_d})) dt with d = n - 2,
-    on [-40, 10] (n = 3) or [-25, 8]^2 (n = 4) by ``_torus_rule``.
+    as int F_d(sigma) exp(-q e^{-sigma}) dsigma on the nodes of
+    ``_torus_rule``: sigma in [-40, 10] (n = 3) or [-50, 10] (n = 4).
 
-    Truncation: the integrand is at most exp(-e^{hi}) on the upper faces,
-    and exp(-q e^{40}) (n = 3) or exp(-2 sqrt(q) e^{12.5}) (n = 4) on the
-    lower faces; it falls doubly exponentially beyond every face.
+    Truncation, each face falling doubly exponentially beyond it: on the
+    upper sigma face the profile is F_1(10) = exp(-e^10) or
+    F_2(10) ~ e^{-298}; on the lower one the q factor is exp(-q e^{40}) or
+    exp(-q e^{50}); the u cut drops at most exp(-e^{11}), at sigma = -50.
     """
-    if n not in _TORUS_BOX:
+    if n not in _SIGMA_BOX:
         raise ValueError("oscillatory route implemented for n in {3, 4}")
-    weights, exp_sum, inv_prod = _torus_rule(n)
-    # one work array, exponentiated in place: fresh temporaries of the
-    # 1 MB n = 4 rule would each be mapped and faulted in anew
-    arg = inv_prod * -q
-    arg -= exp_sum
-    np.exp(arg, out=arg)
-    return float(weights @ arg)
+    wprof, inv = _torus_rule(n)
+    return float(wprof @ np.exp(-q * inv))
 
 
 def inversion_consistency(n: int, q: float) -> dict:
@@ -405,22 +422,27 @@ def inversion_consistency(n: int, q: float) -> dict:
     Left: 2 pi i times int_0^inf J(q e^v) dv, J by ``oscillatory_j``, on six
     panels over [0, vmax].  Right: the contour rule of ``_gamma_line``.  The
     two share no integrand, so agreement pins the contour bookkeeping.
+    ``j_calls`` counts the J evaluations and ``j_nodes`` the sigma nodes
+    they summed.
     """
     vmax = max(9.0, math.log(4000.0 / q))
     v, wv = _gl_panels(0.0, vmax, 6)
     outer = 0.0
+    calls = 0
     for vk, wk in zip(v, wv):
         s = q * math.exp(vk)
         # crude superexponential bound: skip points that cannot matter
         if (n - 1) * s ** (1.0 / (n - 1)) > 45.0 + math.log1p(s):
             continue
         outer += wk * oscillatory_j(n, s)
+        calls += 1
     lhs = 2j * math.pi * outer
 
     x, w, vals = _gamma_line(n, q)
     rhs = 1j * complex((vals / x) @ w)
     return {"lhs": lhs, "rhs": rhs, "abs_diff": abs(lhs - rhs),
-            "rel_diff": abs(lhs - rhs) / max(abs(rhs), 1e-300)}
+            "rel_diff": abs(lhs - rhs) / max(abs(rhs), 1e-300),
+            "j_calls": calls, "j_nodes": calls * len(_torus_rule(n)[0])}
 
 
 # Laplace variables of the spot check

@@ -216,7 +216,10 @@ def criterion_pairing() -> dict:
 def criterion_mirror() -> dict:
     """Vanishing window, series/contour agreement, local exponent,
     inversion consistency, and the Laplace spot check; details["margins"]
-    holds residual/tol of each of the five sub-gates."""
+    holds residual/tol of each of the five sub-gates.  The residual is the
+    largest of the four sub-residuals gated at 1e-4 or below (the exponent
+    is a slope, gated at 0.02); details["j_calls"] and details["j_nodes"]
+    sum the counters of both inversion checks."""
     t0 = time.perf_counter()
     tols = {"zero_window": 1e-6, "series_contour": 1e-6, "exponent": 0.02,
             "inversion": 1e-4, "laplace": 1e-4}
@@ -250,9 +253,12 @@ def criterion_mirror() -> dict:
     details["exponent_worst_dev"] = worst_exp
 
     worst_inv = 0.0
+    details["j_calls"] = details["j_nodes"] = 0
     for n in (3, 4):
         inv = mirror.inversion_consistency(n, 1.0)
         worst_inv = max(worst_inv, inv["rel_diff"])
+        details["j_calls"] += inv["j_calls"]
+        details["j_nodes"] += inv["j_nodes"]
     details["inversion_rel"] = worst_inv
 
     lap = mirror.laplace_spot_check(3, 1.0, 3)
@@ -269,7 +275,8 @@ def criterion_mirror() -> dict:
     details["seconds"] = seconds
     ok = ok and seconds < 300.0
     return {"name": "mirror", "pass": bool(ok), "tol": 1e-4,
-            "residual": max(worst_zero, worst_sc, details["laplace_rel"]),
+            "residual": max(worst_zero, worst_sc, worst_inv,
+                            details["laplace_rel"]),
             "details": details}
 
 

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from gamma_monodromy import mirror
 from gamma_monodromy import suite as suite_mod
 
 NAMES = [name for name, _ in suite_mod.ALL_CRITERIA]
@@ -46,3 +47,15 @@ def test_mirror_reports_every_sub_gate_margin(results):
     assert sorted(margins) == sorted(["zero_window", "series_contour",
                                       "exponent", "inversion", "laplace"])
     assert all(margin < 1.0 for margin in margins.values()), margins
+
+
+def test_mirror_residual_covers_inversion(results):
+    res = results["mirror"]
+    assert res["residual"] >= res["details"]["inversion_rel"]
+
+
+def test_mirror_reports_the_j_counters(results):
+    details = results["mirror"]["details"]
+    runs = [mirror.inversion_consistency(n, 1.0) for n in (3, 4)]
+    assert details["j_calls"] == sum(run["j_calls"] for run in runs) > 0
+    assert details["j_nodes"] == sum(run["j_nodes"] for run in runs)

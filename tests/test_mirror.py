@@ -20,7 +20,7 @@ J3 = {0.5: 0.4782844214521623, 1.0: 0.22778774549906688,
       100.0: 1.148247563067305e-09}
 J4 = {0.5: 0.3757021237846899, 1.0: 0.16404160674837606,
       2.0: 0.06077103396208862, 10.0: 0.0025030566951819923,
-      100.0: 6.846405092429212e-07}
+      100.0: 6.846405092429212e-07, 1000.0: 3.357669316706924e-14}
 INVERSION_N3_Q1 = 0.90923943249776
 # Phi(n=3, m=3, q=1) at lambda = ratio * u; Gauss-Legendre on the truncated
 # line read 2.9957e-10 at 1.0001 u
@@ -86,7 +86,8 @@ def test_error_estimate_bounds_the_true_error():
 
 def test_cached_rule_is_read_only():
     _, phi, weights, _ = mr._de_rule(0.025)
-    for arr in (phi, weights):
+    for arr in (phi, weights, *mr._torus_rule(3), *mr._torus_rule(4)):
+        assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -172,14 +173,36 @@ def test_oscillatory_j_rejects_other_n():
 
 
 def test_oscillatory_j_monotone_in_q():
-    vals = [mr.oscillatory_j(3, q) for q in (0.5, 1.0, 1.5, 2.0)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
+    for n in (3, 4):
+        vals = [mr.oscillatory_j(n, q) for q in (0.5, 1.0, 1.5, 2.0)]
+        assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def test_torus_profile_against_bessel():
+    # F_2(sigma) = 2 K_0(2 e^{sigma/2}), the u-integral of the n = 4 slice;
+    # its smallest value, at sigma = 10, is about 1e-130
+    wprof, _ = mr._torus_rule(4)
+    sigma, w = mr._gl_panels(*mr._SIGMA_BOX[4])
+    want = 2.0 * scipy.special.k0(2.0 * np.exp(0.5 * sigma))
+    assert np.min(want) > 1e-290
+    assert np.max(np.abs(wprof / w - want) / want) < 1e-13
 
 
 def test_mellin_inversion_j_matches():
     for q, want in J3.items():
         assert abs(mellin_inversion_j(3, q) - want) < 1e-9
     assert abs(mellin_inversion_j(4, 1.0) - J4[1.0]) < 1e-8
+
+
+def test_inversion_counts_its_j_work():
+    for n in (3, 4):
+        first = mr.inversion_consistency(n, 1.0)
+        again = mr.inversion_consistency(n, 1.0)
+        assert first["j_calls"] > 0
+        assert (first["j_calls"], first["j_nodes"]) == (again["j_calls"],
+                                                       again["j_nodes"])
+    # n = 4: at most 1,000 sigma nodes per J
+    assert first["j_nodes"] <= 1000 * first["j_calls"]
 
 
 def test_inversion_consistency_two_routes():
