@@ -32,8 +32,7 @@ import numpy as np
 from . import mirror
 from . import suite as suite_mod
 from .cohomology import make_blproj, make_proj
-from .monodromy import (BASE_SERIES_TOL, proj_reflection_check,
-                        twisted_reflection_check)
+from .monodromy import proj_reflection_check, twisted_reflection_check
 from .numerics import BranchState, NumericsError
 
 SCHEMA = "gamma-monodromy/1"
@@ -176,8 +175,7 @@ def cmd_reflections(cfg: RunConfig) -> int:
     else:
         n = par
         check = partial(twisted_reflection_check, n,
-                        _branch_value(cfg.Q, "--Q"), m=cfg.m,
-                        tol=BASE_SERIES_TOL)
+                        _branch_value(cfg.Q, "--Q"), m=cfg.m)
         entry = _twisted_entry
     if cfg.k is not None and not 0 <= cfg.k <= n - 2:
         raise UsageError("k %d outside [0, %d]" % (cfg.k, n - 2))
@@ -207,8 +205,7 @@ def cmd_phi(cfg: RunConfig) -> int:
     mb_cfg = mirror.make_mb_config(n, q, m, float(lams[-1]),
                                    min(tol, 1e-7))
     mb = mirror.phi_mb_batch(n, q, m, lams, mb_cfg)
-    ser = np.array([mirror.phi_residue_series(n, q, m, lv, terms=60)
-                    for lv in lams])
+    ser = mirror.phi_residue_series(n, q, m, lams)
     rows = [[float(lv), float(sv.real), float(mv.real),
              float(abs(sv - mv))]
             for lv, sv, mv in zip(lams, ser, mb)]

@@ -3,7 +3,7 @@ integral, plus the oscillatory-integral cross-checks.
 
 The central object is
 
-    Phi(q, lambda) = (2 pi)^{(1-n)/2} int_{Re x = eps}
+    Phi(q, lambda) = (2 pi)^{(1-n)/2} int_{Re x = 1}
                      q^{-x} Gamma(x)^{n-1}
                      lambda^{(n-1)x + c - 1} / Gamma((n-1)x + c) dx / (i x)
 
@@ -13,7 +13,7 @@ series over x = 0, -1, -2, ...; the two routes must agree for
 lambda > u(q) = (n-1) q^{1/(n-1)}, and Phi vanishes identically on
 0 < lambda <= u(q).
 
-On the vertical line x = eps + ib the integrand is e^{i omega b} H(b) with
+On the vertical line x = 1 + ib the integrand is e^{i omega b} H(b) with
 omega = (n-1) log(lambda/u): H is smooth and non-oscillatory, and it decays
 only polynomially, |H| ~ |b|^{-(m+1/2)}, because the exponential decay of
 Gamma(x)^{n-1} is eaten by 1/Gamma((n-1)x + c).  That is the integrand the
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,6 +36,8 @@ import scipy.special
 from .numerics import (NumericsError, jet_exp, jet_mul, jet_recip,
                        log_gamma_jet, recip_gamma_jet)
 
+# Re x of every vertical contour line
+_LINE = 1.0
 _GL_NODES = 32
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
 
@@ -56,6 +57,8 @@ _OMEGA_FLOOR = 1e-3
 # against h = 0.003125 for h = 0.025..0.00625, n = 3, 4, m = 3..8,
 # q = 0.3..2 and lambda = 0.05u..4u
 _ROUNDOFF_UNITS = 16.0
+# lambdas per block of the residue series, which keeps its arrays small
+_SERIES_BLOCK = 64
 
 
 class FitQualityError(NumericsError):
@@ -64,9 +67,8 @@ class FitQualityError(NumericsError):
 
 @dataclass
 class MBConfig:
-    """Contour line Re x = epsilon, step h of the Ooura-Mori rule, its nodes
-    per lambda, and the error estimate of ``make_mb_config``."""
-    epsilon: float
+    """Step h of the Ooura-Mori rule on Re x = _LINE, its nodes per
+    lambda, and the error estimate of ``make_mb_config``."""
     h: float
     nodes: int
     error_estimate: float
@@ -124,13 +126,22 @@ def _de_rule(h: float) -> tuple:
     return big_m, phi, weights, hi - lo + 1
 
 
-def _phi_de(n: int, q: float, m: int, lams: np.ndarray, eps: float,
+def _real_lams(lams) -> np.ndarray:
+    """lams as a float array; ValueError unless real and positive."""
+    lams = np.asarray(lams)
+    if np.any(np.imag(lams) != 0.0) or not np.all(np.real(lams) > 0.0):
+        raise ValueError("Phi is taken at real positive lambda")
+    return np.real(lams).astype(float)
+
+
+def _phi_de(n: int, q: float, m: int, lams: np.ndarray,
             h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Phi at each lambda by the Ooura-Mori rule of step h on Re x = eps,
-    and the scale pref sum_j w_j |F(b_j)| + |F(-b_j)| of its roundoff.
+    """Phi at each real positive lambda by the Ooura-Mori rule of step h on
+    Re x = _LINE, and the scale pref sum_j w_j |F(b_j)| + |F(-b_j)| of its
+    roundoff.
 
     Phi = pref int F(b) db over the whole line, F(b) = e^{i omega b} H(b)
-    (x = eps + ib).  Folding b -> -b gives int_0^inf of
+    (x = _LINE + ib).  Folding b -> -b gives int_0^inf of
     cos(omega b) (H(b) + H(-b)) + i sin(omega b) (H(b) - H(-b)): the
     cosine part goes to the cosine nodes, the sine part to the sine nodes,
     on b = M phi(t) / max(|omega|, _OMEGA_FLOOR).  For real lambda
@@ -144,19 +155,15 @@ def _phi_de(n: int, q: float, m: int, lams: np.ndarray, eps: float,
     mags = np.empty(len(lams))
     # one lambda at a time: each has its own nodes
     for i, lam in enumerate(lams):
-        loglam = cmath.log(lam)
-        omega = (n - 1) * (loglam.real - logu)
+        loglam = cmath.log(lam).real  # rounded as in phi_residue_series
+        omega = (n - 1) * (loglam - logu)
         stretch = big_m / max(abs(omega), _OMEGA_FLOOR)
         b = stretch * phi
-        x = eps + 1j * b
-        base = _log_integrand(n, q, m, x)
+        x = _LINE + 1j * b
         theta = omega * b
-        h_pos = np.exp(base + loglam * ((n - 1) * x + c - 1) - 1j * theta)
-        if loglam.imag == 0.0:
-            h_neg = np.conj(h_pos)
-        else:
-            h_neg = np.exp(np.conj(base) + 1j * theta
-                           + loglam * ((n - 1) * np.conj(x) + c - 1))
+        h_pos = np.exp(_log_integrand(n, q, m, x)
+                       + loglam * ((n - 1) * x + c - 1) - 1j * theta)
+        h_neg = np.conj(h_pos)
         odd = 1j * np.sin(theta[:nsin]) * (h_pos[:nsin] - h_neg[:nsin])
         even = np.cos(theta[nsin:]) * (h_pos[nsin:] + h_neg[nsin:])
         norm = pref * stretch
@@ -180,19 +187,18 @@ def make_mb_config(n: int, q: float, m: int, lam_max: float,
         raise ValueError("contour needs m > 1/2 for a decaying integrand")
     if q <= 0:
         raise ValueError("q must be real positive")
-    eps = 1.0
     probes = np.unique([u_of_q(n, q), float(lam_max)])
     h = _DE_H0
-    coarse, _ = _phi_de(n, q, m, probes, eps, h)
+    coarse, _ = _phi_de(n, q, m, probes, h)
     for _ in range(_DE_HALVINGS):
         h /= 2.0
-        fine, magnitude = _phi_de(n, q, m, probes, eps, h)
+        fine, magnitude = _phi_de(n, q, m, probes, h)
         roundoff = _ROUNDOFF_UNITS * np.finfo(float).eps * magnitude
         diff = np.abs(fine - coarse)
         est = float(np.max(diff + roundoff))
         # a finer rule cannot push the difference below its roundoff
         if np.all(diff <= np.maximum(tol, roundoff)):
-            return MBConfig(epsilon=eps, h=h, nodes=len(_de_rule(h)[1]),
+            return MBConfig(h=h, nodes=len(_de_rule(h)[1]),
                             error_estimate=est)
         coarse = fine
     raise NumericsError("quadrature error %g not reachable (%g at h = %g)"
@@ -213,95 +219,105 @@ def _gl_panels(lo: float, hi: float,
 
 def phi_mb_batch(n: int, q: float, m: int, lams: np.ndarray,
                  cfg: MBConfig) -> np.ndarray:
-    """Phi at several lambda by the contour rule of ``cfg``."""
-    lams = np.asarray(lams, dtype=complex)
-    if np.any(np.abs(lams.imag) > 0):
-        warnings.warn("contour representation may diverge off the real axis")
-    return _phi_de(n, q, m, lams, cfg.epsilon, cfg.h)[0]
+    """Phi at an array of real positive lambda by the contour rule of
+    ``cfg``; ValueError for any other lambda."""
+    return _phi_de(n, q, m, _real_lams(lams), cfg.h)[0]
 
 
-@lru_cache(maxsize=100000)
-def _residue_poly(n: int, q: float, m: int, d: int) -> tuple:
-    """Lambda-independent residue data at the pole x = -d.
-
-    Returns (exponent, log_scale, unit polynomial p_t) such that the d-th
-    residue contribution is exp(log_scale + exponent * log lam) *
-    sum_t p_t log(lam)^t.  The pole has order n-1 from Gamma(x)^{n-1},
-    plus one more at d = 0 from the 1/x; all Laurent data comes from
-    jets of the entire function 1/Gamma.  The overall magnitude is kept
-    in log_scale because the reciprocal-Gamma factor alone overflows a
-    double at large d, even though the residue as a whole stays finite
-    once the lambda power is attached.
+@lru_cache(maxsize=64)
+def _residue_table(n: int, q: float, m: int, terms: int) -> tuple:
+    """Lambda-independent residue data at the poles x = -d, d < terms, as
+    read-only arrays (exponent, log_scale, p): the d-th residue is
+    exp(log_scale[d] + exponent[d] log lam) sum_t p[d, t] log(lam)^t, the
+    rows of p padded with zeros to n entries.  The pole has order n-1 from
+    Gamma(x)^{n-1}, plus one at d = 0 from the 1/x; its Laurent data comes
+    from jets of the entire function 1/Gamma.  log_scale holds the
+    magnitude, because the 1/Gamma factor alone overflows a double at
+    large d while the residue with its lambda power stays finite.
     """
     order = n + 1
     c = _c_exp(n, m)
     logq = math.log(q)
-    # regular part of Gamma(-d+w): w * Gamma has jet 1/shifted(1/Gamma),
-    # factored into leading magnitude times a unit-leading jet
-    rg = recip_gamma_jet(-d, order + 1)
-    rg1 = rg[1]
-    gamma_reg = jet_recip(rg[1:order + 2] / rg1)
-    log_scale = -(n - 1) * np.log(complex(rg1)) + d * logq
-    prod = gamma_reg.copy()
-    for _ in range(n - 2):
-        prod = jet_mul(prod, gamma_reg)
     qjet = np.array([(-logq) ** t / math.factorial(t)
                      for t in range(order + 1)], dtype=complex)
     scale = np.array([(n - 1.0) ** t for t in range(order + 1)])
-    center = c - (n - 1) * d
-    rounded = round(center)
-    if abs(center - rounded) < 1e-9 and rounded <= 0:
-        # zero of 1/Gamma: finite jet, pull out its first nonzero entry
-        gjet = recip_gamma_jet(rounded, order) * scale
-        if not np.all(np.isfinite(gjet)):
-            raise NumericsError(
-                "residue term %d overflows at center %d; reduce terms"
-                % (d, rounded))
-        nz = int(np.flatnonzero(np.abs(gjet) > 0.0)[0])
-        s0 = gjet[nz]
-        gjet = gjet / s0
-        log_scale += np.log(complex(s0))
-    else:
-        lg = log_gamma_jet(center, order)
-        lg0 = lg.copy()
-        lg0[0] = 0.0
-        gjet = jet_exp(-lg0) * scale
-        log_scale -= lg[0]
-    prod = jet_mul(prod, jet_mul(qjet, gjet))
-    if d == 0:
-        idx = n - 1
-    else:
-        xinv = np.array([-(1.0 / d) * d ** (-t) for t in range(order + 1)],
-                        dtype=complex)
-        prod = jet_mul(prod, xinv)
-        idx = n - 2
-    expo = -(n - 1) * d + c - 1
-    poly = tuple(complex(prod[idx - t]) * (n - 1.0) ** t / math.factorial(t)
-                 for t in range(idx + 1))
-    return expo, complex(log_scale), poly
+    expo = np.empty(terms)
+    log_scales = np.empty(terms, dtype=complex)
+    poly = np.zeros((terms, n), dtype=complex)
+    for d in range(terms):
+        # regular part of Gamma(-d+w): w Gamma has jet 1/shifted(1/Gamma),
+        # a leading magnitude times a unit-leading jet
+        rg = recip_gamma_jet(-d, order + 1)
+        rg1 = rg[1]
+        gamma_reg = jet_recip(rg[1:order + 2] / rg1)
+        log_scale = -(n - 1) * np.log(complex(rg1)) + d * logq
+        prod = gamma_reg.copy()
+        for _ in range(n - 2):
+            prod = jet_mul(prod, gamma_reg)
+        center = c - (n - 1) * d
+        rounded = round(center)
+        if abs(center - rounded) < 1e-9 and rounded <= 0:
+            # zero of 1/Gamma: finite jet, pull out its first nonzero entry
+            gjet = recip_gamma_jet(rounded, order) * scale
+            if not np.all(np.isfinite(gjet)):
+                raise NumericsError(
+                    "residue term %d overflows at center %d; reduce terms"
+                    % (d, rounded))
+            nz = int(np.flatnonzero(np.abs(gjet) > 0.0)[0])
+            s0 = gjet[nz]
+            gjet = gjet / s0
+            log_scale += np.log(complex(s0))
+        else:
+            lg = log_gamma_jet(center, order)
+            lg0 = lg.copy()
+            lg0[0] = 0.0
+            gjet = jet_exp(-lg0) * scale
+            log_scale -= lg[0]
+        prod = jet_mul(prod, jet_mul(qjet, gjet))
+        if d == 0:
+            idx = n - 1
+        else:
+            xinv = np.array([-(1.0 / d) * d ** (-t)
+                             for t in range(order + 1)], dtype=complex)
+            prod = jet_mul(prod, xinv)
+            idx = n - 2
+        expo[d] = -(n - 1) * d + c - 1
+        log_scales[d] = log_scale
+        poly[d, :idx + 1] = [complex(prod[idx - t]) * (n - 1.0) ** t
+                             / math.factorial(t) for t in range(idx + 1)]
+    table = (expo, log_scales, poly)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
-def phi_residue_series(n: int, q: float, m: int, lam: complex,
-                       terms: int = 40) -> complex:
-    """Residue series of Phi, valid for |lambda| > u(q)."""
+def phi_residue_series(n: int, q: float, m: int, lam, terms: int = 60):
+    """Residue series of Phi at real lambda > u(q), a number or an array,
+    its poles summed in order for every lambda at once."""
     if q <= 0:
         raise ValueError("q must be real positive")
-    lam = complex(lam)
-    if abs(lam) <= u_of_q(n, q):
-        raise ValueError("residue series needs |lambda| > u(q)")
-    loglam = cmath.log(lam)
-    total = 0.0 + 0.0j
-    for d in range(terms):
-        expo, log_scale, poly = _residue_poly(n, q, m, d)
-        val = 0.0 + 0.0j
-        for t in range(len(poly) - 1, -1, -1):
-            val = val * loglam + poly[t]
-        arg = log_scale + expo * loglam
-        if arg.real < -745.0:
-            continue
-        total += cmath.exp(arg) * val
+    lams = _real_lams(lam)
+    if np.any(lams <= u_of_q(n, q)):
+        raise ValueError("residue series needs lambda > u(q)")
+    expo, log_scale, poly = _residue_table(n, q, m, terms)
+    # cmath's log and an unfused complex product: numpy's log and complex
+    # multiply round differently, and the payloads print these bits
+    loglam = np.array([cmath.log(v).real for v in lams.flat])
+    total = np.empty(loglam.size, dtype=complex)
+    for lo in range(0, loglam.size, _SERIES_BLOCK):
+        ll = loglam[lo:lo + _SERIES_BLOCK]
+        val = np.zeros((terms, ll.size), dtype=complex)
+        for t in range(n - 1, -1, -1):
+            val = val * ll + poly[:, t, None]
+        arg = log_scale[:, None] + expo[:, None] * ll
+        e = np.where(arg.real < -745.0, 0.0, np.exp(arg))
+        total[lo:lo + _SERIES_BLOCK] = (
+            np.cumsum(e.real * val.real - e.imag * val.imag, axis=0)[-1]
+            + 1j * np.cumsum(e.real * val.imag + e.imag * val.real,
+                             axis=0)[-1])
     pref = (2.0 * math.pi) ** ((1 - n) / 2.0)
-    return 2.0 * math.pi * pref * total
+    out = (2.0 * math.pi * pref * total).reshape(lams.shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 def zero_region_scan(n: int, q: float, m: int, npts: int = 20,
@@ -358,7 +374,7 @@ def _gamma_line(n: int, q: float) -> tuple:
     """Nodes x on Re x = 1, |Im x| <= 40 (160 panels), their weights, and
     q^{-x} Gamma(x)^{n-1} there; the cut drops less than e^{-115} / q."""
     b, w = _gl_panels(-40.0, 40.0, 160)
-    x = 1.0 + 1j * b
+    x = _LINE + 1j * b
     return x, w, np.exp((n - 1) * scipy.special.loggamma(x) - x * math.log(q))
 
 
@@ -468,19 +484,13 @@ def laplace_spot_check(n: int, q: float, m: int) -> dict:
     lam_max = lam_break + 30.0 / smin
     cfg = make_mb_config(n, q, m, lam_break, 3e-6)
 
-    def phi_vals(lams: np.ndarray) -> np.ndarray:
-        out = np.empty(len(lams), dtype=complex)
-        near = lams <= lam_break
-        if np.any(near):
-            out[near] = phi_mb_batch(n, q, m, lams[near], cfg)
-        if np.any(~near):
-            out[~near] = [phi_residue_series(n, q, m, float(lv), terms=60)
-                          for lv in lams[~near]]
-        return out
-
     def lhs_on(lo: float, hi: float, npan: int) -> np.ndarray:
+        # every panel lies wholly on one side of lam_break
         lams, wts = _gl_panels(lo, hi, npan)
-        g = phi_vals(lams)
+        if hi <= lam_break:
+            g = phi_mb_batch(n, q, m, lams, cfg)
+        else:
+            g = phi_residue_series(n, q, m, lams)
         return np.array([np.sum(wts * np.exp(-lams * s) * g)
                          for s in _LAPLACE_S])
 

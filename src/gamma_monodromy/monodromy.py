@@ -211,7 +211,7 @@ def proj_reflection_check(n: int, q: BranchState, k: int,
 
 
 def twisted_reflection_check(n: int, Q: float, k: int, m: int | None = None,
-                             tol: float = 1e-6) -> dict:
+                             tol: float = BASE_SERIES_TOL) -> dict:
     """Compare the reflection vector around the k-th twisted singular point
     against the Gamma-structure image of the exceptional sheaf class.
 

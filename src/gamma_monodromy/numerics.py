@@ -283,9 +283,6 @@ class Segment:
     def end(self) -> complex:
         return self.z1
 
-    def reversed(self) -> "Segment":
-        return Segment(self.z1, self.z0)
-
 
 @dataclass(frozen=True)
 class Arc:
@@ -311,9 +308,6 @@ class Arc:
     @property
     def end(self) -> complex:
         return self.point(1.0)
-
-    def reversed(self) -> "Arc":
-        return Arc(self.center, self.radius, self.angle1, self.angle0)
 
 
 Piece = Segment | Arc

@@ -84,7 +84,7 @@ def criterion_twisted() -> dict:
     consts = {}
     for n in (3, 4):
         for k in range(n - 1):
-            r = twisted_reflection_check(n, 1.0, k, tol=BASE_SERIES_TOL)
+            r = twisted_reflection_check(n, 1.0, k)
             worst_dev = max(worst_dev, r["constant_deviation"])
             worst_fit = max(worst_fit, r["fit_residual"])
             worst_pair = max(worst_pair, abs(r["exceptional_pairing"] - 1.0))
@@ -135,11 +135,13 @@ def criterion_hrr() -> dict:
             "residual": worst, "details": {}}
 
 
-def _ladder_configs():
-    for n in (3, 4, 5):
-        yield (*_proj_model(n), -n, n - 1)
-    yield (make_twisted(3), quantum_mult_twisted(3, 1.0),
-           sseries_twisted(3, complex(1.0), SERIES_CAP), -3, 2.0)
+def _models() -> list:
+    """(n, space, quantum product, S-series) of P^1..P^3 at q = 1 and of the
+    twisted n = 3 theory at Q = 1, singular points on |lambda| = n - 1."""
+    models = [(n, *_proj_model(n)) for n in (3, 4, 5)]
+    models.append((3, make_twisted(3), quantum_mult_twisted(3, 1.0),
+                   sseries_twisted(3, complex(1.0), SERIES_CAP)))
+    return models
 
 
 def criterion_ladder() -> dict:
@@ -149,8 +151,9 @@ def criterion_ladder() -> dict:
     tol_fd, resid_factor = 1e-6, 10.0
     worst_fd = 0.0
     worst_ratio = 0.0
-    for space, product, sser, level, scale in _ladder_configs():
-        radii = np.linspace(2.2, 3.4, 5) * scale
+    for n, space, product, sser in _models():
+        level = -n
+        radii = np.linspace(2.2, 3.4, 5) * (n - 1)
         args = np.linspace(-0.2, 0.2, 5)
         rhs = connection_rhs(space, product, level)
         for rr, aa in zip(radii, args):
@@ -185,14 +188,11 @@ def criterion_pairing() -> dict:
     tol = 1e-7
     worst_var = 0.0
     worst_match = 0.0
-    configs = [(*_proj_model(n), n - 1) for n in (3, 4, 5)]
-    configs.append((make_twisted(3), quantum_mult_twisted(3, 1.0),
-                    sseries_twisted(3, complex(1.0), SERIES_CAP), 2.0))
-    for space, product, sser, scale in configs:
+    for n, space, product, sser in _models():
         target = np.array(
             [[intersection_pairing(space, ea, eb)
               for eb in np.eye(space.size)] for ea in np.eye(space.size)])
-        radii = np.linspace(2.1, 3.9, 10) * scale
+        radii = np.linspace(2.1, 3.9, 10) * (n - 1)
         args = np.linspace(-0.3, 0.3, 10)
         mats = []
         for rr, aa in zip(radii, args):
@@ -239,8 +239,7 @@ def criterion_mirror() -> dict:
         lams = u * np.linspace(1.5, 4.0, 10)
         cfg = mirror.make_mb_config(n, q, n, float(lams[-1]), 1e-8)
         mb = mirror.phi_mb_batch(n, q, n, lams, cfg)
-        ser = np.array([mirror.phi_residue_series(n, q, n, lv, terms=60)
-                        for lv in lams])
+        ser = mirror.phi_residue_series(n, q, n, lams)
         worst_sc = max(worst_sc, float(np.max(np.abs(mb - ser))))
     details["series_contour_max"] = worst_sc
 

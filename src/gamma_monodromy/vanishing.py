@@ -63,13 +63,10 @@ def must_vanish(desc: CorrelatorDescriptor) -> bool:
     return total < (desc.d + 1) * (desc.n - 1) - desc.k
 
 
-def _dual_weight(space: SpaceModel, idx: int, n: int) -> int:
-    """Weight of the pairing-dual of basis element idx on the blowup."""
-    label = space.basis[idx]
-    if label.startswith("e"):
-        power = int(space.degrees[idx])
-        return (n - power) - 1
-    return 0
+def _dual_weight(space: SpaceModel, idx: int) -> int:
+    """Weight of the basis element that pairs with basis element idx."""
+    dual = int(space.pairing[idx].nonzero()[0][0])
+    return weight(space, space.basis[dual])
 
 
 def crosscheck_against_blowup_s(n: int, K: int = 8, Dmax: int = 4) -> dict:
@@ -98,7 +95,7 @@ def crosscheck_against_blowup_s(n: int, K: int = 8, Dmax: int = 4) -> dict:
             for idx in range(space.size):
                 coeff = col[l][idx]
                 desc = CorrelatorDescriptor(
-                    n=n, wt_a=_dual_weight(space, idx, n), k=l - 1,
+                    n=n, wt_a=_dual_weight(space, idx), k=l - 1,
                     exceptional_powers=(), d=0,
                     beta_nonzero=dprime >= 1)
                 checked += 1

@@ -86,7 +86,8 @@ def test_error_estimate_bounds_the_true_error():
 
 def test_cached_rule_is_read_only():
     _, phi, weights, _ = mr._de_rule(0.025)
-    for arr in (phi, weights, *mr._torus_rule(3), *mr._torus_rule(4)):
+    for arr in (phi, weights, *mr._torus_rule(3), *mr._torus_rule(4),
+                *mr._residue_table(3, 1.0, 3, 60)):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -97,10 +98,12 @@ def test_tail_bound_needs_decaying_integrand():
         mr.make_mb_config(3, 1.0, 0, 3.0, 1e-7)
 
 
-def test_contour_warns_off_the_real_axis():
+def test_contour_rejects_lambda_off_the_positive_axis():
+    # the rule's nodes are placed for a real frequency omega
     cfg = mr.make_mb_config(3, 1.0, 3, 3.0, 1e-6)
-    with pytest.warns(UserWarning):
-        mr.phi_mb_batch(3, 1.0, 3, np.array([3.0 + 1.0j]), cfg)
+    for lam in (3.0 + 1.0j, -1.0):
+        with pytest.raises(ValueError):
+            mr.phi_mb_batch(3, 1.0, 3, np.array([3.0, lam]), cfg)
 
 
 def test_phi_vanishes_on_the_window():
@@ -114,6 +117,16 @@ def test_residue_series_matches_contour():
         ser = mr.phi_residue_series(n, q, m, lam, terms=50)
         mb = phi_mellin_barnes(n, q, m, lam)
         assert abs(ser - mb) < 1e-6 * max(1.0, abs(mb))
+
+
+def test_residue_series_array_equals_scalar_calls():
+    for n, m in ((3, 3), (4, 4), (3, 6)):
+        # 70 lambdas: more than one block of the series
+        lams = mr.u_of_q(n, 1.0) * np.linspace(1.05, 4.0, 70)
+        got = mr.phi_residue_series(n, 1.0, m, lams)
+        want = np.array([mr.phi_residue_series(n, 1.0, m, lv) for lv in lams])
+        assert isinstance(mr.phi_residue_series(n, 1.0, m, lams[0]), complex)
+        assert np.array_equal(got, want)
 
 
 def test_residue_series_domain_guards():

@@ -290,8 +290,14 @@ def test_validate_path_closed():
         nx.validate_path([nx.Segment(0.0, 1.0)], closed=True)
 
 
+def reverse_piece(p):
+    if isinstance(p, nx.Segment):
+        return nx.Segment(p.z1, p.z0)
+    return nx.Arc(p.center, p.radius, p.angle1, p.angle0)
+
+
 def reverse_path(path):
-    return [p.reversed() for p in reversed(path)]
+    return [reverse_piece(p) for p in reversed(path)]
 
 
 def test_reverse_path_endpoints():
