@@ -19,13 +19,21 @@ With g(nu, w) = lam^{nu+w-1/2}/Gamma(nu+w+1/2), consecutive levels obey
 
     g(nu - 1, w) = (nu - 1/2 + w) g(nu, w) / lam,
 
-a product with a linear jet.  So the series carries one complex block of
-jets, G[i, s] = jet of g at nu = theta_i - ell - s for s = 0 .. D-1
-(D the nilpotency depth of rho), built from Gamma once per call.  Each
-term reads M_ell = sum_k rho^k diag_i(G[i, k, k]) against the cached
-powers of rho, then drops the s = 0 jets and appends the next deeper ones
-by the recurrence, vectorised over i, with 1/lam = exp(-log lam) on the
-carried branch.  `master_period` stays the direct evaluation.
+a product with a linear jet.  So each call fills one jet chain,
+G[t, i] = jet of g at nu = theta_i - ell - t: the first D rows (D the
+nilpotency depth of rho) from Gamma, every deeper row in place from the
+row above by the recurrence, vectorised over i, with 1/lam = exp(-log lam)
+on the carried branch.  Term k reads M_{ell+k} = sum_j rho^j
+diag_i(G[k + j, i, j]), a diagonal of the chain.
+
+The terms are formed _BLOCK at a time: one einsum of the diagonals
+against the cached powers of rho gives the block's masters, one batched
+matmul against S_k and the alternating sign give its terms, and a
+cumulative sum seeded with the running total gives its partial sums.  The
+stopping rule then reads the block's term norms and partial-sum scales
+one term at a time, so the sum stops at the same term, and holds the same
+value, as a term-by-term loop.  `master_period` stays the direct
+evaluation.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ SERIES_CAP = 200
 CONVERGED_RUN = 3
 MIN_TERMS = 8
 GUARD_FACTOR = 1.5
+_BLOCK = 8           # period-series terms formed per batch
 
 
 class ConvergenceError(NumericsError):
@@ -62,8 +71,11 @@ class MatrixSolution:
 
 
 @lru_cache(maxsize=4096)
-def _rg_jet_coeffs(nu_half: complex, order: int) -> tuple:
-    return tuple(recip_gamma_jet(nu_half, order))
+def _rg_jet_coeffs(nu_half: complex, order: int) -> np.ndarray:
+    """Jet of 1/Gamma at nu_half, read-only because the cache shares it."""
+    jet = recip_gamma_jet(nu_half, order)
+    jet.flags.writeable = False
+    return jet
 
 
 def _log_pow_jet(branch: BranchState, nu: complex, order: int) -> np.ndarray:
@@ -77,7 +89,7 @@ def _log_pow_jet(branch: BranchState, nu: complex, order: int) -> np.ndarray:
 
 def master_period(space: SpaceModel, level: int, branch: BranchState) -> np.ndarray:
     """Master period matrix at the given integer level and branch of log,
-    evaluated directly from Gamma jets (the oracle for `_LevelLadder`)."""
+    evaluated directly from Gamma jets (the oracle for `_JetChain`)."""
     depth = space.depth
     order = depth - 1
     size = space.size
@@ -89,53 +101,59 @@ def master_period(space: SpaceModel, level: int, branch: BranchState) -> np.ndar
         for i in range(size):
             nu = theta[i] - level - k
             jet = jet_mul(_log_pow_jet(branch, nu, order),
-                          np.asarray(_rg_jet_coeffs(nu + 0.5, order)))
+                          _rg_jet_coeffs(nu + 0.5, order))
             diag[i] = jet[k]
         acc = acc + rho_pow @ np.diag(diag)
         rho_pow = space.rho @ rho_pow
     return acc
 
 
-class _LevelLadder:
-    """The jets of g(nu, w) at nu = theta_i - level - s, s = 0 .. depth-1,
-    as one (size, depth, depth) array that moves up one level at a time by
-    the recurrence."""
+class _JetChain:
+    """Row t holds the jets G[t, i] of g(nu, w) at nu = theta_i - level - t,
+    in one preallocated (n_terms + depth - 1, size, depth) array.
 
-    def __init__(self, space: SpaceModel, level: int, branch: BranchState):
+    Rows t < depth come from Gamma jets; each deeper row is made from the
+    one above it by the recurrence, when a block of masters first needs
+    it.  The diagonals G[k + j, i, j] that M_{level+k} reads are one
+    strided view of the chain.
+    """
+
+    def __init__(self, space: SpaceModel, level: int, branch: BranchState,
+                 n_terms: int):
         depth = space.depth
         order = depth - 1
         self.theta = np.diag(space.theta)
         self.rho_powers = space.rho_powers
         self.level = level
         self.inv_lam = branch_power(branch, -1.0)
-        self.jets = np.empty((space.size, depth, depth), dtype=complex)
-        for i, th in enumerate(self.theta):
-            for s in range(depth):
-                nu = th - level - s
-                self.jets[i, s] = jet_mul(
-                    _log_pow_jet(branch, nu, order),
-                    np.asarray(_rg_jet_coeffs(nu + 0.5, order)))
+        self.chain = np.empty((n_terms + order, space.size, depth),
+                              dtype=complex)
+        for t in range(depth):
+            for i, th in enumerate(self.theta):
+                nu = th - level - t
+                self.chain[t, i] = jet_mul(_log_pow_jet(branch, nu, order),
+                                           _rg_jet_coeffs(nu + 0.5, order))
+        self.filled = depth
+        s0, s1, s2 = self.chain.strides
+        self.diagonals = np.lib.stride_tricks.as_strided(
+            self.chain, (n_terms, space.size, depth), (s0, s1, s0 + s2),
+            writeable=False)
 
-    def master(self) -> np.ndarray:
-        """M_level = sum_k rho^k diag_i(G[i, k, k])."""
-        diag = np.diagonal(self.jets, axis1=1, axis2=2)
-        return np.einsum("kab,bk->ab", self.rho_powers, diag)
-
-    def step(self) -> None:
-        """Move to level + 1: drop s = 0 and append the jet at the deepest
-        nu - 1 as (nu - 1/2 + w) g(nu) / lam."""
-        depth = self.jets.shape[1]
-        last = self.jets[:, -1]
-        a = self.theta - self.level - (depth - 1) - 0.5
-        nxt = a[:, None] * last
-        nxt[:, 1:] += last[:, :-1]
-        self.jets[:, :-1] = self.jets[:, 1:]
-        self.jets[:, -1] = self.inv_lam * nxt
-        self.level += 1
-
-
-def convergence_radius(product: QuantumProduct) -> float:
-    return float(np.max(np.abs(product.eigenvalues())))
+    def masters(self, start: int, stop: int) -> np.ndarray:
+        """M_{level+k} for k = start .. stop-1, as one (stop - start, size,
+        size) array: M = sum_j rho^j diag_i(G[k + j, i, j])."""
+        chain = self.chain
+        rows = np.arange(self.filled, stop + chain.shape[2] - 1)
+        # g(nu - 1) = (nu - 1/2 + w) g(nu) / lam, with nu that of row t - 1
+        shifts = self.theta - self.level - (rows - 1)[:, None] - 0.5
+        for t, a in zip(rows.tolist(), shifts[:, :, None]):
+            last, nxt = chain[t - 1], chain[t]
+            np.multiply(a, last, out=nxt)
+            nxt[:, 1:] += last[:, :-1]
+            np.multiply(self.inv_lam, nxt, out=nxt)
+        self.filled += len(rows)
+        return np.einsum("jac,kcj->kac", self.rho_powers,
+                         self.diagonals[start:stop])
 
 
 def fundamental_solution(space: SpaceModel, product: QuantumProduct,
@@ -146,35 +164,40 @@ def fundamental_solution(space: SpaceModel, product: QuantumProduct,
     Requires |lambda| > 1.5 * (largest eigenvalue of E*).  Stops once three
     consecutive terms fall below tol * ||partial sum||; raises if the terms
     available (the S-series length, at most SERIES_CAP + 1) do not get
-    there.  The master periods M_{level+k} come from one level ladder.
+    there.  The terms are formed _BLOCK at a time from one jet chain, and
+    the stopping rule reads them one by one.
     """
     lam_abs = abs(branch.base)
-    radius = convergence_radius(product)
-    if lam_abs <= GUARD_FACTOR * radius:
+    if lam_abs <= GUARD_FACTOR * product.radius:
         raise ValueError(
             "base point inside the guarded radius: |lambda|=%g <= %g"
-            % (lam_abs, GUARD_FACTOR * radius))
+            % (lam_abs, GUARD_FACTOR * product.radius))
+    mats = np.asarray(sseries.mats)
+    n_terms = min(len(mats), SERIES_CAP + 1)
+    chain = _JetChain(space, level, branch, n_terms)
     acc = np.zeros((space.size, space.size), dtype=complex)
     small_run = 0
     recent: list[float] = []
-    ladder = _LevelLadder(space, level, branch)
-    n_terms = min(len(sseries.mats), SERIES_CAP + 1)
-    for k in range(n_terms):
-        if k:
-            ladder.step()
-        term = (-1.0) ** k * sseries.mats[k] @ ladder.master()
-        acc = acc + term
-        tnorm = float(np.max(np.abs(term)))
-        recent.append(tnorm)
-        scale = float(np.max(np.abs(acc)))
-        if k >= MIN_TERMS and scale > 0 and tnorm < tol * scale:
-            small_run += 1
-            if small_run >= CONVERGED_RUN:
-                est = sum(recent[-CONVERGED_RUN:])
-                return MatrixSolution(space, level, acc, branch,
-                                      max(est, 1e-14 * scale), k + 1)
-        else:
-            small_run = 0
+    for start in range(0, n_terms, _BLOCK):
+        stop = min(start + _BLOCK, n_terms)
+        terms = mats[start:stop] @ chain.masters(start, stop)
+        terms[1 - start % 2::2] *= -1.0
+        tnorms = np.max(np.abs(terms), axis=(1, 2)).tolist()
+        terms[0] += acc
+        partial = np.cumsum(terms, axis=0, out=terms)
+        scales = np.max(np.abs(partial), axis=(1, 2)).tolist()
+        acc = partial[-1]
+        for k, tnorm, scale in zip(range(start, stop), tnorms, scales):
+            recent.append(tnorm)
+            if k >= MIN_TERMS and scale > 0 and tnorm < tol * scale:
+                small_run += 1
+                if small_run >= CONVERGED_RUN:
+                    est = sum(recent[-CONVERGED_RUN:])
+                    return MatrixSolution(space, level, partial[k - start],
+                                          branch, max(est, 1e-14 * scale),
+                                          k + 1)
+            else:
+                small_run = 0
     raise ConvergenceError(
         "period series did not converge in %d terms at |lambda|=%g"
         % (n_terms, lam_abs))

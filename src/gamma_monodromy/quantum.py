@@ -5,15 +5,20 @@ hypergeometric-type formulas for S(z)^{-1} applied to basis classes, then
 inverted order by order through the symplectic relation S(z)^{-1} = the
 pairing-adjoint of S(-z).
 
+Each series is built as one array of shape (K+1, size, size) whose entry
+l multiplies z^-l: the degree-d product of the closed formula is formed
+once per degree and its column heads land in the array in one indexed
+add, and the adjoint is one batched solve over all orders.  `SSeries.mats`
+is that array, read-only because the caches share it.
+
 Conventions: matrices act on column coefficient vectors in the basis order
-of the SpaceModel.  All z-expansions are stored as lists indexed by the
-power of 1/z.
+of the SpaceModel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -31,6 +36,11 @@ class QuantumProduct:
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.euler_mult)
+
+    @cached_property
+    def radius(self) -> float:
+        """Largest |eigenvalue| of E*, computed once per product."""
+        return float(np.max(np.abs(self.eigenvalues())))
 
 
 def quantum_mult_proj(m: int, q: complex) -> QuantumProduct:
@@ -66,8 +76,19 @@ def epsilon_matrix(n: int) -> np.ndarray:
     return eps
 
 
+@dataclass(frozen=True)
+class SSeries:
+    space: SpaceModel
+    param: complex
+    mats: np.ndarray  # (K+1, size, size), read-only; mats[l] multiplies z^-l
+
+    @property
+    def order(self) -> int:
+        return len(self.mats) - 1
+
+
 # ---------------------------------------------------------------------------
-# S^{-1} columns from the closed formulas
+# S^{-1} from the closed formulas
 # ---------------------------------------------------------------------------
 
 def _inv_factor(c: complex, k: int, nterms: int) -> np.ndarray:
@@ -90,100 +111,118 @@ def _poly_pow_shifted(shift: complex, i: int, nterms: int) -> np.ndarray:
     return out
 
 
-def s_inverse_proj(m: int, q: complex, i: int, K: int) -> list[np.ndarray]:
-    """Coefficient vectors of z^0, z^-1, .., z^-K in S(q,z)^{-1} p^i.
+def _scatter_heads(inv: np.ndarray, l: np.ndarray, heads: np.ndarray) -> None:
+    """One degree's column heads into the series: inv[l[c, a], a, c] +=
+    heads[c, a] wherever 0 < l[c, a] <= K (each slot at most once)."""
+    c, a = np.nonzero((l > 0) & (l < len(inv)))
+    inv[l[c, a], a, c] += heads[c, a]
+
+
+def _inverse_series(space: SpaceModel, param: complex,
+                    inv: np.ndarray) -> SSeries:
+    inv[0] = np.eye(space.size)
+    inv.flags.writeable = False
+    return SSeries(space, complex(param), inv)
+
+
+def s_inverse_series_proj(m: int, q: complex, K: int) -> SSeries:
+    """S(q,z)^{-1} on H*(P^m) to order z^-K; column i is S^{-1} p^i.
 
     S^{-1} p^i = p^i + sum_{d>=1} q^d (p - d z)^i / prod_{m'=1}^{d}
     (p - m' z)^{n-1} with n - 1 = m + 1; only powers of 1/z survive.
+    The degree-d product is shared by every column.
     """
-    if not 0 <= i <= m:
-        raise ValueError("column index out of range")
     size = m + 1
-    out = [np.zeros(size, dtype=complex) for _ in range(K + 1)]
-    out[0][i] = 1.0
-    nw = size  # w = p/z is nilpotent of order m+1
-    running = np.zeros(nw, dtype=complex)
+    inv = np.zeros((K + 1, size, size), dtype=complex)
+    idx = np.arange(size)
+    offset = idx[None, :] - idx[:, None]       # a - i at [i, a]
+    running = np.zeros(size, dtype=complex)    # w = p/z is nilpotent
     running[0] = 1.0
     qd = 1.0 + 0.0j
     d = 1
     while d * (m + 1) <= K + m + 2:
-        running = jet_mul(running, _inv_factor(-d, m + 1, nw))
+        running = jet_mul(running, _inv_factor(-d, m + 1, size))
         qd *= q
-        head = jet_mul(_poly_pow_shifted(-d, i, nw), running)
-        for a in range(size):
-            l = d * (m + 1) + a - i
-            if 0 < l <= K:
-                out[l][a] += qd * head[a]
+        heads = np.array([jet_mul(_poly_pow_shifted(-d, i, size), running)
+                          for i in range(size)])
+        _scatter_heads(inv, d * (m + 1) + offset, qd * heads)
         d += 1
-    return out
+    return _inverse_series(make_proj(m), q, inv)
 
 
-def _exceptional_column_terms(n: int, pole_order: int, K: int,
-                              nw: int) -> dict[tuple[int, int], np.ndarray]:
+def s_inverse_proj(m: int, q: complex, i: int, K: int) -> np.ndarray:
+    """Coefficient vectors of z^0, z^-1, .., z^-K in S(q,z)^{-1} p^i: a
+    column of the series array."""
+    if not 0 <= i <= m:
+        raise ValueError("column index out of range")
+    return s_inverse_series_proj(m, q, K).mats[:, :, i]
+
+
+def _exceptional_running(n: int, K: int, nw: int):
     """Shared d-expansion for the twisted and blowup columns.
 
-    Returns {d: w-coefficients of the degree-d factor} for the series
-    e * (e + d z)^{-pole_order} * prod_{m'=1}^{d-1} (e + m' z)^{-(n-1)},
-    where the w-coefficient at index j-1 multiplies e^j and sits at z^{-l},
-    l = pole_order + (d-1)(n-1) + j - 1.
+    Yields (d, w-coefficients of prod_{m'=1}^{d-1} (e + m' z)^{-(n-1)})
+    for every degree d the series to z^-K reads.  Column terms multiply
+    it by (e + d z)^{-pole_order}; the w-coefficient at index j-1 then
+    multiplies e^j and sits at z^{-l}, l = pole_order + (d-1)(n-1) + j - 1.
     """
-    out: dict[tuple[int, int], np.ndarray] = {}
     running = np.zeros(nw, dtype=complex)
     running[0] = 1.0
     d = 1
     while d * (n - 1) <= K + n:
         if d > 1:
             running = jet_mul(running, _inv_factor(d - 1, n - 1, nw))
-        g = jet_mul(running, _inv_factor(d, pole_order, nw))
-        out[d] = g
+        yield d, running
         d += 1
-    return out
 
 
-def s_inverse_twisted(n: int, Q: complex, i: int, K: int) -> list[np.ndarray]:
-    """Coefficient vectors of z^0 .. z^-K in twS(Q,z)^{-1} e^i, 1 <= i <= n-1.
+def s_inverse_series_twisted(n: int, Q: complex, K: int) -> SSeries:
+    """twS(Q,z)^{-1} on the exceptional state space to order z^-K; column
+    i-1 is twS^{-1} e^i, 1 <= i <= n-1:
 
     twS^{-1} e^i = e^i + sum_{d>=1} (-1)^{dn} Q^{-d(n-1)}
     e / ((e + d z)^{n-i} prod_{m'=1}^{d-1} (e + m' z)^{n-1}),
+
     with e acting nilpotently (e^{n} = 0 on the reduced state space).
     """
+    size = n - 1                               # e^1 .. e^{n-1}
+    inv = np.zeros((K + 1, size, size), dtype=complex)
+    poles = n - np.arange(1, n)                # n - i for column i - 1
+    offset = poles[:, None] + np.arange(size)[None, :]
+    for d, running in _exceptional_running(n, K, size):
+        coef = (-1.0) ** (d * n) * complex(Q) ** (-d * (n - 1))
+        heads = np.array([jet_mul(running, _inv_factor(d, p, size))
+                          for p in poles.tolist()])
+        _scatter_heads(inv, (d - 1) * (n - 1) + offset, coef * heads)
+    return _inverse_series(make_twisted(n), Q, inv)
+
+
+def s_inverse_twisted(n: int, Q: complex, i: int, K: int) -> np.ndarray:
+    """Coefficient vectors of z^0 .. z^-K in twS(Q,z)^{-1} e^i,
+    1 <= i <= n-1: a column of the series array."""
     if not 1 <= i <= n - 1:
         raise ValueError("column index out of range")
-    size = n - 1
-    out = [np.zeros(size, dtype=complex) for _ in range(K + 1)]
-    out[0][i - 1] = 1.0
-    nw = size  # e-powers 1 .. n-1 come from w-powers 0 .. n-2
-    terms = _exceptional_column_terms(n, n - i, K, nw)
-    for d, g in terms.items():
-        coef = (-1.0) ** (d * n) * complex(Q) ** (-d * (n - 1))
-        for jw in range(nw):
-            j = jw + 1  # e-power
-            l = (n - i) + (d - 1) * (n - 1) + j - 1
-            if 0 < l <= K:
-                out[l][j - 1] += coef * g[jw]
-    return out
+    return s_inverse_series_twisted(n, Q, K).mats[:, :, i - 1]
 
 
-def blowup_unit_terms(n: int, K: int) -> dict[int, list[np.ndarray]]:
+def blowup_unit_terms(n: int, K: int) -> dict[int, np.ndarray]:
     """Per-degree pieces of blS(z)^{-1} 1 restricted to q2 = 0.
 
-    Returns {d: [vector at z^-l for l=0..K]} on the blproj:n basis, so the
-    coefficient of q1^d is attributable degree by degree.  The d-th piece is
-    (-1)^{dn} e / ((e + d z)^n prod_{m'=1}^{d-1} (e + m' z)^{n-1}) where now
-    e^n folds to (-1)^{n-1} h^n.
+    Returns {d: (K+1, size) array, row l the vector at z^-l} on the
+    blproj:n basis, so the coefficient of q1^d is attributable degree by
+    degree.  The d-th piece is (-1)^{dn} e / ((e + d z)^n prod_{m'=1}^{d-1}
+    (e + m' z)^{n-1}) where now e^n folds to (-1)^{n-1} h^n.
     """
     space = make_blproj(n)
     size = space.size
-    out: dict[int, list[np.ndarray]] = {}
-    zero = [np.zeros(size, dtype=complex) for _ in range(K + 1)]
-    unit_col = [v.copy() for v in zero]
-    unit_col[0][space.index("1")] = 1.0
-    out[0] = unit_col
+    out: dict[int, np.ndarray] = {}
+    out[0] = np.zeros((K + 1, size), dtype=complex)
+    out[0][0, space.index("1")] = 1.0
     nw = n  # e-powers 1 .. n survive (power n lands on h^n)
     sign_top = (-1.0) ** (n - 1)
-    terms = _exceptional_column_terms(n, n, K, nw)
-    for d, g in terms.items():
-        col = [v.copy() for v in zero]
+    for d, running in _exceptional_running(n, K, nw):
+        g = jet_mul(running, _inv_factor(d, n, nw))
+        col = np.zeros((K + 1, size), dtype=complex)
         coef = (-1.0) ** (d * n)
         for jw in range(nw):
             j = jw + 1
@@ -191,9 +230,9 @@ def blowup_unit_terms(n: int, K: int) -> dict[int, list[np.ndarray]]:
             if not 0 < l <= K:
                 continue
             if j <= n - 1:
-                col[l][space.index("e" if j == 1 else "e^%d" % j)] += coef * g[jw]
+                col[l, space.index("e" if j == 1 else "e^%d" % j)] += coef * g[jw]
             else:
-                col[l][space.index("h^%d" % n)] += coef * g[jw] * sign_top
+                col[l, space.index("h^%d" % n)] += coef * g[jw] * sign_top
         out[d] = col
     return out
 
@@ -202,47 +241,20 @@ def blowup_unit_terms(n: int, K: int) -> dict[int, list[np.ndarray]]:
 # matrix series and inversion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SSeries:
-    space: SpaceModel
-    param: complex
-    mats: tuple[np.ndarray, ...]  # mats[l] multiplies z^-l
-
-    @property
-    def order(self) -> int:
-        return len(self.mats) - 1
-
-
 def pairing_adjoint(space: SpaceModel, mat: np.ndarray) -> np.ndarray:
-    """Adjoint with respect to the Poincare pairing: G^{-1} M^T G."""
+    """Adjoint with respect to the Poincare pairing, G^{-1} M^T G, of one
+    matrix or of each matrix in a stack."""
     g = space.pairing
-    return np.linalg.solve(g, mat.T @ g)
+    return np.linalg.solve(g, np.swapaxes(mat, -1, -2) @ g)
 
 
 def s_from_inverse(sinv: SSeries) -> SSeries:
     """Recover S from S^{-1} via S(z) = adjoint of S^{-1}(-z), read-only
     because the caches below hand one object to every caller."""
-    mats = tuple((-1.0) ** l * pairing_adjoint(sinv.space, a)
-                 for l, a in enumerate(sinv.mats))
-    for mat in mats:
-        mat.flags.writeable = False
+    mats = pairing_adjoint(sinv.space, np.asarray(sinv.mats))
+    mats[1::2] *= -1.0
+    mats.flags.writeable = False
     return SSeries(sinv.space, sinv.param, mats)
-
-
-def s_inverse_series_proj(m: int, q: complex, K: int) -> SSeries:
-    space = make_proj(m)
-    cols = [s_inverse_proj(m, q, i, K) for i in range(m + 1)]
-    mats = tuple(np.column_stack([cols[i][l] for i in range(m + 1)])
-                 for l in range(K + 1))
-    return SSeries(space, complex(q), mats)
-
-
-def s_inverse_series_twisted(n: int, Q: complex, K: int) -> SSeries:
-    space = make_twisted(n)
-    cols = [s_inverse_twisted(n, Q, i, K) for i in range(1, n)]
-    mats = tuple(np.column_stack([cols[i][l] for i in range(n - 1)])
-                 for l in range(K + 1))
-    return SSeries(space, complex(Q), mats)
 
 
 @lru_cache(maxsize=64)
@@ -260,7 +272,7 @@ def symplectic_residual(s: SSeries) -> float:
     space = s.space
     eye = np.eye(space.size)
     worst = 0.0
-    adj = [pairing_adjoint(space, mat) for mat in s.mats]
+    adj = pairing_adjoint(space, np.asarray(s.mats))
     for l in range(len(s.mats)):
         acc = np.zeros((space.size, space.size), dtype=complex)
         for a in range(l + 1):

@@ -103,20 +103,21 @@ LADDER_LAMS = (2.0 + 0.5j, -7.3 + 1.0j, 15.0 - 20.0j, 0.6 + 0.1j, 40.0 + 3.0j)
 
 
 def _ladder_deviation(sp, levels=45):
-    """Worst |ladder - master_period| / max|M_ell| over consecutive levels
-    from -(size + 2), three windings and LADDER_LAMS."""
+    """Worst |chain master - master_period| / max|M_ell| over consecutive
+    levels from -(size + 2), three windings and LADDER_LAMS, with the
+    masters read from the jet chain in blocks as the series reads them."""
     worst = 0.0
     start = -(sp.size + 2)
     for lam in LADDER_LAMS:
         for winding in (-1, 0, 1):
             br = principal_branch(lam, winding=winding)
-            ladder = pd._LevelLadder(sp, start, br)
-            for j in range(levels):
-                if j:
-                    ladder.step()
-                want = pd.master_period(sp, start + j, br)
-                dev = np.max(np.abs(ladder.master() - want))
-                worst = max(worst, dev / np.max(np.abs(want)))
+            chain = pd._JetChain(sp, start, br, levels)
+            for first in range(0, levels, pd._BLOCK):
+                block = chain.masters(first, min(first + pd._BLOCK, levels))
+                for k, got in enumerate(block, first):
+                    want = pd.master_period(sp, start + k, br)
+                    dev = np.max(np.abs(got - want))
+                    worst = max(worst, dev / np.max(np.abs(want)))
     return worst
 
 
@@ -167,6 +168,47 @@ def test_fundamental_solution_counts_terms():
         assert first == again
         counts.append(first)
     assert pd.MIN_TERMS < counts[0] < counts[1] < counts[2] <= len(sser.mats)
+
+
+def _term_by_term(sp, sser, level, br, tol):
+    """The period series one term at a time from master_period, with the
+    stopping rule of fundamental_solution: (value, terms, truncation)."""
+    acc = np.zeros((sp.size, sp.size), dtype=complex)
+    small_run = 0
+    recent = []
+    for k in range(min(len(sser.mats), pd.SERIES_CAP + 1)):
+        term = (-1.0) ** k * sser.mats[k] @ pd.master_period(sp, level + k, br)
+        acc = acc + term
+        recent.append(float(np.max(np.abs(term))))
+        scale = float(np.max(np.abs(acc)))
+        if k >= pd.MIN_TERMS and scale > 0 and recent[-1] < tol * scale:
+            small_run += 1
+            if small_run >= pd.CONVERGED_RUN:
+                est = sum(recent[-pd.CONVERGED_RUN:])
+                return acc, k + 1, max(est, 1e-14 * scale)
+        else:
+            small_run = 0
+    raise AssertionError("reference series did not converge")
+
+
+def test_blocked_sum_matches_term_by_term_reference():
+    # at lambda = 6.5 these tolerances stop the series after 12 .. 19
+    # terms: the stopping term falls on every position in a block
+    m = 2
+    sp = make_proj(m)
+    prod = quantum_mult_proj(m, 1.0)
+    sser = _series(m, 1.0, K=200)
+    br = principal_branch(6.5)
+    residues = set()
+    for exponent in (5.0, 5.5, 6.0, 6.5, 7.0, 7.5, 8.0, 8.25):
+        tol = 10.0 ** -exponent
+        sol = pd.fundamental_solution(sp, prod, sser, -3, br, tol)
+        value, terms, trunc = _term_by_term(sp, sser, -3, br, tol)
+        assert sol.terms == terms
+        assert np.max(np.abs(sol.value - value)) < 1e-14 * np.max(np.abs(value))
+        assert abs(sol.truncation_error - trunc) < 1e-14 * trunc
+        residues.add(terms % pd._BLOCK)
+    assert residues == set(range(pd._BLOCK))
 
 
 def test_fundamental_solution_reduces_to_master_at_q_zero():

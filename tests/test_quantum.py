@@ -228,6 +228,24 @@ def test_cached_sseries_is_read_only():
     assert all(np.array_equal(a, b) for a, b in zip(again.mats, before))
 
 
+@pytest.mark.parametrize("make, make_inv, args",
+                         [(qm.sseries_proj, qm.s_inverse_series_proj,
+                           (m, 0.9 - 0.2j, 200)) for m in (1, 2, 3)]
+                         + [(qm.sseries_twisted, qm.s_inverse_series_twisted,
+                             (n, 1.3 + 0.0j, 200)) for n in (3, 4, 5)])
+def test_sseries_is_one_read_only_array(make, make_inv, args):
+    # one (K+1, size, size) array, equal bit for bit to the adjoint taken
+    # one matrix at a time
+    s = make(*args)
+    size = s.space.size
+    assert type(s.mats) is np.ndarray
+    assert s.mats.shape == (201, size, size)
+    assert not s.mats.flags.writeable
+    for l, mat in enumerate(make_inv(*args).mats):
+        want = (-1.0) ** l * qm.pairing_adjoint(s.space, mat)
+        assert s.mats[l].tobytes() == want.tobytes()
+
+
 def test_symplectic_residuals():
     assert qm.symplectic_residual(qm.sseries_proj(2, 1.0 + 0.0j, 10)) < 1e-10
     assert qm.symplectic_residual(qm.sseries_proj(4, 0.6 + 0.2j, 8)) < 1e-10
