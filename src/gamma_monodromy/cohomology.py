@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import jet_recip, polygamma
+from .numerics import LOG_GAMMA_1P, jet_recip
 
 TWO_PI_I = 2j * math.pi
 
@@ -217,20 +217,6 @@ def ring_series(space: SpaceModel, coeffs: np.ndarray, x: np.ndarray) -> np.ndar
     return acc
 
 
-# Taylor coefficients of log Gamma(1+x), x^1 .. x^12, from the polygamma
-# oracle at 1 (so c_1 = -gamma, c_j = (-1)^j zeta(j)/j).
-def _log_gamma1p_coeffs(order: int = 12) -> np.ndarray:
-    c = np.zeros(order + 1, dtype=complex)
-    fact = 1.0
-    for j in range(1, order + 1):
-        fact *= j
-        c[j] = polygamma(j - 1, 1.0) / fact
-    return c
-
-
-_LG1P = _log_gamma1p_coeffs()
-
-
 def _tangent_roots(space: SpaceModel) -> list[tuple[np.ndarray, int]]:
     """(Chern root as a ring element, multiplicity) for the tangent class."""
     if space.kind == "proj":
@@ -247,7 +233,7 @@ def gamma_class(space: SpaceModel) -> np.ndarray:
     """Product of Gamma(1 + root) over the Chern roots of the tangent class."""
     log_vec = np.zeros(space.size, dtype=complex)
     for root, mult in _tangent_roots(space):
-        log_vec = log_vec + mult * ring_series(space, _LG1P, root)
+        log_vec = log_vec + mult * ring_series(space, LOG_GAMMA_1P, root)
     return ring_exp(space, log_vec)
 
 

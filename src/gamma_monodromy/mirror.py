@@ -31,10 +31,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.special
 
-from .numerics import (NumericsError, jet_exp, jet_mul, jet_recip,
-                       log_gamma_jet, recip_gamma_jet)
+from .numerics import (LOG_GAMMA_1P, NumericsError, jet_exp, jet_mul,
+                       log_gamma_array, log_gamma_jet, recip_gamma_jet)
 
 # Re x of every vertical contour line
 _LINE = 1.0
@@ -59,6 +58,11 @@ _OMEGA_FLOOR = 1e-3
 _ROUNDOFF_UNITS = 16.0
 # lambdas per block of the residue series, which keeps its arrays small
 _SERIES_BLOCK = 64
+# lambdas x nodes per block of the contour rule: numpy's cost per call is
+# spread over many nodes, and the block's arrays stay small
+_MB_BLOCK = 4096
+# log of the largest double
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
 class FitQualityError(NumericsError):
@@ -84,11 +88,13 @@ def _c_exp(n: int, m: int) -> float:
 
 
 def _log_integrand(n: int, q: float, m: int, x: np.ndarray) -> np.ndarray:
-    """log of q^{-x} Gamma(x)^{n-1} / (Gamma((n-1)x+c) x), lambda part left out."""
+    """log of q^{-x} Gamma(x)^{n-1} / Gamma((n-1)x+c) mod 2 pi i, the
+    lambda part and the 1/x left out; one log Gamma call for both
+    arguments."""
     c = _c_exp(n, m)
-    return ((n - 1) * scipy.special.loggamma(x)
-            - scipy.special.loggamma((n - 1) * x + c)
-            - x * math.log(q) - np.log(x))
+    size = x.shape[-1]
+    lg = log_gamma_array(np.concatenate([x, (n - 1) * x + c], axis=-1))
+    return ((n - 1) * lg[..., :size] - lg[..., size:]) - x * math.log(q)
 
 
 @lru_cache(maxsize=None)
@@ -141,11 +147,13 @@ def _phi_de(n: int, q: float, m: int, lams: np.ndarray,
     roundoff.
 
     Phi = pref int F(b) db over the whole line, F(b) = e^{i omega b} H(b)
-    (x = _LINE + ib).  Folding b -> -b gives int_0^inf of
-    cos(omega b) (H(b) + H(-b)) + i sin(omega b) (H(b) - H(-b)): the
-    cosine part goes to the cosine nodes, the sine part to the sine nodes,
-    on b = M phi(t) / max(|omega|, _OMEGA_FLOOR).  For real lambda
-    H(-b) = conj H(b).
+    (x = _LINE + ib).  For real lambda H(-b) = conj H(b), so folding
+    b -> -b gives int_0^inf of 2 cos(omega b) Re H(b) - 2 sin(omega b) Im H(b):
+    the cosine part goes to the cosine nodes, the sine part to the sine
+    nodes, on b = M phi(t) / max(|omega|, _OMEGA_FLOOR).  Each lambda has
+    its own nodes; the integrands of up to _MB_BLOCK nodes are formed as
+    one (lambdas, nodes) array, and each lambda's sums are its own row's,
+    so a value does not depend on the other lambdas of the call.
     """
     big_m, phi, weights, nsin = _de_rule(h)
     logu = math.log(u_of_q(n, q))
@@ -153,23 +161,45 @@ def _phi_de(n: int, q: float, m: int, lams: np.ndarray,
     pref = (2.0 * math.pi) ** ((1 - n) / 2.0)
     vals = np.empty(len(lams), dtype=complex)
     mags = np.empty(len(lams))
-    # one lambda at a time: each has its own nodes
-    for i, lam in enumerate(lams):
-        loglam = cmath.log(lam).real  # rounded as in phi_residue_series
+    rows = max(1, _MB_BLOCK // len(phi))
+    for lo in range(0, len(lams), rows):
+        # rounded as in phi_residue_series
+        loglam = np.array([cmath.log(lam).real for lam in lams[lo:lo + rows]])
         omega = (n - 1) * (loglam - logu)
-        stretch = big_m / max(abs(omega), _OMEGA_FLOOR)
-        b = stretch * phi
+        stretch = big_m / np.maximum(np.abs(omega), _OMEGA_FLOOR)
+        b = stretch[:, None] * phi
         x = _LINE + 1j * b
-        theta = omega * b
+        theta = omega[:, None] * b
         h_pos = np.exp(_log_integrand(n, q, m, x)
-                       + loglam * ((n - 1) * x + c - 1) - 1j * theta)
-        h_neg = np.conj(h_pos)
-        odd = 1j * np.sin(theta[:nsin]) * (h_pos[:nsin] - h_neg[:nsin])
-        even = np.cos(theta[nsin:]) * (h_pos[nsin:] + h_neg[nsin:])
-        norm = pref * stretch
-        vals[i] = norm * (odd @ weights[:nsin] + even @ weights[nsin:])
-        mags[i] = norm * ((np.abs(h_pos) + np.abs(h_neg)) @ weights)
+                       + loglam[:, None] * ((n - 1) * x + c - 1)
+                       - 1j * theta) / x
+        even = np.cos(theta[:, nsin:]) * h_pos.real[:, nsin:]
+        odd = np.sin(theta[:, :nsin]) * h_pos.imag[:, :nsin]
+        modulus = np.abs(h_pos)
+        norm = 2.0 * pref * stretch
+        for i in range(len(norm)):
+            vals[lo + i] = norm[i] * (even[i] @ weights[nsin:]
+                                      - odd[i] @ weights[:nsin])
+            mags[lo + i] = norm[i] * (modulus[i] @ weights)
     return vals, mags
+
+
+@lru_cache(maxsize=256)
+def _probe(n: int, q: float, m: int, lam: float, h: float) -> tuple:
+    """Phi at one lambda by the rule of step h and its roundoff scale, as
+    numbers.  Every ``make_mb_config`` call for (n, q, m) probes the edge
+    lambda = u(q) at the same h sequence, so these repeat; a value does not
+    depend on the other lambdas of a ``_phi_de`` call, so a cached one is
+    the same bits."""
+    vals, mags = _phi_de(n, q, m, np.array([lam]), h)
+    return complex(vals[0]), float(mags[0])
+
+
+def _probe_rule(n: int, q: float, m: int, lams: list,
+                h: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_phi_de`` at the probe lambdas, through the cache of ``_probe``."""
+    vals, mags = zip(*(_probe(n, q, m, lam, h) for lam in lams))
+    return np.array(vals), np.array(mags)
 
 
 def make_mb_config(n: int, q: float, m: int, lam_max: float,
@@ -187,12 +217,12 @@ def make_mb_config(n: int, q: float, m: int, lam_max: float,
         raise ValueError("contour needs m > 1/2 for a decaying integrand")
     if q <= 0:
         raise ValueError("q must be real positive")
-    probes = np.unique([u_of_q(n, q), float(lam_max)])
+    probes = sorted({u_of_q(n, q), float(lam_max)})
     h = _DE_H0
-    coarse, _ = _phi_de(n, q, m, probes, h)
+    coarse, _ = _probe_rule(n, q, m, probes, h)
     for _ in range(_DE_HALVINGS):
         h /= 2.0
-        fine, magnitude = _phi_de(n, q, m, probes, h)
+        fine, magnitude = _probe_rule(n, q, m, probes, h)
         roundoff = _ROUNDOFF_UNITS * np.finfo(float).eps * magnitude
         diff = np.abs(fine - coarse)
         est = float(np.max(diff + roundoff))
@@ -224,68 +254,99 @@ def phi_mb_batch(n: int, q: float, m: int, lams: np.ndarray,
     return _phi_de(n, q, m, _real_lams(lams), cfg.h)[0]
 
 
+def _log_lead(x: float) -> complex:
+    """log of the first nonzero Taylor coefficient of 1/Gamma at real x:
+    (-1)^k k! at x = -k (k = 0, 1, ..), and elsewhere 1/Gamma(x), which is
+    negative where x < 0 and floor(x) is odd."""
+    r = round(x)
+    if r <= 0 and abs(x - r) < 1e-9:
+        return complex(math.lgamma(1.0 - r), math.pi * (-r % 2))
+    negative = x < 0.0 and math.floor(x) % 2 == 1
+    return complex(-math.lgamma(x), math.pi if negative else 0.0)
+
+
+def _rows_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row truncated Cauchy product of two stacks of jets."""
+    out = np.zeros_like(a)
+    size = a.shape[1]
+    for j in range(size):
+        out[:, j:] += a[:, j:j + 1] * b[:, :size - j]
+    return out
+
+
 @lru_cache(maxsize=64)
 def _residue_table(n: int, q: float, m: int, terms: int) -> tuple:
     """Lambda-independent residue data at the poles x = -d, d < terms, as
     read-only arrays (exponent, log_scale, p): the d-th residue is
     exp(log_scale[d] + exponent[d] log lam) sum_t p[d, t] log(lam)^t, the
     rows of p padded with zeros to n entries.  The pole has order n-1 from
-    Gamma(x)^{n-1}, plus one at d = 0 from the 1/x; its Laurent data comes
-    from jets of the entire function 1/Gamma.  log_scale holds the
-    magnitude, because the 1/Gamma factor alone overflows a double at
-    large d while the residue with its lambda power stays finite.
+    Gamma(x)^{n-1}, plus one at d = 0 from the 1/x.
+
+    At x = -d + w the Laurent data are jets in w to order n-1.  Each jet is
+    kept unit-leading (first nonzero coefficient 1) and the log of its
+    leading coefficient, from math.lgamma, goes to log_scale: the 1/Gamma
+    factor alone overflows a double at large d while the residue with its
+    lambda power stays finite.  The jets move from pole to pole by linear
+    factors: w Gamma(-d+w) = w Gamma(-d+1+w) / (w - d), so the unit jet of
+    (w Gamma(-d+w))^{n-1} picks up (1 - w/d)^{-(n-1)}; and with
+    c_d = c - (n-1) d, 1/Gamma(c_d + w) is (c_d + w) .. (c_d + n-2 + w)
+    times 1/Gamma(c_{d-1} + w), one shift-add per factor.
     """
-    order = n + 1
+    size = n
     c = _c_exp(n, m)
     logq = math.log(q)
-    qjet = np.array([(-logq) ** t / math.factorial(t)
-                     for t in range(order + 1)], dtype=complex)
-    scale = np.array([(n - 1.0) ** t for t in range(order + 1)])
-    expo = np.empty(terms)
+    powers = np.arange(size)
+    # (1 - w/d)^{-(n-1)} = sum_k binom(n-2+k, k) (w/d)^k
+    binom = np.array([math.comb(n - 2 + k, k) for k in range(size)],
+                     dtype=float)
+    # q^{-w} (w Gamma(w))^{n-1} = exp(-w log q + (n-1) log Gamma(1+w))
+    log_gam = (n - 1) * np.array(LOG_GAMMA_1P[:size], dtype=complex)
+    log_gam[1] -= logq
+    gam = jet_exp(log_gam)
+    if round(c) <= 0 and abs(c - round(c)) < 1e-9:
+        recip = recip_gamma_jet(c, size - 1)
+        recip = recip / recip[np.flatnonzero(recip)[0]]
+    else:
+        # exp of the log jet without its constant: unit-leading, and the
+        # rounding of log Gamma(c) does not enter the d = 0 residue, which
+        # cancels several hundred-fold
+        lg = log_gamma_jet(c, size - 1)
+        lg[0] = 0.0
+        recip = jet_exp(-lg)
+    scale = (n - 1.0) ** powers
+    gams = np.empty((terms, size), dtype=complex)
+    recips = np.empty((terms, size), dtype=complex)
     log_scales = np.empty(terms, dtype=complex)
-    poly = np.zeros((terms, n), dtype=complex)
     for d in range(terms):
-        # regular part of Gamma(-d+w): w Gamma has jet 1/shifted(1/Gamma),
-        # a leading magnitude times a unit-leading jet
-        rg = recip_gamma_jet(-d, order + 1)
-        rg1 = rg[1]
-        gamma_reg = jet_recip(rg[1:order + 2] / rg1)
-        log_scale = -(n - 1) * np.log(complex(rg1)) + d * logq
-        prod = gamma_reg.copy()
-        for _ in range(n - 2):
-            prod = jet_mul(prod, gamma_reg)
         center = c - (n - 1) * d
+        if d:
+            gam = jet_mul(gam, binom * (1.0 / d) ** powers)
+            for j in range(n - 1):
+                if center + j == 0.0:
+                    recip = np.concatenate(([0.0], recip[:-1]))
+                else:
+                    recip[1:] += recip[:-1] / (center + j)
+        lead = _log_lead(center)
         rounded = round(center)
-        if abs(center - rounded) < 1e-9 and rounded <= 0:
-            # zero of 1/Gamma: finite jet, pull out its first nonzero entry
-            gjet = recip_gamma_jet(rounded, order) * scale
-            if not np.all(np.isfinite(gjet)):
-                raise NumericsError(
-                    "residue term %d overflows at center %d; reduce terms"
-                    % (d, rounded))
-            nz = int(np.flatnonzero(np.abs(gjet) > 0.0)[0])
-            s0 = gjet[nz]
-            gjet = gjet / s0
-            log_scale += np.log(complex(s0))
-        else:
-            lg = log_gamma_jet(center, order)
-            lg0 = lg.copy()
-            lg0[0] = 0.0
-            gjet = jet_exp(-lg0) * scale
-            log_scale -= lg[0]
-        prod = jet_mul(prod, jet_mul(qjet, gjet))
-        if d == 0:
-            idx = n - 1
-        else:
-            xinv = np.array([-(1.0 / d) * d ** (-t)
-                             for t in range(order + 1)], dtype=complex)
-            prod = jet_mul(prod, xinv)
-            idx = n - 2
-        expo[d] = -(n - 1) * d + c - 1
-        log_scales[d] = log_scale
-        poly[d, :idx + 1] = [complex(prod[idx - t]) * (n - 1.0) ** t
-                             / math.factorial(t) for t in range(idx + 1)]
-    table = (expo, log_scales, poly)
+        if (abs(center - rounded) < 1e-9 and rounded <= 0
+                and lead.real + math.log(np.max(np.abs(recip * scale)))
+                > _LOG_DBL_MAX):
+            raise NumericsError(
+                "residue term %d overflows at center %d; reduce terms"
+                % (d, rounded))
+        gams[d] = gam
+        recips[d] = recip
+        log_scales[d] = d * logq - (n - 1) * _log_lead(-d) + lead
+    prod = _rows_mul(gams, recips * scale)
+    # 1/x = 1/(-d + w) = -(1/d) sum_t (w/d)^t at d >= 1; at d = 0 the 1/w
+    # raises the pole order
+    inv = 1.0 / np.arange(1, terms)
+    prod[1:] = _rows_mul(prod[1:], -inv[:, None] ** (powers + 1))
+    coef = scale / np.array([math.factorial(t) for t in range(size)])
+    poly = np.zeros((terms, n), dtype=complex)
+    poly[0] = prod[0, ::-1] * coef
+    poly[1:, :n - 1] = prod[1:, n - 2::-1] * coef[:n - 1]
+    table = (-(n - 1) * np.arange(terms) + c - 1.0, log_scales, poly)
     for arr in table:
         arr.flags.writeable = False
     return table
@@ -375,7 +436,7 @@ def _gamma_line(n: int, q: float) -> tuple:
     q^{-x} Gamma(x)^{n-1} there; the cut drops less than e^{-115} / q."""
     b, w = _gl_panels(-40.0, 40.0, 160)
     x = _LINE + 1j * b
-    return x, w, np.exp((n - 1) * scipy.special.loggamma(x) - x * math.log(q))
+    return x, w, np.exp((n - 1) * log_gamma_array(x) - x * math.log(q))
 
 
 # sigma = t_1 + .. + t_d: its box [lo, hi] and panels per n (about 3 wide),

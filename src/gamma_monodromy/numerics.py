@@ -4,9 +4,12 @@ connection along piecewise paths.
 
 A truncated jet sum_k c[k] w^k is the complex coefficient array c itself,
 of length order + 1 <= 13; jet_mul, jet_recip and jet_exp do the
-arithmetic.  polygamma is an upward recurrence followed by the Stirling
-series; on the negative real axis the reflection formula first moves the
-argument to the right half-plane.
+arithmetic.  log Gamma (mod 2 pi i) is ``log_gamma_array`` for arrays in
+the right half-plane: Stirling's series, the Taylor series about 1, and
+an upward shift; ``log_gamma`` is its form for one number, with the
+reflection formula for Re z <= 0.  polygamma is an upward recurrence
+followed by the Stirling series; on the negative real axis the reflection
+formula first moves the argument to the right half-plane.
 
 Everything is plain double precision.  Downstream tolerances are 1e-10 or
 looser, so well-conditioned 1e-13 kernels are enough; no arbitrary
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.special
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,6 +60,21 @@ def _cot_derivative_polys() -> tuple:
 
 
 _COT_POLYS = _cot_derivative_polys()
+
+# log Gamma: Stirling's series B_2j / (2j (2j-1)) w^(1-2j), j <= 8, where
+# Re w > 7 or |Im w| > 7 (the first omitted term is below 1e-15 there);
+# elsewhere the Taylor series about 1 within _LG_TAYLOR_RADIUS, or an
+# upward shift into the Stirling region
+_LG_STIRLING = tuple(b / (2 * j * (2 * j - 1))
+                     for j, b in enumerate(_BERNOULLI_2J[:8], start=1))
+_LG_STIRLING_EDGE = 7.0
+_HALF_LOG_2PI = 0.5 * math.log(TWO_PI)
+_LG_TAYLOR_RADIUS = 0.08
+# the Taylor series stops at the first term below 2^-54 (a quarter ulp
+# of 1) everywhere in its disc: depth k holds out to radius
+# (2^-54 (k+1))^(1/(k+1)), and k = 13 reaches _LG_TAYLOR_RADIUS
+_LG_TAYLOR_REACH = tuple((2.0 ** -54 * (k + 1)) ** (1.0 / (k + 1))
+                         for k in range(14))
 
 
 class NumericsError(Exception):
@@ -118,12 +135,136 @@ def _is_nonpositive_integer(z: complex, eps: float = _POLE_EPS) -> bool:
     return r <= 0 and abs(z.real - r) <= eps
 
 
+def _taylor_depth(radius: float) -> int:
+    """Terms of the Taylor series about 1 needed out to radius."""
+    depth = 1
+    while _LG_TAYLOR_REACH[depth] < radius:
+        depth += 1
+    return depth
+
+
+def _log_gamma1p(e, depth: int):
+    """log Gamma(1 + e) by its Taylor series to e^depth; e is a number or
+    an array, and an array result is built in place."""
+    s = LOG_GAMMA_1P[depth] * e
+    for c in LOG_GAMMA_1P[depth - 1:0:-1]:
+        s += c
+        s *= e
+    return s
+
+
+def _stirling_tail(r):
+    """sum_j B_2j / (2j (2j-1)) r^(2j-1), j <= 8, at r = 1/w."""
+    r2 = r * r
+    s = _LG_STIRLING[-1] * r2
+    for c in _LG_STIRLING[-2:0:-1]:
+        s += c
+        s *= r2
+    s += _LG_STIRLING[0]
+    s *= r
+    return s
+
+
 def log_gamma(z: complex) -> complex:
-    """Principal branch of log Gamma, continuous off the cut (-inf, 0]."""
+    """log Gamma(z) mod 2 pi i for complex z off the poles, which raise
+    PoleError; every caller exponentiates it.
+
+    For Re z <= 0 the reflection formula
+    log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z); within
+    _LG_TAYLOR_RADIUS of 2 the Taylor series about 1 plus log1p, so that
+    Gamma(2) = 1 exactly; elsewhere ``log_gamma_array``.
+    """
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError("log_gamma pole at %r" % z)
-    return complex(scipy.special.loggamma(z))
+    if z.real <= 0.0:
+        # sin(pi z) = (-1)^k sin(pi (z - k)), z - k exact
+        k = round(z.real)
+        sin_r = cmath.sin(math.pi * (z - k))
+        return (math.log(math.pi) - cmath.log(-sin_r if k % 2 else sin_r)
+                - log_gamma(1.0 - z))
+    e = z - 2.0
+    if abs(e) <= _LG_TAYLOR_RADIUS:
+        return complex(_log_gamma1p(e, _taylor_depth(abs(e))) + np.log1p(e))
+    return complex(log_gamma_array(np.array([z]))[0])
+
+
+def _log_array(w: np.ndarray) -> np.ndarray:
+    """Principal complex log from the real log and arctan2, much cheaper
+    than numpy's complex log; |w| must stay below 1e150."""
+    x, y = w.real, w.imag
+    out = np.empty_like(w)
+    out.real = x * x
+    out.real += y * y
+    np.log(out.real, out=out.real)
+    out.real *= 0.5
+    out.imag = np.arctan2(y, x)
+    return out
+
+
+def log_gamma_array(z: np.ndarray) -> np.ndarray:
+    """log Gamma mod 2 pi i, elementwise, at complex z with Re z > 0 and
+    |z| < 1e150: the form that the Mellin-Barnes integrands exponentiate.
+
+    Where Re z > 7 or |Im z| > 7, Stirling's series; within
+    _LG_TAYLOR_RADIUS of 1, the Taylor series about 1, to the depth that
+    the largest |z - 1| needs; elsewhere the shift
+    w = z + 7 with one product p = z (z+1) .. (z+6) and one log,
+
+        log Gamma(z) = (z - 1/2) log w + log(w^7 e^{-Re w} / p) - i Im w
+                       + log(2 pi)/2 + tail(w),
+
+    whose terms stay near the size of the result: the integrand of a
+    contour that cancels to 1e-10 of its size needs that.  Each region is
+    one boolean mask, the Taylor disc is looked for among the shifted
+    points only, and the arithmetic is done in place.
+    """
+    z = np.asarray(z, dtype=complex)
+    if not np.all(z.real > 0.0):
+        raise ValueError("log_gamma_array needs Re z > 0")
+    edge = _LG_STIRLING_EDGE
+    low = (z.real <= edge) & (np.abs(z.imag) <= edge)
+    high = ~low
+    out = np.empty_like(z)
+    w = z[high]
+    # (w - 1/2) log w - w = (w - 1/2) (log w - 1) - 1/2
+    val = _log_array(w)
+    val -= 1.0
+    val *= w - 0.5
+    val += _HALF_LOG_2PI - 0.5
+    val += _stirling_tail(1.0 / w)
+    out[high] = val
+    zl = z[low]
+    if zl.size:
+        w = zl + edge
+        # z (z+1) .. (z+6) = s (s + 5) (s + 8) (z + 3), s = z (z + 6)
+        s = zl + 6.0
+        s *= zl
+        prod = s + 5.0
+        prod *= s
+        s += 8.0
+        prod *= s
+        prod *= zl + 3.0
+        ratio = w * w
+        ratio *= w
+        ratio *= ratio
+        ratio *= w
+        ratio *= np.exp(-w.real)
+        ratio /= prod
+        val = _log_array(ratio)
+        val += (zl - 0.5) * _log_array(w)
+        val.imag -= w.imag
+        val += _HALF_LOG_2PI
+        val += _stirling_tail(1.0 / w)
+        e = zl - 1.0
+        dist = e.real * e.real
+        dist += e.imag * e.imag
+        near = dist <= _LG_TAYLOR_RADIUS ** 2
+        if near.any():
+            depth = _taylor_depth(math.sqrt(float(np.max(dist[near]))))
+            val[near] = _log_gamma1p(e[near], depth)
+        out[low] = val
+    return out
 
 
 def polygamma(k: int, z: complex) -> complex:
@@ -183,6 +324,16 @@ def _polygamma_shifted(k: int, z: complex) -> complex:
     val = (lead + kfact / (2.0 * z ** (k + 1)) + series / z ** k
            + kfact * shift_sum)
     return val if k % 2 else -val
+
+
+def _log_gamma1p_coeffs() -> tuple:
+    """Taylor coefficients c_0 .. c_13 of log Gamma(1 + e) from polygamma
+    at 1: c_0 = 0, c_1 = -gamma, c_j = (-1)^j zeta(j) / j."""
+    return (0.0,) + tuple(polygamma(j - 1, 1.0).real / math.factorial(j)
+                          for j in range(1, MAX_JET_ORDER + 2))
+
+
+LOG_GAMMA_1P = _log_gamma1p_coeffs()
 
 
 def log_gamma_jet(z: complex, order: int) -> np.ndarray:

@@ -13,7 +13,9 @@ import pytest
 import scipy.special
 
 from gamma_monodromy import mirror as mr
-from gamma_monodromy.numerics import NumericsError
+from gamma_monodromy.numerics import (NumericsError, jet_exp, jet_mul,
+                                      jet_recip, log_gamma_jet,
+                                      recip_gamma_jet)
 
 J3 = {0.5: 0.4782844214521623, 1.0: 0.22778774549906688,
       2.0: 0.08478354799680299, 10.0: 0.0017533146068215747,
@@ -136,6 +138,98 @@ def test_residue_series_domain_guards():
         mr.phi_residue_series(3, -1.0, 3, 5.0)
     with pytest.raises(ValueError):
         mr.make_mb_config(3, 0.0, 3, 3.0, 1e-7)
+
+
+def residue_table_per_pole(n, q, m, terms):
+    """(exponent, log_scale, p) of ``mr._residue_table`` built pole by pole
+    from Gamma jets at each centre: 1/Gamma at -d peeled d times, its
+    reciprocal and power, and 1/Gamma at c - (n-1) d from log Gamma
+    jets."""
+    order = n + 1
+    c = mr._c_exp(n, m)
+    logq = math.log(q)
+    qjet = np.array([(-logq) ** t / math.factorial(t)
+                     for t in range(order + 1)], dtype=complex)
+    scale = np.array([(n - 1.0) ** t for t in range(order + 1)])
+    expo = np.empty(terms)
+    log_scales = np.empty(terms, dtype=complex)
+    poly = np.zeros((terms, n), dtype=complex)
+    for d in range(terms):
+        rg = recip_gamma_jet(-d, order + 1)
+        rg1 = rg[1]
+        gamma_reg = jet_recip(rg[1:order + 2] / rg1)
+        log_scale = -(n - 1) * np.log(complex(rg1)) + d * logq
+        prod = gamma_reg.copy()
+        for _ in range(n - 2):
+            prod = jet_mul(prod, gamma_reg)
+        center = c - (n - 1) * d
+        rounded = round(center)
+        if abs(center - rounded) < 1e-9 and rounded <= 0:
+            gjet = recip_gamma_jet(rounded, order) * scale
+            nz = int(np.flatnonzero(np.abs(gjet) > 0.0)[0])
+            s0 = gjet[nz]
+            gjet = gjet / s0
+            log_scale += np.log(complex(s0))
+        else:
+            lg = log_gamma_jet(center, order)
+            lg0 = lg.copy()
+            lg0[0] = 0.0
+            gjet = jet_exp(-lg0) * scale
+            log_scale -= lg[0]
+        prod = jet_mul(prod, jet_mul(qjet, gjet))
+        if d == 0:
+            idx = n - 1
+        else:
+            xinv = np.array([-(1.0 / d) * d ** (-t)
+                             for t in range(order + 1)], dtype=complex)
+            prod = jet_mul(prod, xinv)
+            idx = n - 2
+        expo[d] = -(n - 1) * d + c - 1
+        log_scales[d] = log_scale
+        poly[d, :idx + 1] = [complex(prod[idx - t]) * (n - 1.0) ** t
+                             / math.factorial(t) for t in range(idx + 1)]
+    return expo, log_scales, poly
+
+
+def _series_terms(table, lam):
+    """The terms exp(log_scale + exponent log lam) p[d, t] log(lam)^t of
+    the residue series, one row per pole."""
+    expo, log_scale, poly = table
+    ll = math.log(lam)
+    return (np.exp(log_scale + expo * ll)[:, None] * poly
+            * ll ** np.arange(poly.shape[1]))
+
+
+def test_residue_table_recurrence_matches_per_pole_jets():
+    # every term within 1e-13 of the largest, where the series is summed
+    for n in (3, 4):
+        for m in range(n, n + 4):
+            for q in (0.5, 1.0, 2.0):
+                table = mr._residue_table(n, q, m, 60)
+                oracle = residue_table_per_pole(n, q, m, 60)
+                assert np.array_equal(table[0], oracle[0])
+                for ratio in (1.05, 1.5, 4.0):
+                    lam = ratio * mr.u_of_q(n, q)
+                    got = _series_terms(table, lam)
+                    want = _series_terms(oracle, lam)
+                    assert (np.max(np.abs(got - want))
+                            <= 1e-13 * np.max(np.abs(want)))
+
+
+def test_contour_value_does_not_depend_on_the_batch():
+    # a lambda's value is the same bits alone or among others, so the
+    # probes that make_mb_config caches are the ones it would recompute
+    lams = mr.u_of_q(4, 1.3) * np.linspace(0.05, 4.0, 23)
+    for h in (0.05, 0.0125):
+        vals, mags = mr._phi_de(4, 1.3, 5, lams, h)
+        for lam, val, mag in zip(lams, vals, mags):
+            one_val, one_mag = mr._phi_de(4, 1.3, 5, np.array([lam]), h)
+            assert one_val[0] == val and one_mag[0] == mag
+    mr._probe.cache_clear()
+    first = mr.make_mb_config(4, 1.3, 5, 6.0, 1e-9)
+    assert mr._probe.cache_info().hits == 0
+    again = mr.make_mb_config(4, 1.3, 5, 6.0, 1e-9)
+    assert mr._probe.cache_info().hits > 0 and again == first
 
 
 def test_residue_series_overflow_guard():

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +45,59 @@ def test_log_gamma_pole_error():
         nx.log_gamma(0.0)
     with pytest.raises(nx.PoleError):
         nx.log_gamma(-4.0)
+
+
+def _log_gamma_grids():
+    """The line 1 + ib out to |b| = 1e7, the contour lines (n-1)(1+ib) + c
+    of the suite's Phi (n = 3, 4, m = n), the discs |z - 1|, |z - 2| <= 0.2
+    and the real segment (0, 60]."""
+    b = np.concatenate([np.linspace(-10.0, 10.0, 2001),
+                        np.geomspace(1e-12, 1e7, 400),
+                        -np.geomspace(1e-12, 1e7, 400)])
+    grids = {"line": 1.0 + 1j * b}
+    for n in (3, 4):
+        c = n + 0.5 - n / 2.0
+        grids["contour n=%d" % n] = (n - 1) * (1.0 + 1j * b) + c
+    radius = 0.2 * np.sqrt(np.linspace(0.0, 1.0, 40))[:, None]
+    angle = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 60))[None, :]
+    for center in (1.0, 2.0):
+        grids["disc %g" % center] = (center + radius * angle).ravel()
+    grids["real"] = np.concatenate([np.linspace(0.01, 60.0, 6000),
+                                    np.geomspace(1e-8, 0.01, 50)]) + 0j
+    return grids
+
+
+def _mod_2pi_error(got, want):
+    d = got - want
+    d = d.real + 1j * ((d.imag + math.pi) % (2.0 * math.pi) - math.pi)
+    return np.abs(d) / np.maximum(1.0, np.abs(want))
+
+
+@pytest.mark.parametrize("name,z", list(_log_gamma_grids().items()))
+def test_log_gamma_array_matches_scipy(name, z):
+    # scipy is a test-only oracle; the two agree mod 2 pi i
+    want = scipy.special.loggamma(z)
+    assert np.max(_mod_2pi_error(nx.log_gamma_array(z), want)) < 1e-14
+
+
+@pytest.mark.parametrize("name,z", list(_log_gamma_grids().items()))
+def test_log_gamma_scalar_matches_scipy(name, z):
+    z = z[::7]
+    got = np.array([nx.log_gamma(v) for v in z])
+    assert np.max(_mod_2pi_error(got, scipy.special.loggamma(z))) < 1e-14
+
+
+def test_log_gamma_left_half_plane_mod_2pi():
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-30.0, 0.0, 300) + 1j * rng.uniform(-12.0, 12.0, 300)
+    z = z[np.abs(z - np.round(z.real)) > 1e-3]
+    got = np.array([nx.log_gamma(v) for v in z])
+    assert np.max(_mod_2pi_error(got, scipy.special.loggamma(z))) < 1e-14
+
+
+def test_log_gamma_array_rejects_left_half_plane():
+    with pytest.raises(ValueError):
+        nx.log_gamma_array(np.array([1.0, -0.5 + 1j]))
 
 
 def test_polygamma_reference_values():
@@ -141,13 +195,17 @@ def test_polygamma_order_and_pole_errors():
 
 
 def test_import_leaves_mpmath_unloaded():
-    code = ("import sys, gamma_monodromy.cli, gamma_monodromy.suite; "
+    # nor scipy, even after a contour evaluation: the runtime needs numpy
+    code = ("import sys, numpy, gamma_monodromy.cli, gamma_monodromy.suite; "
+            "from gamma_monodromy import mirror; "
+            "cfg = mirror.make_mb_config(3, 1.0, 3, 3.0, 1e-6); "
+            "mirror.phi_mb_batch(3, 1.0, 3, numpy.array([3.0]), cfg); "
             "print('mpmath' in sys.modules, "
-            "'scipy.integrate' in sys.modules)")
+            "'scipy.integrate' in sys.modules, 'scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.strip() == "False False False"
 
 
 # ---------------------------------------------------------------------------
