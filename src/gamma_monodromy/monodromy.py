@@ -42,6 +42,7 @@ class MonodromyResult:
     loop: list
     matrix: np.ndarray
     residuals: dict = field(default_factory=dict)
+    counters: dict = field(default_factory=dict)
 
 
 def base_radius(n: int) -> float:
@@ -96,7 +97,8 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     max|I_cont|), "continuation" (first omitted Taylor terms, relative to
     their columns), "truncation" (the base series' last terms over
     max|I_base|), all three relative so they add into one budget; and
-    "cond", the condition number of I_base.
+    "cond", the condition number of I_base.  counters: "taylor_steps" and
+    "taylor_terms", the continuation's work.
     """
     base = loop[0].start
     branch0 = principal_branch(base)
@@ -106,8 +108,8 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     if cond > 1e8:
         raise IllConditionedError("period matrix condition number %g" % cond)
     upper = space.theta - (level + 0.5) * np.eye(space.size)
-    i_cont, _, cont_err = numerics.ode_continue(product.euler_mult, upper,
-                                                loop, i_base, branch0=branch0)
+    i_cont, _, cont_err, (steps, terms) = numerics.ode_continue(
+        product.euler_mult, upper, loop, i_base, branch0=branch0)
     cmat = np.linalg.solve(i_base, i_cont)
     solve_res = float(np.max(np.abs(i_base @ cmat - i_cont)))
     scale = float(np.max(np.abs(i_cont)))
@@ -117,7 +119,9 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
         "truncation": sol.truncation_error / float(np.max(np.abs(i_base))),
         "cond": cond,
     }
-    return MonodromyResult(loop=list(loop), matrix=cmat, residuals=residuals)
+    return MonodromyResult(loop=list(loop), matrix=cmat, residuals=residuals,
+                           counters={"taylor_steps": steps,
+                                     "taylor_terms": terms})
 
 
 def _orient(v: np.ndarray) -> np.ndarray:

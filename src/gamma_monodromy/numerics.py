@@ -497,6 +497,7 @@ def scale_path(path: PathSpec, w: complex) -> list:
 
 _SING_EPS = 1e-12
 _TERM_CAP = 200
+_TBLOCK = 8           # Taylor terms formed per batch
 
 
 def ode_continue(
@@ -505,7 +506,7 @@ def ode_continue(
     path: PathSpec,
     y0: np.ndarray,
     branch0: BranchState | None = None,
-) -> tuple[np.ndarray, BranchState, float]:
+) -> tuple[np.ndarray, BranchState, float, tuple[int, int]]:
     """Continue a solution of (lambda - E) dY/dlambda = U Y along the path,
     tracking log(lambda).
 
@@ -517,15 +518,20 @@ def ode_continue(
     the terms decay at least like 2^-j up to a polynomial factor, and
     log(lambda) advances exactly by the principal log1p(h/c).  A step sums
     until two consecutive terms fall below machine epsilon times their
-    column's scale; there is no tolerance to choose.  The branch is only
-    re-anchored on the exact endpoint of each piece, keeping the
-    accumulated winding.
+    column's scale; there is no tolerance to choose.  The terms are formed
+    _TBLOCK at a time, and their norms, partial sums and column scales are
+    taken per block, but the stopping rule reads them one by one, so the
+    stopping term and the value are those of a term-by-term sum.  The
+    branch is only re-anchored on the exact endpoint of each piece, keeping
+    the accumulated winding.
 
-    Returns the continued solution, its branch state, and the continuation
-    error estimate: the sum over steps of the first omitted term relative
-    to its column's scale.  Raises NumericsError when a node comes within
-    1e-12 * max(1, |lambda|) of an eigenvalue of E or of the origin, or
-    when a step's series has not converged in _TERM_CAP terms.
+    Returns the continued solution, its branch state, the continuation
+    error estimate (the sum over steps of the first omitted term relative
+    to its column's scale) and the work done, (steps, terms): Taylor
+    steps, and terms summed into the steps' values.  Raises NumericsError
+    when a node comes within 1e-12 * max(1, |lambda|) of an eigenvalue of
+    E or of the origin, or when a step's series has not converged in
+    _TERM_CAP terms.
     """
     validate_path(path)
     y0 = np.asarray(y0, dtype=complex)
@@ -541,6 +547,9 @@ def ode_continue(
     eye = np.eye(len(euler))
     eps = np.finfo(float).eps
     trunc = 0.0
+    steps = terms = 0
+    # row 0 is the running sum, rows 1.. the block's terms
+    buf = np.empty((_TBLOCK + 1,) + y.shape, dtype=complex)
 
     for piece in path:
         plen = piece.length()
@@ -559,27 +568,38 @@ def ode_continue(
             z = piece.end if t_next == 1.0 else piece.point(t_next)
             h = z - c
             resolvent = np.linalg.inv(c * eye - euler)
-            term = y
-            acc = y.copy()
+            term = buf[0] = y
             small = 0
-            for j in range(_TERM_CAP):
-                term = (h / (j + 1)) * (resolvent @ (upper @ term - j * term))
-                scale = np.max(np.abs(acc), axis=0)
-                rel = float(np.max(np.max(np.abs(term), axis=0)
-                                   / np.where(scale > 0, scale, 1.0)))
-                small = small + 1 if rel <= eps else 0
+            for first in range(0, _TERM_CAP, _TBLOCK):
+                block = buf[:min(_TBLOCK, _TERM_CAP - first) + 1]
+                for i, j in enumerate(range(first, first + len(block) - 1)):
+                    term = block[i + 1] = (h / (j + 1)) * (
+                        resolvent @ (upper @ term - j * term))
+                tnorms = np.max(np.abs(block[1:]), axis=1)
+                np.cumsum(block, axis=0, out=block)
+                scales = np.max(np.abs(block[:-1]), axis=1)
+                rels = np.max(tnorms / np.where(scales > 0, scales, 1.0),
+                              axis=1).tolist()
+                for i, rel in enumerate(rels):
+                    small = small + 1 if rel <= eps else 0
+                    if small == 2:
+                        break
                 if small == 2:
-                    trunc += rel
                     break
-                acc += term
+                buf[0] = block[-1]
             else:
                 raise NumericsError(
                     "Taylor series did not converge at lambda=%r" % c)
-            y = acc
+            # the value is the partial sum before the second small term
+            y = block[i].copy()
+            trunc += rel
+            steps += 1
+            terms += first + i
             logl = logl + np.log1p(h / c)
             t, c = t_next, z
         # re-anchor on the exact piece endpoint, keeping the winding
         logl = _resync_log(piece.end, logl)
 
     endpoint = path[-1].end
-    return y.reshape(y0.shape), BranchState(endpoint, logl), trunc
+    return (y.reshape(y0.shape), BranchState(endpoint, logl), trunc,
+            (steps, terms))
