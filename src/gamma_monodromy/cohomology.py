@@ -45,6 +45,9 @@ class SpaceModel:
     _unit: int | None = field(default=0, repr=False)
     depth: int = 0         # smallest D with rho^D = 0, found by set_rho
     rho_powers: np.ndarray | None = field(default=None, repr=False)
+    # exp(pi i theta) as a vector and exp(pi i rho), read by euler_pairing
+    exp_pi_i_theta: np.ndarray | None = field(default=None, repr=False)
+    exp_pi_i_rho: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -83,9 +86,14 @@ class SpaceModel:
         return self.pair(v, self.unit())
 
     def set_rho(self, rho: np.ndarray) -> None:
-        """Set rho and, once per model, its nilpotency depth D and the
-        read-only stack rho^0 .. rho^(D-1)."""
+        """Set rho and, once per model, its nilpotency depth D, the
+        read-only stack rho^0 .. rho^(D-1), and the read-only factors
+        exp(pi i theta) and exp(pi i rho) of the Euler pairing."""
         self.rho = rho
+        self.exp_pi_i_theta = np.exp(1j * math.pi * np.diag(self.theta))
+        self.exp_pi_i_rho = _exp_pi_i_rho(self)
+        self.exp_pi_i_theta.flags.writeable = False
+        self.exp_pi_i_rho.flags.writeable = False
         pows = [np.eye(self.size, dtype=complex)]
         for _ in range(self.size + 2):
             if np.max(np.abs(pows[-1])) == 0.0:
@@ -354,8 +362,7 @@ def _exp_pi_i_rho(space: SpaceModel) -> np.ndarray:
 
 def euler_pairing(space: SpaceModel, a: np.ndarray, b: np.ndarray) -> complex:
     """<a, b> = (1/2pi) (a, exp(pi i theta) exp(pi i rho) b)."""
-    th = np.exp(1j * math.pi * np.diag(space.theta))
-    v = th * (_exp_pi_i_rho(space) @ b)
+    v = space.exp_pi_i_theta * (space.exp_pi_i_rho @ b)
     return space.pair(a, v) / (2.0 * math.pi)
 
 

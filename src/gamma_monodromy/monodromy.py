@@ -7,6 +7,11 @@ singular point u_k, a full counterclockwise circle of small radius around
 it, and the reverse way back.  Monodromy acts on the right:
 I_continued = I_base . C, so concatenating loops multiplies their matrices
 in path order.
+
+The big circle lies where the period series converges, so the series
+covers the arcs: it is summed at the loop's outer point on the branch the
+arc reaches, and the ODE is continued only along the local piece, the
+radial segment, the small circle and the way back.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .cohomology import (SpaceModel, euler_pairing, exceptional_sheaf,
                          make_proj, psi_map)
 from .numerics import (Arc, BranchState, NumericsError, Segment,
                        principal_branch, scale_path)
-from .periods import SERIES_CAP, fundamental_solution
+from .periods import GUARD_FACTOR, SERIES_CAP, fundamental_solution
 from .quantum import (QuantumProduct, SSeries, quantum_mult_proj,
                       sseries_proj)
 from . import numerics
@@ -80,10 +85,16 @@ def gamma_loop(n: int, q_log: complex, k: int) -> list:
     return scale_path(pieces, w)
 
 
+def _on_series_circle(piece, product: QuantumProduct) -> bool:
+    """An arc about 0 outside the guard, where the period series converges."""
+    return (isinstance(piece, Arc) and piece.center == 0
+            and piece.radius > GUARD_FACTOR * product.radius)
+
+
 def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
                      sseries: SSeries, level: int, loop: list,
                      tol: float) -> MonodromyResult:
-    """Continue the period matrix around the loop; C = I_base^{-1} I_cont.
+    """Monodromy of the period matrix around the loop, C = I_outer^{-1} I_cont.
 
     The matrix acts on cohomology coefficient vectors: the columns of the
     fundamental solution are the periods of the basis classes, so C is the
@@ -92,32 +103,61 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     reflection operator, whose components grow with the class degree), so
     residual checks against it must be scale-relative.
 
-    tol sets the base-point period series (BASE_SERIES_TOL in the suite
-    and the CLI).  residuals: "solve" (defect of I_base C = I_cont over
-    max|I_cont|), "continuation" (first omitted Taylor terms, relative to
-    their columns), "truncation" (the base series' last terms over
-    max|I_base|), all three relative so they add into one budget; and
-    "cond", the condition number of I_base.  counters: "taylor_steps" and
-    "taylor_terms", the continuation's work.
+    The loop's leading and trailing arcs about 0 outside the guard radius
+    are not continued: there the period series converges, so an arc only
+    moves the branch of log lambda, by i (angle1 - angle0).  The series is
+    summed at the start of the first local piece on the branch the leading
+    arcs reach (I_outer), and only the local pieces are continued (I_cont).
+    In the class basis C is the same matrix wherever along the arcs it is
+    read.  A loop without such arcs starts its local piece at the base.
+
+    tol sets the period series (BASE_SERIES_TOL in the suite and the CLI).
+    The series at the base point is summed in every case and raises
+    IllConditionedError when its condition number exceeds 1e8.
+    residuals: "solve" (defect of I_outer C = I_cont over max|I_cont|),
+    "continuation" (first omitted Taylor terms, relative to their
+    columns), "truncation" (the last terms of the series at the outer
+    point over max|I_outer|), all three relative so they add into one
+    budget; "cond" and "cond_outer", the condition numbers of I_base and
+    I_outer.  counters: "taylor_steps" and "taylor_terms", the
+    continuation's work.
     """
-    base = loop[0].start
-    branch0 = principal_branch(base)
-    sol = fundamental_solution(space, product, sseries, level, branch0, tol)
-    i_base = sol.value
-    cond = float(np.linalg.cond(i_base))
+    branch = principal_branch(loop[0].start)
+    sol = fundamental_solution(space, product, sseries, level, branch, tol)
+    cond = float(np.linalg.cond(sol.value))
     if cond > 1e8:
         raise IllConditionedError("period matrix condition number %g" % cond)
+    lead = 0
+    while lead < len(loop) and _on_series_circle(loop[lead], product):
+        arc = loop[lead]
+        branch = BranchState(arc.end, numerics._resync_log(
+            arc.end, branch.log_value + 1j * (arc.angle1 - arc.angle0)))
+        lead += 1
+    trail = len(loop)
+    while trail > lead and _on_series_circle(loop[trail - 1], product):
+        trail -= 1
+    local = loop[lead:trail]
+    turn = sum(p.angle1 - p.angle0 for p in loop[:lead] + loop[trail:])
+    if not local or abs(turn) > 1e-9:
+        raise ValueError("the loop must leave and rejoin its base along the "
+                         "same arcs about 0")
+    if lead:
+        branch = BranchState(local[0].start, branch.log_value)
+        sol = fundamental_solution(space, product, sseries, level, branch,
+                                   tol)
+    i_outer = sol.value
     upper = space.theta - (level + 0.5) * np.eye(space.size)
     i_cont, _, cont_err, (steps, terms) = numerics.ode_continue(
-        product.euler_mult, upper, loop, i_base, branch0=branch0)
-    cmat = np.linalg.solve(i_base, i_cont)
-    solve_res = float(np.max(np.abs(i_base @ cmat - i_cont)))
+        product.euler_mult, upper, local, i_outer, branch0=branch)
+    cmat = np.linalg.solve(i_outer, i_cont)
+    solve_res = float(np.max(np.abs(i_outer @ cmat - i_cont)))
     scale = float(np.max(np.abs(i_cont)))
     residuals = {
         "solve": solve_res / scale if scale else solve_res,
         "continuation": cont_err,
-        "truncation": sol.truncation_error / float(np.max(np.abs(i_base))),
+        "truncation": sol.truncation_error / float(np.max(np.abs(i_outer))),
         "cond": cond,
+        "cond_outer": float(np.linalg.cond(i_outer)) if lead else cond,
     }
     return MonodromyResult(loop=list(loop), matrix=cmat, residuals=residuals,
                            counters={"taylor_steps": steps,

@@ -164,23 +164,23 @@ def fundamental_solution(space: SpaceModel, product: QuantumProduct,
     Requires |lambda| > 1.5 * (largest eigenvalue of E*).  Stops once three
     consecutive terms fall below tol * ||partial sum||; raises if the terms
     available (the S-series length, at most SERIES_CAP + 1) do not get
-    there.  The terms are formed _BLOCK at a time from one jet chain, and
-    the stopping rule reads them one by one.
+    there.  The terms are formed _BLOCK at a time from one jet chain, each
+    block reading only the S-matrices it needs, and the stopping rule reads
+    them one by one.
     """
     lam_abs = abs(branch.base)
     if lam_abs <= GUARD_FACTOR * product.radius:
         raise ValueError(
             "base point inside the guarded radius: |lambda|=%g <= %g"
             % (lam_abs, GUARD_FACTOR * product.radius))
-    mats = np.asarray(sseries.mats)
-    n_terms = min(len(mats), SERIES_CAP + 1)
+    n_terms = min(sseries.order + 1, SERIES_CAP + 1)
     chain = _JetChain(space, level, branch, n_terms)
     acc = np.zeros((space.size, space.size), dtype=complex)
     small_run = 0
     recent: list[float] = []
     for start in range(0, n_terms, _BLOCK):
         stop = min(start + _BLOCK, n_terms)
-        terms = mats[start:stop] @ chain.masters(start, stop)
+        terms = sseries.head(stop)[start:] @ chain.masters(start, stop)
         terms[1 - start % 2::2] *= -1.0
         tnorms = np.max(np.abs(terms), axis=(1, 2)).tolist()
         terms[0] += acc

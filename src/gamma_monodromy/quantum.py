@@ -11,6 +11,13 @@ once per degree and its column heads land in the array in one indexed
 add, and the adjoint is one batched solve over all orders.  `SSeries.mats`
 is that array, read-only because the caches share it.
 
+The cached series `sseries_proj` and `sseries_twisted` are built only as
+deep as they are read: first to 48 matrices, then to twice the depth each
+time a reader (the period series, `SSeries.head`) asks for more, up to the
+order K the caller named.  A prefix has the same bits whatever order it is
+built to: no degree's terms depend on K, K only decides which degrees and
+orders are kept, and the batched adjoint treats each matrix on its own.
+
 Conventions: matrices act on column coefficient vectors in the basis order
 of the SpaceModel.
 """
@@ -76,15 +83,57 @@ def epsilon_matrix(n: int) -> np.ndarray:
     return eps
 
 
-@dataclass(frozen=True)
+_FIRST_DEPTH = 48     # matrices of an on-demand series' first build
+
+
 class SSeries:
-    space: SpaceModel
-    param: complex
-    mats: np.ndarray  # (K+1, size, size), read-only; mats[l] multiplies z^-l
+    """The matrices S_0 .. S_K, mats[l] multiplying z^-l, read-only.
+
+    SSeries(space, param, mats) holds the array it is given.  A series from
+    `_on_demand` holds a builder of its first `depth` matrices instead, and
+    grows by doubling the depth when a reader asks for more; a grown array
+    replaces the old one whole.
+    """
+
+    def __init__(self, space: SpaceModel, param: complex, mats):
+        self.space = space
+        self.param = param
+        self._mats = np.asarray(mats)
+        if self._mats.flags.writeable:
+            self._mats = self._mats.view()
+            self._mats.flags.writeable = False
+        self._order = len(self._mats) - 1
+        self._build = None
 
     @property
     def order(self) -> int:
-        return len(self.mats) - 1
+        return self._order
+
+    def head(self, terms: int) -> np.ndarray:
+        """The first min(terms, K + 1) matrices, (count, size, size)."""
+        terms = min(terms, self._order + 1)
+        mats = self._mats
+        if len(mats) < terms:
+            depth = len(mats)
+            while depth < terms:
+                depth *= 2
+            mats = self._mats = self._build(min(depth, self._order + 1))
+        return mats[:terms]
+
+    @property
+    def mats(self) -> np.ndarray:
+        """All K + 1 matrices, (K+1, size, size)."""
+        return self.head(self._order + 1)
+
+
+def _on_demand(space: SpaceModel, param: complex, order: int,
+               build) -> SSeries:
+    """A series to z^-order whose first `depth` matrices are build(depth),
+    a read-only array."""
+    out = SSeries(space, param, build(min(_FIRST_DEPTH, order + 1)))
+    out._order = order
+    out._build = build
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +306,23 @@ def s_from_inverse(sinv: SSeries) -> SSeries:
     return SSeries(sinv.space, sinv.param, mats)
 
 
+def _prefix_builder(make_inverse, *args):
+    """depth -> the first depth matrices of S, from S^{-1} to that order."""
+    return lambda depth: s_from_inverse(make_inverse(*args, depth - 1)).mats
+
+
 @lru_cache(maxsize=64)
 def sseries_proj(m: int, q: complex, K: int) -> SSeries:
-    return s_from_inverse(s_inverse_series_proj(m, q, K))
+    """S on H*(P^m) to order z^-K, built on demand."""
+    return _on_demand(make_proj(m), complex(q), K,
+                      _prefix_builder(s_inverse_series_proj, m, q))
 
 
 @lru_cache(maxsize=64)
 def sseries_twisted(n: int, Q: complex, K: int) -> SSeries:
-    return s_from_inverse(s_inverse_series_twisted(n, Q, K))
+    """twS on the exceptional state space to order z^-K, built on demand."""
+    return _on_demand(make_twisted(n), complex(Q), K,
+                      _prefix_builder(s_inverse_series_twisted, n, Q))
 
 
 def symplectic_residual(s: SSeries) -> float:

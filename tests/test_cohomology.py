@@ -128,6 +128,22 @@ def test_rho_powers_cached_read_only():
             pows[0, 0, 0] = 2.0
 
 
+def test_euler_pairing_factors_cached_read_only():
+    # exp(pi i theta) and exp(pi i rho), set once with rho
+    for sp in (make_proj(5), make_blproj(4), make_twisted(4)):
+        th = np.exp(1j * math.pi * np.diag(sp.theta))
+        assert np.array_equal(sp.exp_pi_i_theta, th)
+        want = sum(np.linalg.matrix_power(1j * math.pi * sp.rho, k)
+                   / math.factorial(k) for k in range(sp.depth))
+        assert np.max(np.abs(sp.exp_pi_i_rho - want)) < 1e-14 * np.max(
+            np.abs(want))
+        for arr in (sp.exp_pi_i_theta, sp.exp_pi_i_rho):
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
+        sp.set_rho(np.zeros_like(sp.rho))
+        assert np.array_equal(sp.exp_pi_i_rho, np.eye(sp.size))
+
+
 # ---------------------------------------------------------------------------
 # Gamma class
 # ---------------------------------------------------------------------------

@@ -97,6 +97,18 @@ def test_contractible_loop_is_identity():
     assert np.max(np.abs(res.matrix - np.eye(space.size))) < 1e-7
 
 
+def test_loop_must_rejoin_its_base_along_the_series_circle():
+    # arcs about 0 outside the guard come from the series; a loop made of
+    # them alone, or one that does not turn back along them, has no local
+    # piece to read C from
+    space, prod, sser = _setup(3)
+    r = md.base_radius(3)
+    for loop in ([Arc(0.0, r, 0.0, 2.0 * math.pi)],
+                 md.gamma_loop(3, 0.0, 1)[:-1]):
+        with pytest.raises(ValueError, match="same arcs"):
+            md.monodromy_matrix(space, prod, sser, -3, loop, TOL)
+
+
 def test_reflections_on_p1_match_gamma_classes():
     n = 3
     space, prod, sser = _setup(n)

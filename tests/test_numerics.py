@@ -618,19 +618,60 @@ def test_ode_blocked_matches_termwise_twisted4(twisted4_loops):
         _assert_same_continuation(args[:4], branch0=args[4])
 
 
+def _p3_model():
+    q = cmath.exp(P3_Q_LOG)
+    return (make_proj(3), quantum_mult_proj(3, q),
+            sseries_proj(3, q, pd.SERIES_CAP))
+
+
+def _outer_branch(loop, branch0):
+    """The branch at the outer point that the leading big-circle arc of a
+    k > 0 loop reaches: the arc moves log lambda by i (angle1 - angle0)."""
+    arc = loop[0]
+    log = nx._resync_log(arc.end, branch0.log_value
+                         + 1j * (arc.angle1 - arc.angle0))
+    return nx.BranchState(loop[1].start, log)
+
+
 def test_ode_counts_repeat_and_match_monodromy(p3_loops):
-    args = p3_loops[2]
-    counts = [nx.ode_continue(*args[:4], branch0=args[4])[3]
-              for _ in range(2)]
+    # a k > 0 loop continues only its local piece, loop[1:-1], from the
+    # period series at the outer point; the big-circle arcs are not walked
+    euler, upper, loop, _, branch0 = p3_loops[2]
+    space, product, sser = _p3_model()
+    outer = _outer_branch(loop, branch0)
+    sol = pd.fundamental_solution(space, product, sser, -5, outer,
+                                  md.BASE_SERIES_TOL)
+    i_outer = sol.value
+    counts = [nx.ode_continue(euler, upper, loop[1:-1], i_outer,
+                              branch0=outer)[3] for _ in range(2)]
     steps, terms = counts[0]
     assert counts[1] == counts[0]
     assert steps > 0 and 2 * steps <= terms < nx._TERM_CAP * steps
-    q = cmath.exp(P3_Q_LOG)
-    res = md.monodromy_matrix(make_proj(3), quantum_mult_proj(3, q),
-                              sseries_proj(3, q, pd.SERIES_CAP), -5,
-                              md.gamma_loop(5, P3_Q_LOG, 2),
+    res = md.monodromy_matrix(space, product, sser, -5, loop,
                               md.BASE_SERIES_TOL)
     assert res.counters == {"taylor_steps": steps, "taylor_terms": terms}
+    # C is solved against the outer series, so its budget is read there
+    assert res.residuals["cond_outer"] == float(np.linalg.cond(i_outer))
+    assert res.residuals["truncation"] == (sol.truncation_error
+                                           / float(np.max(np.abs(i_outer))))
+    # the whole loop took 41 steps and 995 terms, the local piece 19 and 403
+    whole_steps, whole_terms = nx.ode_continue(*p3_loops[2][:4],
+                                               branch0=branch0)[3]
+    assert 2 * steps < whole_steps and 2 * terms < whole_terms
+
+
+def test_big_circle_arc_continuation_matches_series(p3_loops):
+    # what the loops no longer walk: continuing the base-point periods
+    # along the leading arc lands on the period series at the arc's end,
+    # on the branch that monodromy_matrix takes there
+    space, product, sser = _p3_model()
+    for euler, upper, loop, i_base, branch0 in p3_loops[1:]:
+        y, branch, _, _ = nx.ode_continue(euler, upper, loop[:1], i_base,
+                                          branch0=branch0)
+        assert branch.log_value == _outer_branch(loop, branch0).log_value
+        want = pd.fundamental_solution(space, product, sser, -5, branch,
+                                       md.BASE_SERIES_TOL).value
+        assert np.max(np.abs(y - want)) < 1e-11 * np.max(np.abs(want))
 
 
 def test_ode_term_cap_raises(monkeypatch):

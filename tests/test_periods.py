@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gamma_monodromy import periods as pd
+from gamma_monodromy import quantum as qm
 from gamma_monodromy.cohomology import (intersection_pairing, make_proj,
                                         make_twisted)
 from gamma_monodromy.numerics import (BranchState, branch_power, jet_mul,
@@ -241,6 +242,37 @@ def test_fundamental_solution_nonconvergence_error():
     with pytest.raises(pd.ConvergenceError, match="in 31 terms"):
         pd.fundamental_solution(sp, prod, sser, -3,
                                 principal_branch(6.0), 0.0)
+    # an on-demand series grows while it is read, up to its order
+    deep = qm.sseries_proj.__wrapped__(m, 1.0 + 0.0j, 100)
+    with pytest.raises(pd.ConvergenceError, match="in 101 terms"):
+        pd.fundamental_solution(sp, prod, deep, -3,
+                                principal_branch(6.0), 0.0)
+    assert deep.mats.shape == (101, sp.size, sp.size)
+
+
+@pytest.mark.parametrize("kind, arg", [("proj", m) for m in range(1, 6)]
+                         + [("twisted", n) for n in range(3, 8)])
+def test_fundamental_solution_same_on_lazy_and_eager_series(kind, arg):
+    # just outside the guard at tol 1e-20 the series reads 70 to 80 terms,
+    # past the 48 matrices of the on-demand series' first build
+    if kind == "proj":
+        sp, prod = make_proj(arg), quantum_mult_proj(arg, 1.0)
+        make, make_inv = qm.sseries_proj, qm.s_inverse_series_proj
+        level = -arg - 2
+    else:
+        sp, prod = make_twisted(arg), qm.quantum_mult_twisted(arg, 1.3)
+        make, make_inv = qm.sseries_twisted, qm.s_inverse_series_twisted
+        level = -arg
+    lazy = make.__wrapped__(arg, prod.param, pd.SERIES_CAP)
+    eager = SSeries(sp, prod.param, qm.s_from_inverse(
+        make_inv(arg, prod.param, pd.SERIES_CAP)).mats)
+    br = principal_branch(1.01 * pd.GUARD_FACTOR * prod.radius)
+    got = pd.fundamental_solution(sp, prod, lazy, level, br, 1e-20)
+    want = pd.fundamental_solution(sp, prod, eager, level, br, 1e-20)
+    assert got.terms >= 60
+    assert got.terms == want.terms
+    assert got.value.tobytes() == want.value.tobytes()
+    assert got.truncation_error == want.truncation_error
 
 
 def test_fundamental_solution_truncation_recorded():

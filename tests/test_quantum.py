@@ -246,6 +246,69 @@ def test_sseries_is_one_read_only_array(make, make_inv, args):
         assert s.mats[l].tobytes() == want.tobytes()
 
 
+_LAZY_CASES = ([("proj", m, 0.9 - 0.2j) for m in range(1, 6)]
+               + [("twisted", n, 1.3 + 0.0j) for n in range(3, 8)])
+
+
+def _fresh_series(kind, arg, param, K):
+    """An on-demand series that bypasses the cache, and its eager twin."""
+    if kind == "proj":
+        make, make_inv = qm.sseries_proj, qm.s_inverse_series_proj
+    else:
+        make, make_inv = qm.sseries_twisted, qm.s_inverse_series_twisted
+    return (make.__wrapped__(arg, param, K),
+            qm.s_from_inverse(make_inv(arg, param, K)).mats)
+
+
+@pytest.mark.parametrize("kind, arg, param", _LAZY_CASES)
+def test_lazy_sseries_prefixes_match_eager_build(kind, arg, param):
+    s, eager = _fresh_series(kind, arg, param, 200)
+    size = s.space.size
+    assert s.order == 200
+    for terms in (1, 20, 48, 49, 60, 96, 150, 201, 250):
+        got = s.head(terms)
+        count = min(terms, 201)
+        assert got.shape == (count, size, size)
+        assert not got.flags.writeable
+        assert got.tobytes() == eager[:count].tobytes()
+    assert s.mats.shape == (201, size, size)
+    assert not s.mats.flags.writeable
+    assert s.mats.tobytes() == eager.tobytes()
+
+
+def test_lazy_sseries_builds_only_as_deep_as_read(monkeypatch):
+    orders = []
+    build = qm.s_inverse_series_proj
+
+    def counted(m, q, K):
+        orders.append(K)
+        return build(m, q, K)
+
+    monkeypatch.setattr(qm, "s_inverse_series_proj", counted)
+    s = qm.sseries_proj.__wrapped__(2, 0.9 - 0.2j, 200)
+    assert orders == [47]
+    s.head(48)
+    assert orders == [47]
+    s.head(49)
+    assert orders == [47, 95]
+    assert s.mats.shape == (201, 3, 3)
+    assert orders == [47, 95, 200]
+    s.head(201)
+    assert orders == [47, 95, 200]
+    # a short series is built whole at once
+    assert qm.sseries_proj.__wrapped__(2, 0.9 - 0.2j, 30).mats.shape[0] == 31
+    assert orders[-1] == 30
+
+
+def test_plain_sseries_holds_its_array_read_only():
+    mats = np.zeros((5, 2, 2), dtype=complex)
+    s = qm.SSeries(make_twisted(3), 1.0, mats)
+    assert s.order == 4
+    assert s.head(9).shape == (5, 2, 2)
+    assert not s.mats.flags.writeable
+    assert mats.flags.writeable
+
+
 def test_symplectic_residuals():
     assert qm.symplectic_residual(qm.sseries_proj(2, 1.0 + 0.0j, 10)) < 1e-10
     assert qm.symplectic_residual(qm.sseries_proj(4, 0.6 + 0.2j, 8)) < 1e-10
