@@ -15,16 +15,26 @@ The full period matrix is the convergent series
 whose columns solve dY/dlam = (lam - E*)^{-1} (theta - ell - 1/2) Y.
 
 `fundamental_solution` does not rebuild M_{ell+k} from Gamma at every term.
-With g(nu, w) = lam^{nu+w-1/2}/Gamma(nu+w+1/2), consecutive levels obey
+The jet of g(nu, w) = lam^{nu+w-1/2}/Gamma(nu+w+1/2) splits as
 
-    g(nu - 1, w) = (nu - 1/2 + w) g(nu, w) / lam,
+    g(nu, w) = lam^{nu-1/2} * (E R(nu))(w),   E_d = (log lam)^d / d!,
 
-a product with a linear jet.  So each call fills one jet chain,
-G[t, i] = jet of g at nu = theta_i - ell - t: the first D rows (D the
-nilpotency depth of rho) from Gamma, every deeper row in place from the
-row above by the recurrence, vectorised over i, with 1/lam = exp(-log lam)
-on the carried branch.  Term k reads M_{ell+k} = sum_j rho^j
-diag_i(G[k + j, i, j]), a diagonal of the chain.
+a jet product, where R(nu) is the jet of 1/Gamma(nu + 1/2 + w): real,
+because theta is real, and free of lambda.  Term k reads M_{ell+k} =
+sum_j rho^j diag_i(G[k + j, i, j]) from the jet chain G[t, i] of g at
+nu = theta_i - ell - t, and the R of that chain is a ladder cached per
+(theta, ell, D), D the nilpotency depth of rho.  Its first D rows come
+from Gamma jets, every deeper row from the row above by the exact
+linear-jet recurrence
+
+    1/Gamma(x - 1 + w) = (x - 1 + w) / Gamma(x + w),
+
+vectorised over i.  Rows grow like |x|!, so each is kept as a float64
+mantissa times a power of two whose exponent joins the power of lambda.
+The ladder stores the diagonals R[k + j, i, j - e] that M_{ell+k} reads
+and grows by doubling when a block needs more, replacing its read-only
+arrays whole.  A call supplies only the D numbers E and the powers of
+lambda: one exponential and one contraction per block.
 
 The terms are formed _BLOCK at a time: one einsum of the diagonals
 against the cached powers of rho gives the block's masters, one batched
@@ -38,6 +48,7 @@ evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,6 +65,8 @@ CONVERGED_RUN = 3
 MIN_TERMS = 8
 GUARD_FACTOR = 1.5
 _BLOCK = 8           # period-series terms formed per batch
+_LADDER_FIRST = 48   # diagonals of a ladder's first build
+_ROW_EXP = 512       # a ladder row past 2^_ROW_EXP moves into its exponent
 
 
 class ConvergenceError(NumericsError):
@@ -108,52 +121,105 @@ def master_period(space: SpaceModel, level: int, branch: BranchState) -> np.ndar
     return acc
 
 
-class _JetChain:
-    """Row t holds the jets G[t, i] of g(nu, w) at nu = theta_i - level - t,
-    in one preallocated (n_terms + depth - 1, size, depth) array.
+def _rescaled(row: np.ndarray, exp: int) -> tuple[np.ndarray, int]:
+    """row * 2^exp as a mantissa below 1 and an exponent, once row passes
+    2^_ROW_EXP; otherwise as it stands."""
+    top = int(np.frexp(np.max(np.abs(row)))[1])
+    if top > _ROW_EXP:
+        return np.ldexp(row, -top), exp + top
+    return row, exp
 
-    Rows t < depth come from Gamma jets; each deeper row is made from the
-    one above it by the recurrence, when a block of masters first needs
-    it.  The diagonals G[k + j, i, j] that M_{level+k} reads are one
-    strided view of the chain.
+
+class _Ladder:
+    """The lambda-free jets of the chain at one (theta, level, depth).
+
+    Row t is the jet R[t, i] of 1/Gamma(x + w) at x = theta_i - level - t
+    + 1/2, kept as 2^exps[t] * rows[t].  For the diagonals k it has built,
+    it holds the read-only arrays, each replaced whole when it grows,
+
+        rd[k, i, j, e] = rows[k + j, i, j - e]   (0 where e > j),
+        nu_half[k, i, j] = theta_i - level - k - j - 1/2,
+        shift[k, 0, j] = exps[k + j] * log 2,
+
+    so that G[k + j, i, j] = exp(nu_half log lam + shift) * (rd @ E).
     """
+
+    def __init__(self, theta: tuple, level: int, depth: int):
+        order = depth - 1
+        self.nu = np.array(theta) - level        # nu of row 0
+        first = [_rescaled(np.array([_rg_jet_coeffs(nu - t + 0.5, order).real
+                                     for nu in self.nu]), 0)
+                 for t in range(depth)]
+        self.rows = np.array([row for row, _ in first])
+        self.exps = np.array([exp for _, exp in first])
+        self._build(0)
+
+    def head(self, count: int, limit: int):
+        """(rd, nu_half, shift) over at least count diagonals.  The first
+        build holds _LADDER_FIRST of them and each growth doubles that, but
+        never past max(count, limit)."""
+        if len(self.rd) < count:
+            size = _LADDER_FIRST
+            while size < count:
+                size *= 2
+            self._build(min(size, max(count, limit)))
+        return self.rd, self.nu_half, self.shift
+
+    def _build(self, count: int) -> None:
+        depth = self.rows.shape[2]
+        rows, exps = list(self.rows), self.exps.tolist()
+        for t in range(len(rows), count + depth - 1):
+            # 1/Gamma(x - 1 + w) = (x - 1 + w) / Gamma(x + w), x - 1 of row t
+            last = rows[-1]
+            nxt = (self.nu - t + 0.5)[:, None] * last
+            nxt[:, 1:] += last[:, :-1]
+            row, exp = _rescaled(nxt, exps[-1])
+            rows.append(row)
+            exps.append(exp)
+        self.rows, self.exps = np.array(rows), np.array(exps)
+        diag = np.arange(count)[:, None] + np.arange(depth)      # k + j
+        lag = np.subtract.outer(np.arange(depth), np.arange(depth))
+        lag[lag < 0] = depth                     # the zero column below
+        padded = np.concatenate(
+            [self.rows, np.zeros(self.rows.shape[:2] + (1,))], axis=2)
+        rd = padded[diag[:, None, :, None],
+                    np.arange(len(self.nu))[:, None, None], lag]
+        nu_half = self.nu[:, None] - diag[:, None, :] - 0.5
+        shift = (self.exps[diag] * math.log(2.0))[:, None, :]
+        for arr in (self.rows, self.exps, rd, nu_half, shift):
+            arr.flags.writeable = False
+        self.rd, self.nu_half, self.shift = rd, nu_half, shift
+
+
+@lru_cache(maxsize=64)
+def _ladder(theta: tuple, level: int, depth: int) -> _Ladder:
+    return _Ladder(theta, level, depth)
+
+
+class _JetChain:
+    """The masters M_{level+k}, k < n_terms, at one branch of log lambda:
+    the cached ladder of (theta, level, depth) times the jet E of
+    lam^w and the powers of lambda."""
 
     def __init__(self, space: SpaceModel, level: int, branch: BranchState,
                  n_terms: int):
-        depth = space.depth
-        order = depth - 1
-        self.theta = np.diag(space.theta)
         self.rho_powers = space.rho_powers
-        self.level = level
-        self.inv_lam = branch_power(branch, -1.0)
-        self.chain = np.empty((n_terms + order, space.size, depth),
-                              dtype=complex)
-        for t in range(depth):
-            for i, th in enumerate(self.theta):
-                nu = th - level - t
-                self.chain[t, i] = jet_mul(_log_pow_jet(branch, nu, order),
-                                           _rg_jet_coeffs(nu + 0.5, order))
-        self.filled = depth
-        s0, s1, s2 = self.chain.strides
-        self.diagonals = np.lib.stride_tricks.as_strided(
-            self.chain, (n_terms, space.size, depth), (s0, s1, s0 + s2),
-            writeable=False)
+        self.ladder = _ladder(tuple(np.diag(space.theta).real.tolist()),
+                              level, space.depth)
+        self.n_terms = n_terms
+        self.log_lam = branch.log_value
+        jet = [1.0 + 0.0j]
+        for d in range(1, space.depth):
+            jet.append(jet[-1] * branch.log_value / d)
+        self.log_jet = np.array(jet)             # E_d = (log lam)^d / d!
 
     def masters(self, start: int, stop: int) -> np.ndarray:
         """M_{level+k} for k = start .. stop-1, as one (stop - start, size,
         size) array: M = sum_j rho^j diag_i(G[k + j, i, j])."""
-        chain = self.chain
-        rows = np.arange(self.filled, stop + chain.shape[2] - 1)
-        # g(nu - 1) = (nu - 1/2 + w) g(nu) / lam, with nu that of row t - 1
-        shifts = self.theta - self.level - (rows - 1)[:, None] - 0.5
-        for t, a in zip(rows.tolist(), shifts[:, :, None]):
-            last, nxt = chain[t - 1], chain[t]
-            np.multiply(a, last, out=nxt)
-            nxt[:, 1:] += last[:, :-1]
-            np.multiply(self.inv_lam, nxt, out=nxt)
-        self.filled += len(rows)
-        return np.einsum("jac,kcj->kac", self.rho_powers,
-                         self.diagonals[start:stop])
+        rd, nu_half, shift = self.ladder.head(stop, self.n_terms)
+        diag = np.exp(nu_half[start:stop] * self.log_lam + shift[start:stop])
+        diag *= rd[start:stop] @ self.log_jet
+        return np.einsum("jac,kcj->kac", self.rho_powers, diag)
 
 
 def fundamental_solution(space: SpaceModel, product: QuantumProduct,
@@ -221,8 +287,7 @@ def connection_rhs(space: SpaceModel, product: QuantumProduct, level: int):
 def sigma_transform(space: SpaceModel, v: np.ndarray) -> np.ndarray:
     """Componentwise multiplication by exp(pi i theta_i); a matrix is
     transformed column by column."""
-    phases = np.exp(1j * np.pi * np.diag(space.theta))
-    return (phases * np.asarray(v, dtype=complex).T).T
+    return (space.exp_pi_i_theta * np.asarray(v, dtype=complex).T).T
 
 
 def twisted_period(n: int, Q: complex, m: int, beta: np.ndarray,
@@ -253,5 +318,7 @@ def twisted_projective_match(n: int, Q: complex, m: int, beta: np.ndarray,
     sser = sseries_proj(n - 2, q, SERIES_CAP)
     sol = fundamental_solution(proj, product, sser, -m, branch, tol)
     vec = sol.value @ sigma_transform(proj, beta)
+    # not conj(exp_pi_i_theta): at theta_i = 0 that flips the sign of a
+    # zero imaginary part
     phases = np.exp(-1j * np.pi * np.diag(proj.theta))
     return lhs, (phases * vec.T).T

@@ -1,6 +1,7 @@
 """Master periods, fundamental solutions, and the twisted identification."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -139,6 +140,100 @@ def test_level_ladder_depth_one():
     assert _ladder_deviation(sp, levels=12) < 1e-12
 
 
+# diagonals on both sides of the ladder's builds of 48, 96, 192 and 201,
+# and (170, 200) rows moved into their exponent past 2^512
+DEEP_DIAGONALS = (0, 47, 48, 95, 96, 170, 200)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_rgamma_jet(twice_x: int, order: int):
+    """The 30-digit jet of 1/Gamma at twice_x / 2."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        return mpmath.taylor(mpmath.rgamma, mpmath.mpf(twice_x) / 2, order)
+
+
+def _mp_masters(sp, level, br, ks):
+    """{k: M_{level+k}} from 30-digit mpmath jets of 1/Gamma times the
+    power of lambda, leaving out the k whose entries pass 1e300, which
+    float64 cannot hold."""
+    import mpmath
+
+    out = {}
+    with mpmath.workdps(30):
+        log_lam = mpmath.mpc(br.log_value)
+        jet = [log_lam ** e / mpmath.factorial(e) for e in range(sp.depth)]
+        for k in ks:
+            diag = []
+            for j in range(sp.depth):
+                row = []
+                for th in np.diag(sp.theta).real:
+                    nu = th - level - k - j
+                    rg = _mp_rgamma_jet(int(2 * nu + 1), sp.depth - 1)
+                    row.append(mpmath.exp((mpmath.mpf(nu) - 0.5) * log_lam)
+                               * mpmath.fdot(jet[:j + 1], rg[j::-1]))
+                diag.append(row)
+            if max(abs(v) for row in diag for v in row) < 1e300:
+                diag = np.array(diag, dtype=complex)
+                out[k] = np.einsum("jac,jc->ac", sp.rho_powers, diag)
+    return out
+
+
+@pytest.mark.parametrize("sp", [make_proj(m) for m in range(1, 7)]
+                         + [make_twisted(n) for n in range(3, 9)],
+                         ids=lambda sp: "%s:%d" % (sp.kind, sp.param))
+def test_deep_ladder_rows_match_mpmath(sp):
+    # rounding nu log(lam), up to about 2e3 at k = 200, costs about
+    # 2e3 * 2^-53 = 2e-13 relative; the worst reading is 1.6e-13 (proj:6,
+    # lam = 40 + 3i, k = 95), and 1152 of the 1260 masters are compared
+    pytest.importorskip("mpmath")
+    pd._ladder.cache_clear()
+    start = -(sp.size + 2)
+    worst = 0.0
+    for lam in LADDER_LAMS:
+        for winding in (-1, 0, 1):
+            br = principal_branch(lam, winding=winding)
+            chain = pd._JetChain(sp, start, br, pd.SERIES_CAP + 1)
+            for k, want in _mp_masters(sp, start, br, DEEP_DIAGONALS).items():
+                got = chain.masters(k, k + 1)[0]
+                dev = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                worst = max(worst, dev)
+    assert len(chain.ladder.rd) == pd.SERIES_CAP + 1
+    assert worst < 1e-12
+
+
+def test_ladder_cache_hands_out_read_only_prefixes():
+    sp = make_proj(3)
+    pd._ladder.cache_clear()
+    br = principal_branch(5.0 - 2.0j, winding=1)
+    before = pd._JetChain(sp, -5, br, pd.SERIES_CAP + 1)
+    first = before.masters(0, pd._BLOCK)
+    ladder = before.ladder
+    arrays = (ladder.rows, ladder.exps, ladder.rd, ladder.nu_half,
+              ladder.shift)
+    size = len(ladder.rd)
+    assert size == pd._LADDER_FIRST
+    # another call grows the shared ladder to 192 and then 201 diagonals
+    other = pd._JetChain(sp, -5, principal_branch(9.0), pd.SERIES_CAP + 1)
+    other.masters(pd.SERIES_CAP - 3, pd.SERIES_CAP + 1)
+    assert other.ladder is ladder
+    assert len(ladder.rd) == pd.SERIES_CAP + 1
+    assert ladder.exps[-1] > 0
+    grown = (ladder.rows, ladder.exps, ladder.rd, ladder.nu_half,
+             ladder.shift)
+    for old, new in zip(arrays, grown):
+        assert not old.flags.writeable and not new.flags.writeable
+        assert old.tobytes() == new[:len(old)].tobytes()
+    with pytest.raises(ValueError):
+        ladder.rd[0, 0, 0, 0] = 1.0
+    after = pd._JetChain(sp, -5, br, pd.SERIES_CAP + 1)
+    for chain in (before, after):
+        assert chain.masters(0, pd._BLOCK).tobytes() == first.tobytes()
+    assert (before.masters(size - 4, size + 4).tobytes()
+            == after.masters(size - 4, size + 4).tobytes())
+
+
 # ---------------------------------------------------------------------------
 # fundamental solution
 # ---------------------------------------------------------------------------
@@ -169,6 +264,29 @@ def test_fundamental_solution_counts_terms():
         assert first == again
         counts.append(first)
     assert pd.MIN_TERMS < counts[0] < counts[1] < counts[2] <= len(sser.mats)
+
+
+def test_period_series_work_count_pinned():
+    # the six period-sweep kinds at fixed q or Q, the levels 0, -n and
+    # -n + 1 and eight lambda each: 144 series whose total length is fixed,
+    # so a change that moves the stopping term shows here
+    total = 0
+    for kind, n in (("proj", 3), ("proj", 4), ("proj", 5),
+                    ("twisted", 3), ("twisted", 4), ("twisted", 5)):
+        if kind == "proj":
+            q = 1.2 * cmath.exp(0.3j * math.pi)
+            sp, prod = make_proj(n - 2), quantum_mult_proj(n - 2, q)
+            sser = sseries_proj(n - 2, q, pd.SERIES_CAP)
+        else:
+            sp, prod = make_twisted(n), qm.quantum_mult_twisted(n, 1.3)
+            sser = qm.sseries_twisted(n, 1.3 + 0.0j, pd.SERIES_CAP)
+        for i in range(8):
+            lam = (2.1 + 0.25 * i) * prod.radius * cmath.exp(0.1j * (i - 3.5))
+            br = principal_branch(lam)
+            for level in (0, -n, -n + 1):
+                total += pd.fundamental_solution(sp, prod, sser, level, br,
+                                                 1e-11).terms
+    assert total == 3179
 
 
 def _term_by_term(sp, sser, level, br, tol):
