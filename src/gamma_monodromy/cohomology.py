@@ -17,6 +17,7 @@ Chern class of the tangent bundle (its classical, parameter-free part).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,11 +32,14 @@ class SpaceMismatchError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SpaceModel:
+    """A ring model as a value: frozen, hashed by identity and with every
+    array read-only, so that caches can share it."""
+
     kind: str
     param: int
-    basis: list[str]
+    basis: tuple[str, ...]
     degrees: np.ndarray
     dim: int
     cup: np.ndarray        # cup[i, j, :] = coefficients of basis_i * basis_j
@@ -43,19 +47,38 @@ class SpaceModel:
     rho: np.ndarray
     delta: np.ndarray | None = None
     _unit: int | None = field(default=0, repr=False)
-    depth: int = 0         # smallest D with rho^D = 0, found by set_rho
-    rho_powers: np.ndarray | None = field(default=None, repr=False)
-    # exp(pi i theta) as a vector and exp(pi i rho), read by euler_pairing
-    exp_pi_i_theta: np.ndarray | None = field(default=None, repr=False)
-    exp_pi_i_rho: np.ndarray | None = field(default=None, repr=False)
+    # set by __post_init__: theta = diag(dim/2 - deg), the smallest D with
+    # rho^D = 0, rho^0 .. rho^(D-1), the factors of euler_pairing and the
+    # key (diag theta, D) of the period ladder
+    theta: np.ndarray = field(init=False, repr=False)
+    depth: int = field(init=False)
+    rho_powers: np.ndarray = field(init=False, repr=False)
+    exp_pi_i_theta: np.ndarray = field(init=False, repr=False)
+    exp_pi_i_rho: np.ndarray = field(init=False, repr=False)
+    ladder_key: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        put = functools.partial(object.__setattr__, self)
+        put("basis", tuple(self.basis))
+        put("theta", np.diag(self.dim / 2.0 - self.degrees).astype(complex))
+        put("exp_pi_i_theta", np.exp(1j * math.pi * np.diag(self.theta)))
+        put("exp_pi_i_rho", _exp_pi_i_rho(self))
+        pows = [np.eye(self.size, dtype=complex)]
+        while np.max(np.abs(pows[-1])) != 0.0:
+            if len(pows) > self.size + 2:
+                raise ValueError("matrix is not nilpotent")
+            pows.append(self.rho @ pows[-1])
+        put("depth", len(pows) - 1)
+        put("rho_powers", np.array(pows[:-1]))
+        put("ladder_key", (tuple(np.diag(self.theta).real.tolist()),
+                           self.depth))
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def size(self) -> int:
         return len(self.basis)
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.diag(self.dim / 2.0 - self.degrees).astype(complex)
 
     def index(self, label: str) -> int:
         return self.basis.index(label)
@@ -77,7 +100,7 @@ class SpaceModel:
 
     def mult_matrix(self, v: np.ndarray) -> np.ndarray:
         """Matrix of cup product with v, acting on column coefficient vectors."""
-        return np.einsum("i,ijk->kj", v, self.cup)
+        return _mult_matrix(self.cup, v)
 
     def pair(self, a: np.ndarray, b: np.ndarray) -> complex:
         return complex(a @ self.pairing @ b)
@@ -85,26 +108,12 @@ class SpaceModel:
     def integral(self, v: np.ndarray) -> complex:
         return self.pair(v, self.unit())
 
-    def set_rho(self, rho: np.ndarray) -> None:
-        """Set rho and, once per model, its nilpotency depth D, the
-        read-only stack rho^0 .. rho^(D-1), and the read-only factors
-        exp(pi i theta) and exp(pi i rho) of the Euler pairing."""
-        self.rho = rho
-        self.exp_pi_i_theta = np.exp(1j * math.pi * np.diag(self.theta))
-        self.exp_pi_i_rho = _exp_pi_i_rho(self)
-        self.exp_pi_i_theta.flags.writeable = False
-        self.exp_pi_i_rho.flags.writeable = False
-        pows = [np.eye(self.size, dtype=complex)]
-        for _ in range(self.size + 2):
-            if np.max(np.abs(pows[-1])) == 0.0:
-                self.depth = len(pows) - 1
-                self.rho_powers = np.array(pows[:-1])
-                self.rho_powers.flags.writeable = False
-                return
-            pows.append(rho @ pows[-1])
-        raise ValueError("matrix is not nilpotent")
+
+def _mult_matrix(cup: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("i,ijk->kj", v, cup)
 
 
+@functools.lru_cache(maxsize=None)
 def make_proj(m: int) -> SpaceModel:
     if not 1 <= m <= 8:
         raise ValueError("proj dimension out of range [1, 8]")
@@ -119,11 +128,11 @@ def make_proj(m: int) -> SpaceModel:
     pairing = np.zeros((size, size))
     for i in range(size):
         pairing[i, m - i] = 1.0
-    sp = SpaceModel("proj", m, basis, degrees, m, cup, pairing, np.zeros((size, size)))
-    sp.set_rho((m + 1) * sp.mult_matrix(sp.basis_vector("p")))
-    return sp
+    rho = (m + 1) * _mult_matrix(cup, np.eye(size, dtype=complex)[1])
+    return SpaceModel("proj", m, basis, degrees, m, cup, pairing, rho)
 
 
+@functools.lru_cache(maxsize=None)
 def make_twisted(n: int) -> SpaceModel:
     if not 2 <= n <= 8:
         raise ValueError("twisted parameter out of range [2, 8]")
@@ -142,12 +151,10 @@ def make_twisted(n: int) -> SpaceModel:
         b = n - (a + 1)
         if 1 <= b <= n - 1:
             pairing[a, b - 1] = sign
-    sp = SpaceModel("twisted", n, basis, degrees, n, cup, pairing,
-                    np.zeros((size, size)), _unit=None)
     # classical part of the twisted Euler pairing field: -(n-1) e cup
-    sp.set_rho(-(n - 1) * sp.mult_matrix(sp.basis_vector("e")))
-    sp.delta = np.diag(-degrees.astype(float))
-    return sp
+    rho = -(n - 1) * _mult_matrix(cup, np.eye(size, dtype=complex)[0])
+    return SpaceModel("twisted", n, basis, degrees, n, cup, pairing, rho,
+                      delta=np.diag(-degrees.astype(float)), _unit=None)
 
 
 def make_blproj(n: int) -> SpaceModel:
@@ -189,11 +196,10 @@ def make_blproj(n: int) -> SpaceModel:
     delta = np.zeros(size)
     for k in range(1, n):
         delta[eidx(k)] = -k
-    sp = SpaceModel("blproj", n, basis, degrees, n, cup, pairing,
-                    np.zeros((size, size)), delta=np.diag(delta))
-    c1 = (n + 1) * sp.basis_vector("h") - (n - 1) * sp.basis_vector("e")
-    sp.set_rho(sp.mult_matrix(c1))
-    return sp
+    c1 = np.zeros(size, dtype=complex)
+    c1[hidx(1)], c1[eidx(1)] = n + 1, -(n - 1)
+    return SpaceModel("blproj", n, basis, degrees, n, cup, pairing,
+                      _mult_matrix(cup, c1), delta=np.diag(delta))
 
 
 # ---------------------------------------------------------------------------

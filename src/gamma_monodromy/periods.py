@@ -36,14 +36,16 @@ and grows by doubling when a block needs more, replacing its read-only
 arrays whole.  A call supplies only the D numbers E and the powers of
 lambda: one exponential and one contraction per block.
 
-The terms are formed _BLOCK at a time: one einsum of the diagonals
+The terms are formed _BLOCK = 24 at a time: one einsum of the diagonals
 against the cached powers of rho gives the block's masters, one batched
 matmul against S_k and the alternating sign give its terms, and a
 cumulative sum seeded with the running total gives its partial sums.  The
 stopping rule then reads the block's term norms and partial-sum scales
 one term at a time, so the sum stops at the same term, and holds the same
-value, as a term-by-term loop.  `master_period` stays the direct
-evaluation.
+value, as a term-by-term loop.  Most series stop after 16 to 36 terms, so
+one or two blocks; two blocks end at the 48 matrices of an S-series'
+first build, so a series of up to 48 terms never grows it.
+`master_period` stays the direct evaluation.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ SERIES_CAP = 200
 CONVERGED_RUN = 3
 MIN_TERMS = 8
 GUARD_FACTOR = 1.5
-_BLOCK = 8           # period-series terms formed per batch
+_BLOCK = 24          # period-series terms formed per batch
 _LADDER_FIRST = 48   # diagonals of a ladder's first build
 _ROW_EXP = 512       # a ladder row past 2^_ROW_EXP moves into its exponent
 
@@ -144,7 +146,8 @@ class _Ladder:
     so that G[k + j, i, j] = exp(nu_half log lam + shift) * (rd @ E).
     """
 
-    def __init__(self, theta: tuple, level: int, depth: int):
+    def __init__(self, key: tuple, level: int):
+        theta, depth = key
         order = depth - 1
         self.nu = np.array(theta) - level        # nu of row 0
         first = [_rescaled(np.array([_rg_jet_coeffs(nu - t + 0.5, order).real
@@ -192,8 +195,9 @@ class _Ladder:
 
 
 @lru_cache(maxsize=64)
-def _ladder(theta: tuple, level: int, depth: int) -> _Ladder:
-    return _Ladder(theta, level, depth)
+def _ladder(key: tuple, level: int) -> _Ladder:
+    """The ladder of a model's `ladder_key`, (diag theta, depth), at level."""
+    return _Ladder(key, level)
 
 
 class _JetChain:
@@ -204,8 +208,7 @@ class _JetChain:
     def __init__(self, space: SpaceModel, level: int, branch: BranchState,
                  n_terms: int):
         self.rho_powers = space.rho_powers
-        self.ladder = _ladder(tuple(np.diag(space.theta).real.tolist()),
-                              level, space.depth)
+        self.ladder = _ladder(space.ladder_key, level)
         self.n_terms = n_terms
         self.log_lam = branch.log_value
         jet = [1.0 + 0.0j]

@@ -6,10 +6,12 @@ inverted order by order through the symplectic relation S(z)^{-1} = the
 pairing-adjoint of S(-z).
 
 Each series is built as one array of shape (K+1, size, size) whose entry
-l multiplies z^-l: the degree-d product of the closed formula is formed
-once per degree and its column heads land in the array in one indexed
-add, and the adjoint is one batched solve over all orders.  `SSeries.mats`
-is that array, read-only because the caches share it.
+l multiplies z^-l, and the adjoint is one batched solve over all orders.
+`SSeries.mats` is that array, read-only because the caches share it.  The
+degree-d product of the closed formula is free of q: its column heads and
+their slots are tabulated once per (m or n, K), read-only, by `_proj_table`
+and `_twisted_table`.  A call at a fresh q forms each degree's weight, q^d
+or (-1)^{dn} Q^{-d(n-1)}, and adds weight * heads in one indexed add.
 
 The cached series `sseries_proj` and `sseries_twisted` are built only as
 deep as they are read: first to 48 matrices, then to twice the depth each
@@ -160,18 +162,51 @@ def _poly_pow_shifted(shift: complex, i: int, nterms: int) -> np.ndarray:
     return out
 
 
-def _scatter_heads(inv: np.ndarray, l: np.ndarray, heads: np.ndarray) -> None:
-    """One degree's column heads into the series: inv[l[c, a], a, c] +=
-    heads[c, a] wherever 0 < l[c, a] <= K (each slot at most once)."""
-    c, a = np.nonzero((l > 0) & (l < len(inv)))
-    inv[l[c, a], a, c] += heads[c, a]
-
-
-def _inverse_series(space: SpaceModel, param: complex,
-                    inv: np.ndarray) -> SSeries:
+def _inverse_series(space: SpaceModel, param: complex, K: int,
+                    table: tuple, weights) -> SSeries:
+    """Sum the degrees' q-free heads into (K+1, size, size): degree d adds
+    weights[d-1] * heads at its slots of the flattened array, then S_0 = 1."""
+    inv = np.zeros((K + 1, space.size, space.size), dtype=complex)
+    flat = inv.reshape(-1)
+    for (slots, heads), weight in zip(table, weights):
+        flat[slots] += weight * heads
     inv[0] = np.eye(space.size)
     inv.flags.writeable = False
     return SSeries(space, complex(param), inv)
+
+
+def _table(degrees, K: int) -> tuple:
+    """((slots, heads), ..) per degree from (l, heads) pairs: heads[c, a]
+    lands at z^-l[c, a], row a, column c, of the flattened series when
+    0 < l[c, a] <= K.  Read-only, because the caches share it."""
+    out = []
+    for l, heads in degrees:
+        size = len(heads)
+        c, a = np.nonzero((l > 0) & (l <= K))
+        slots, kept = (l[c, a] * size + a) * size + c, heads[c, a]
+        slots.flags.writeable = kept.flags.writeable = False
+        out.append((slots, kept))
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _proj_table(m: int, K: int) -> tuple:
+    """The q-free heads of S^{-1} on H*(P^m) to z^-K: the w-coefficients of
+    (w - d)^i / prod_{m'=1}^{d} (w - m')^{m+1}, w = p/z, in column i."""
+    size = m + 1
+    idx = np.arange(size)
+    offset = idx[None, :] - idx[:, None]       # a - i at [i, a]
+    running = np.zeros(size, dtype=complex)
+    running[0] = 1.0
+    degrees = []
+    d = 1
+    while d * (m + 1) <= K + m + 2:
+        running = jet_mul(running, _inv_factor(-d, m + 1, size))
+        heads = np.array([jet_mul(_poly_pow_shifted(-d, i, size), running)
+                          for i in range(size)])
+        degrees.append((d * (m + 1) + offset, heads))
+        d += 1
+    return _table(degrees, K)
 
 
 def s_inverse_series_proj(m: int, q: complex, K: int) -> SSeries:
@@ -179,32 +214,15 @@ def s_inverse_series_proj(m: int, q: complex, K: int) -> SSeries:
 
     S^{-1} p^i = p^i + sum_{d>=1} q^d (p - d z)^i / prod_{m'=1}^{d}
     (p - m' z)^{n-1} with n - 1 = m + 1; only powers of 1/z survive.
-    The degree-d product is shared by every column.
+    The heads of every degree come from the q-free `_proj_table`.
     """
-    size = m + 1
-    inv = np.zeros((K + 1, size, size), dtype=complex)
-    idx = np.arange(size)
-    offset = idx[None, :] - idx[:, None]       # a - i at [i, a]
-    running = np.zeros(size, dtype=complex)    # w = p/z is nilpotent
-    running[0] = 1.0
+    table = _proj_table(m, K)
+    weights = []
     qd = 1.0 + 0.0j
-    d = 1
-    while d * (m + 1) <= K + m + 2:
-        running = jet_mul(running, _inv_factor(-d, m + 1, size))
+    for _ in table:
         qd *= q
-        heads = np.array([jet_mul(_poly_pow_shifted(-d, i, size), running)
-                          for i in range(size)])
-        _scatter_heads(inv, d * (m + 1) + offset, qd * heads)
-        d += 1
-    return _inverse_series(make_proj(m), q, inv)
-
-
-def s_inverse_proj(m: int, q: complex, i: int, K: int) -> np.ndarray:
-    """Coefficient vectors of z^0, z^-1, .., z^-K in S(q,z)^{-1} p^i: a
-    column of the series array."""
-    if not 0 <= i <= m:
-        raise ValueError("column index out of range")
-    return s_inverse_series_proj(m, q, K).mats[:, :, i]
+        weights.append(qd)
+    return _inverse_series(make_proj(m), q, K, table, weights)
 
 
 def _exceptional_running(n: int, K: int, nw: int):
@@ -225,6 +243,20 @@ def _exceptional_running(n: int, K: int, nw: int):
         d += 1
 
 
+@lru_cache(maxsize=64)
+def _twisted_table(n: int, K: int) -> tuple:
+    """The Q-free heads of twS^{-1} to z^-K: degree d holds the
+    e-coefficients of e / ((e + d z)^{n-i} prod_{m'=1}^{d-1} (e + m' z)^{n-1}),
+    column i - 1."""
+    size = n - 1                               # e^1 .. e^{n-1}
+    poles = n - np.arange(1, n)                # n - i for column i - 1
+    offset = poles[:, None] + np.arange(size)[None, :]
+    return _table([((d - 1) * (n - 1) + offset,
+                    np.array([jet_mul(running, _inv_factor(d, p, size))
+                              for p in poles.tolist()]))
+                   for d, running in _exceptional_running(n, K, size)], K)
+
+
 def s_inverse_series_twisted(n: int, Q: complex, K: int) -> SSeries:
     """twS(Q,z)^{-1} on the exceptional state space to order z^-K; column
     i-1 is twS^{-1} e^i, 1 <= i <= n-1:
@@ -232,26 +264,13 @@ def s_inverse_series_twisted(n: int, Q: complex, K: int) -> SSeries:
     twS^{-1} e^i = e^i + sum_{d>=1} (-1)^{dn} Q^{-d(n-1)}
     e / ((e + d z)^{n-i} prod_{m'=1}^{d-1} (e + m' z)^{n-1}),
 
-    with e acting nilpotently (e^{n} = 0 on the reduced state space).
+    with e acting nilpotently (e^{n} = 0 on the reduced state space).  The
+    heads of every degree come from the Q-free `_twisted_table`.
     """
-    size = n - 1                               # e^1 .. e^{n-1}
-    inv = np.zeros((K + 1, size, size), dtype=complex)
-    poles = n - np.arange(1, n)                # n - i for column i - 1
-    offset = poles[:, None] + np.arange(size)[None, :]
-    for d, running in _exceptional_running(n, K, size):
-        coef = (-1.0) ** (d * n) * complex(Q) ** (-d * (n - 1))
-        heads = np.array([jet_mul(running, _inv_factor(d, p, size))
-                          for p in poles.tolist()])
-        _scatter_heads(inv, (d - 1) * (n - 1) + offset, coef * heads)
-    return _inverse_series(make_twisted(n), Q, inv)
-
-
-def s_inverse_twisted(n: int, Q: complex, i: int, K: int) -> np.ndarray:
-    """Coefficient vectors of z^0 .. z^-K in twS(Q,z)^{-1} e^i,
-    1 <= i <= n-1: a column of the series array."""
-    if not 1 <= i <= n - 1:
-        raise ValueError("column index out of range")
-    return s_inverse_series_twisted(n, Q, K).mats[:, :, i - 1]
+    table = _twisted_table(n, K)
+    weights = [(-1.0) ** (d * n) * complex(Q) ** (-d * (n - 1))
+               for d in range(1, len(table) + 1)]
+    return _inverse_series(make_twisted(n), Q, K, table, weights)
 
 
 def blowup_unit_terms(n: int, K: int) -> dict[int, np.ndarray]:

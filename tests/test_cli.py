@@ -218,3 +218,18 @@ def test_module_entry_point_matches():
                            "phi", "--space", "proj:1", "--q", "-2"],
                           capture_output=True, text=True)
     assert proc.returncode == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--space", "proj:3", "--q", "1"], cli.EXIT_OK),
+    (["--space", "twisted:4", "--Q", "1.3"], cli.EXIT_OK),
+    # k = 6 reads an eigenvalue of -1.000105, just past EIG_TOL: the solve
+    # against the outer period matrix has cond 1.4e12 there.  Solving each
+    # loop in the frame of its arcs (ROADMAP item 1) is expected to turn
+    # this exit into 0.
+    (["--space", "proj:6", "--q", "1"], cli.EXIT_NUMERIC),
+])
+def test_reflections_exit_codes(argv, code, capsys):
+    assert cli.main(["reflections"] + argv) == code
+    if code == cli.EXIT_NUMERIC:
+        assert "not a reflection" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Ring models, Gamma class, Chern character, Euler pairing, HRR identity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -140,8 +141,31 @@ def test_euler_pairing_factors_cached_read_only():
         for arr in (sp.exp_pi_i_theta, sp.exp_pi_i_rho):
             with pytest.raises(ValueError):
                 arr[0] = 2.0
-        sp.set_rho(np.zeros_like(sp.rho))
-        assert np.array_equal(sp.exp_pi_i_rho, np.eye(sp.size))
+        flat = dataclasses.replace(sp, rho=np.zeros_like(sp.rho))
+        assert np.array_equal(flat.exp_pi_i_rho, np.eye(sp.size))
+        assert not np.array_equal(sp.exp_pi_i_rho, np.eye(sp.size))
+
+
+def test_models_are_cached_frozen_values():
+    assert make_proj(3) is make_proj(3)
+    assert make_twisted(4) is make_twisted(4)
+    for sp in (make_proj(3), make_twisted(4), make_blproj(3)):
+        arrays = {k: v for k, v in vars(sp).items()
+                  if isinstance(v, np.ndarray)}
+        assert set(arrays) >= {"degrees", "cup", "pairing", "rho", "theta",
+                               "rho_powers", "exp_pi_i_theta",
+                               "exp_pi_i_rho"}
+        assert ("delta" in arrays) == (sp.kind != "proj")
+        for arr in arrays.values():
+            with pytest.raises(ValueError):
+                arr.flat[0] = 7.0
+        assert isinstance(sp.basis, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sp.rho = np.zeros_like(sp.rho)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sp.depth = 1
+    # identity hashing: the model keys caches without hashing its arrays
+    assert len({make_proj(3), make_proj(3), make_twisted(5)}) == 2
 
 
 # ---------------------------------------------------------------------------

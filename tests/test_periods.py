@@ -1,6 +1,7 @@
 """Master periods, fundamental solutions, and the twisted identification."""
 
 import cmath
+import dataclasses
 import functools
 import math
 
@@ -19,6 +20,12 @@ from gamma_monodromy.quantum import (quantum_mult_proj, sseries_proj,
 
 def _series(m, q, K=60):
     return sseries_proj(m, complex(q), K)
+
+
+def _rho_free(sp):
+    """A fresh copy of a model with rho = 0; the cached model is left as
+    it is."""
+    return dataclasses.replace(sp, rho=np.zeros_like(sp.rho))
 
 
 def master_period_right(space, level, branch):
@@ -50,8 +57,7 @@ def master_period_right(space, level, branch):
 # ---------------------------------------------------------------------------
 
 def test_master_period_diagonal_when_rho_vanishes():
-    sp = make_proj(2)
-    sp.set_rho(np.zeros_like(sp.rho))
+    sp = _rho_free(make_proj(2))
     br = principal_branch(3.0 + 1.0j)
     level = 1
     got = pd.master_period(sp, level, br)
@@ -134,9 +140,9 @@ def test_level_ladder_matches_master_period(sp):
 
 def test_level_ladder_depth_one():
     # rho = 0: depth 1, jets of order 0
-    sp = make_proj(2)
-    sp.set_rho(np.zeros_like(sp.rho))
+    sp = _rho_free(make_proj(2))
     assert sp.depth == 1
+    assert make_proj(2).depth == 3
     assert _ladder_deviation(sp, levels=12) < 1e-12
 
 
@@ -311,15 +317,19 @@ def _term_by_term(sp, sser, level, br, tol):
 
 
 def test_blocked_sum_matches_term_by_term_reference():
-    # at lambda = 6.5 these tolerances stop the series after 12 .. 19
-    # terms: the stopping term falls on every position in a block
+    # at lambda = 6.5 these tolerances stop the series after 12 .. 35
+    # terms, each near the middle of its window of about 0.4 decades:
+    # the stopping term falls on every position in a block, in the first
+    # block and in the second
     m = 2
     sp = make_proj(m)
     prod = quantum_mult_proj(m, 1.0)
     sser = _series(m, 1.0, K=200)
     br = principal_branch(6.5)
     residues = set()
-    for exponent in (5.0, 5.5, 6.0, 6.5, 7.0, 7.5, 8.0, 8.25):
+    for exponent in (5.0, 5.5, 6.0, 6.5, 7.0, 7.5, 8.0, 8.25,
+                     8.85, 9.25, 9.65, 10.05, 10.45, 10.9, 11.25, 11.65,
+                     12.05, 12.45, 12.85, 13.25, 13.6, 14.0, 14.4, 14.75):
         tol = 10.0 ** -exponent
         sol = pd.fundamental_solution(sp, prod, sser, -3, br, tol)
         value, terms, trunc = _term_by_term(sp, sser, -3, br, tol)

@@ -8,6 +8,7 @@ import pytest
 
 from gamma_monodromy import quantum as qm
 from gamma_monodromy.cohomology import make_blproj, make_proj, make_twisted
+from gamma_monodromy.numerics import jet_mul
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +96,94 @@ def test_twisted_frobenius_property():
 # S^{-1} columns from the closed formulas
 # ---------------------------------------------------------------------------
 
+def s_inverse_proj(m, q, i, K):
+    """Coefficient vectors of z^0, z^-1, .., z^-K in S(q,z)^{-1} p^i: a
+    column of the series array."""
+    return qm.s_inverse_series_proj(m, q, K).mats[:, :, i]
+
+
+def s_inverse_twisted(n, Q, i, K):
+    """Coefficient vectors of z^0 .. z^-K in twS(Q,z)^{-1} e^i,
+    1 <= i <= n-1: a column of the series array."""
+    return qm.s_inverse_series_twisted(n, Q, K).mats[:, :, i - 1]
+
+
+def _scatter_heads(inv, l, heads):
+    """inv[l[c, a], a, c] += heads[c, a] wherever 0 < l[c, a] <= K."""
+    c, a = np.nonzero((l > 0) & (l < len(inv)))
+    inv[l[c, a], a, c] += heads[c, a]
+
+
+def s_inverse_proj_by_degree(m, q, K):
+    """The S^{-1} array on H*(P^m) built degree by degree at q, the way
+    the library built it before its heads were tabulated free of q."""
+    size = m + 1
+    inv = np.zeros((K + 1, size, size), dtype=complex)
+    idx = np.arange(size)
+    offset = idx[None, :] - idx[:, None]
+    running = np.zeros(size, dtype=complex)
+    running[0] = 1.0
+    qd = 1.0 + 0.0j
+    d = 1
+    while d * (m + 1) <= K + m + 2:
+        running = jet_mul(running, qm._inv_factor(-d, m + 1, size))
+        qd *= q
+        heads = np.array([jet_mul(qm._poly_pow_shifted(-d, i, size), running)
+                          for i in range(size)])
+        _scatter_heads(inv, d * (m + 1) + offset, qd * heads)
+        d += 1
+    inv[0] = np.eye(size)
+    return inv
+
+
+def s_inverse_twisted_by_degree(n, Q, K):
+    """The twS^{-1} array built degree by degree at Q."""
+    size = n - 1
+    inv = np.zeros((K + 1, size, size), dtype=complex)
+    poles = n - np.arange(1, n)
+    offset = poles[:, None] + np.arange(size)[None, :]
+    for d, running in qm._exceptional_running(n, K, size):
+        coef = (-1.0) ** (d * n) * complex(Q) ** (-d * (n - 1))
+        heads = np.array([jet_mul(running, qm._inv_factor(d, p, size))
+                          for p in poles.tolist()])
+        _scatter_heads(inv, (d - 1) * (n - 1) + offset, coef * heads)
+    inv[0] = np.eye(size)
+    return inv
+
+
+@pytest.mark.parametrize("kind, n", [("proj", m) for m in range(1, 9)]
+                         + [("twisted", n) for n in range(3, 9)])
+def test_tabulated_inverse_matches_degree_by_degree_build(kind, n):
+    # the q-free tables change no bit of the series, at the depths the
+    # on-demand series builds (48, 96 and the cap's 201 matrices)
+    if kind == "proj":
+        build, oracle = qm.s_inverse_series_proj, s_inverse_proj_by_degree
+        params = (1.0, 2.5, 0.9 - 0.2j)
+    else:
+        build, oracle = qm.s_inverse_series_twisted, s_inverse_twisted_by_degree
+        params = (1.3, 0.6, 0.8 + 0.3j)
+    for K in (47, 95, 200):
+        for param in params:
+            got = build(n, param, K).mats
+            assert not got.flags.writeable
+            assert got.tobytes() == oracle(n, param, K).tobytes()
+
+
+def test_cached_tables_are_read_only():
+    for table in (qm._proj_table(3, 47), qm._twisted_table(4, 95)):
+        assert type(table) is tuple and len(table) > 1
+        for slots, heads in table:
+            for arr in (slots, heads):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+    assert qm._proj_table(3, 47) is qm._proj_table(3, 47)
+
+
 def test_s_inverse_proj_leading_terms():
     # P^2 column of the unit: first correction enters at z^{-3}
     q = 0.7
-    col = qm.s_inverse_proj(2, q, 0, 6)
+    col = s_inverse_proj(2, q, 0, 6)
     sp = make_proj(2)
     assert np.max(np.abs(col[0] - sp.unit())) < 1e-14
     assert np.max(np.abs(col[1])) < 1e-14
@@ -110,9 +195,8 @@ def test_s_inverse_proj_leading_terms():
 
 def test_s_inverse_proj_order_zero_is_basis():
     for m in (1, 2, 3):
-        sp = make_proj(m)
         for i in range(m + 1):
-            col = qm.s_inverse_proj(m, 1.0, i, 3)
+            col = s_inverse_proj(m, 1.0, i, 3)
             want = np.zeros(m + 1, dtype=complex)
             want[i] = 1.0
             assert np.max(np.abs(col[0] - want)) < 1e-14
@@ -120,17 +204,12 @@ def test_s_inverse_proj_order_zero_is_basis():
 
 def test_s_inverse_twisted_leading_terms():
     n, Q = 3, 2.0
-    col = qm.s_inverse_twisted(n, Q, 1, 5)
+    col = s_inverse_twisted(n, Q, 1, 5)
     sp = make_twisted(n)
     assert np.max(np.abs(col[0] - sp.basis_vector("e"))) < 1e-14
     assert np.max(np.abs(col[1])) < 1e-14
     assert np.max(np.abs(col[2] - (-(Q ** -2)) * sp.basis_vector("e"))) < 1e-14
     assert np.max(np.abs(col[3] - (2 * Q ** -2) * sp.basis_vector("e^2"))) < 1e-14
-
-
-def test_s_inverse_twisted_column_range():
-    with pytest.raises(ValueError):
-        qm.s_inverse_twisted(3, 1.0, 0, 4)
 
 
 def test_twisted_matches_projective_at_matched_parameter():
