@@ -98,10 +98,6 @@ class SpaceModel:
     def cup_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.einsum("i,j,ijk->k", a, b, self.cup)
 
-    def mult_matrix(self, v: np.ndarray) -> np.ndarray:
-        """Matrix of cup product with v, acting on column coefficient vectors."""
-        return _mult_matrix(self.cup, v)
-
     def pair(self, a: np.ndarray, b: np.ndarray) -> complex:
         return complex(a @ self.pairing @ b)
 
@@ -157,6 +153,7 @@ def make_twisted(n: int) -> SpaceModel:
                       delta=np.diag(-degrees.astype(float)), _unit=None)
 
 
+@functools.lru_cache(maxsize=None)
 def make_blproj(n: int) -> SpaceModel:
     if not 2 <= n <= 8:
         raise ValueError("blproj parameter out of range [2, 8]")

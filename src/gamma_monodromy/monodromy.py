@@ -44,7 +44,6 @@ class IllConditionedError(NumericsError):
 
 @dataclass
 class MonodromyResult:
-    loop: list
     matrix: np.ndarray
     residuals: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
@@ -159,7 +158,7 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
         "cond": cond,
         "cond_outer": float(np.linalg.cond(i_outer)) if lead else cond,
     }
-    return MonodromyResult(loop=list(loop), matrix=cmat, residuals=residuals,
+    return MonodromyResult(matrix=cmat, residuals=residuals,
                            counters={"taylor_steps": steps,
                                      "taylor_terms": terms})
 

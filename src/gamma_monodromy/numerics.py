@@ -1,6 +1,8 @@
 """Low-level numerics: truncated jets, complex special functions, branch
-tracking, and Taylor-recurrence continuation of the constant-coefficient
-connection along piecewise paths.
+tracking, Taylor-recurrence continuation of the constant-coefficient
+connection along piecewise paths, and ``Prefix``, the one growth rule of
+the tables built only as deep as they are read (the calibration series
+and the Gamma-jet ladder).
 
 A truncated jet sum_k c[k] w^k is the complex coefficient array c itself,
 of length order + 1 <= 13; jet_mul, jet_recip and jet_exp do the
@@ -83,6 +85,34 @@ class NumericsError(Exception):
 
 class PoleError(NumericsError):
     """Evaluation requested at a pole of the function."""
+
+
+class Prefix:
+    """The first `limit` entries of a table, built only as deep as read.
+
+    build(count) gives the table's first count entries as read-only arrays,
+    with the same bits in each entry whatever count it is asked for.  The
+    first read builds 48 entries; a read past the built ones builds again
+    to the first of 96, 192, .. that covers it, never past `limit`.  Each
+    build replaces `value` whole, so an array handed out earlier never
+    changes.
+    """
+
+    def __init__(self, build, limit: int):
+        self.build = build
+        self.limit = limit
+        self.built = 0            # entries in value
+        self.value = None
+
+    def read(self, count: int):
+        """value, built to at least min(count, limit) entries."""
+        if self.value is None or self.built < min(count, self.limit):
+            depth = 48
+            while depth < count:
+                depth *= 2
+            self.built = min(depth, self.limit)
+            self.value = self.build(self.built)
+        return self.value
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,9 @@ linear-jet recurrence
 
 vectorised over i.  Rows grow like |x|!, so each is kept as a float64
 mantissa times a power of two whose exponent joins the power of lambda.
-The ladder stores the diagonals R[k + j, i, j - e] that M_{ell+k} reads
-and grows by doubling when a block needs more, replacing its read-only
+The ladder stores the diagonals R[k + j, i, j - e] that M_{ell+k} reads,
+as a `numerics.Prefix` of at most SERIES_CAP + 1 diagonals: 48 first, then
+doubling when a block needs more, each build replacing the read-only
 arrays whole.  A call supplies only the D numbers E and the powers of
 lambda: one exponential and one contraction per block.
 
@@ -52,13 +53,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .cohomology import SpaceModel, make_proj, make_twisted
-from .numerics import (BranchState, NumericsError, branch_power, jet_mul,
-                       recip_gamma_jet)
+from .numerics import (BranchState, NumericsError, Prefix, branch_power,
+                       jet_mul, recip_gamma_jet)
 from .quantum import (QuantumProduct, SSeries, quantum_mult_proj,
                       quantum_mult_twisted, sseries_proj, sseries_twisted)
 
@@ -67,7 +68,6 @@ CONVERGED_RUN = 3
 MIN_TERMS = 8
 GUARD_FACTOR = 1.5
 _BLOCK = 24          # period-series terms formed per batch
-_LADDER_FIRST = 48   # diagonals of a ladder's first build
 _ROW_EXP = 512       # a ladder row past 2^_ROW_EXP moves into its exponent
 
 
@@ -132,84 +132,62 @@ def _rescaled(row: np.ndarray, exp: int) -> tuple[np.ndarray, int]:
     return row, exp
 
 
-class _Ladder:
-    """The lambda-free jets of the chain at one (theta, level, depth).
+def _ladder_arrays(key: tuple, level: int, count: int) -> tuple:
+    """The lambda-free jets of the chain at one (theta, depth) and level,
+    over count diagonals k, as read-only arrays
 
-    Row t is the jet R[t, i] of 1/Gamma(x + w) at x = theta_i - level - t
-    + 1/2, kept as 2^exps[t] * rows[t].  For the diagonals k it has built,
-    it holds the read-only arrays, each replaced whole when it grows,
-
-        rd[k, i, j, e] = rows[k + j, i, j - e]   (0 where e > j),
+        rd[k, i, j, e] = R[k + j, i, j - e]   (0 where e > j),
         nu_half[k, i, j] = theta_i - level - k - j - 1/2,
         shift[k, 0, j] = exps[k + j] * log 2,
 
-    so that G[k + j, i, j] = exp(nu_half log lam + shift) * (rd @ E).
-    """
-
-    def __init__(self, key: tuple, level: int):
-        theta, depth = key
-        order = depth - 1
-        self.nu = np.array(theta) - level        # nu of row 0
-        first = [_rescaled(np.array([_rg_jet_coeffs(nu - t + 0.5, order).real
-                                     for nu in self.nu]), 0)
-                 for t in range(depth)]
-        self.rows = np.array([row for row, _ in first])
-        self.exps = np.array([exp for _, exp in first])
-        self._build(0)
-
-    def head(self, count: int, limit: int):
-        """(rd, nu_half, shift) over at least count diagonals.  The first
-        build holds _LADDER_FIRST of them and each growth doubles that, but
-        never past max(count, limit)."""
-        if len(self.rd) < count:
-            size = _LADDER_FIRST
-            while size < count:
-                size *= 2
-            self._build(min(size, max(count, limit)))
-        return self.rd, self.nu_half, self.shift
-
-    def _build(self, count: int) -> None:
-        depth = self.rows.shape[2]
-        rows, exps = list(self.rows), self.exps.tolist()
-        for t in range(len(rows), count + depth - 1):
+    so that G[k + j, i, j] = exp(nu_half log lam + shift) * (rd @ E).  Row
+    t of the ladder is the jet R[t, i] of 1/Gamma(x + w) at x = theta_i -
+    level - t + 1/2, kept as 2^exps[t] * rows[t]."""
+    theta, depth = key
+    order = depth - 1
+    nu = np.array(theta) - level                 # nu of row 0
+    rows, exps = [], []
+    for t in range(count + depth - 1):
+        if t < depth:
+            row, exp = np.array([_rg_jet_coeffs(v - t + 0.5, order).real
+                                 for v in nu]), 0
+        else:
             # 1/Gamma(x - 1 + w) = (x - 1 + w) / Gamma(x + w), x - 1 of row t
-            last = rows[-1]
-            nxt = (self.nu - t + 0.5)[:, None] * last
-            nxt[:, 1:] += last[:, :-1]
-            row, exp = _rescaled(nxt, exps[-1])
-            rows.append(row)
-            exps.append(exp)
-        self.rows, self.exps = np.array(rows), np.array(exps)
-        diag = np.arange(count)[:, None] + np.arange(depth)      # k + j
-        lag = np.subtract.outer(np.arange(depth), np.arange(depth))
-        lag[lag < 0] = depth                     # the zero column below
-        padded = np.concatenate(
-            [self.rows, np.zeros(self.rows.shape[:2] + (1,))], axis=2)
-        rd = padded[diag[:, None, :, None],
-                    np.arange(len(self.nu))[:, None, None], lag]
-        nu_half = self.nu[:, None] - diag[:, None, :] - 0.5
-        shift = (self.exps[diag] * math.log(2.0))[:, None, :]
-        for arr in (self.rows, self.exps, rd, nu_half, shift):
-            arr.flags.writeable = False
-        self.rd, self.nu_half, self.shift = rd, nu_half, shift
+            row = (nu - t + 0.5)[:, None] * rows[-1]
+            row[:, 1:] += rows[-1][:, :-1]
+            exp = exps[-1]
+        row, exp = _rescaled(row, exp)
+        rows.append(row)
+        exps.append(exp)
+    diag = np.arange(count)[:, None] + np.arange(depth)          # k + j
+    lag = np.subtract.outer(np.arange(depth), np.arange(depth))
+    lag[lag < 0] = depth                         # the zero column below
+    rows = np.array(rows)
+    padded = np.concatenate([rows, np.zeros(rows.shape[:2] + (1,))], axis=2)
+    rd = padded[diag[:, None, :, None], np.arange(len(nu))[:, None, None],
+                lag]
+    nu_half = nu[:, None] - diag[:, None, :] - 0.5
+    shift = (np.array(exps)[diag] * math.log(2.0))[:, None, :]
+    for arr in (rd, nu_half, shift):
+        arr.flags.writeable = False
+    return rd, nu_half, shift
 
 
 @lru_cache(maxsize=64)
-def _ladder(key: tuple, level: int) -> _Ladder:
-    """The ladder of a model's `ladder_key`, (diag theta, depth), at level."""
-    return _Ladder(key, level)
+def _ladder(key: tuple, level: int) -> Prefix:
+    """The ladder of a model's `ladder_key`, (diag theta, depth), at level:
+    (rd, nu_half, shift) of `_ladder_arrays`, built as deep as read."""
+    return Prefix(partial(_ladder_arrays, key, level), SERIES_CAP + 1)
 
 
 class _JetChain:
-    """The masters M_{level+k}, k < n_terms, at one branch of log lambda:
-    the cached ladder of (theta, level, depth) times the jet E of
-    lam^w and the powers of lambda."""
+    """The masters M_{level+k} at one branch of log lambda: the cached
+    ladder of (theta, level, depth) times the jet E of lam^w and the powers
+    of lambda."""
 
-    def __init__(self, space: SpaceModel, level: int, branch: BranchState,
-                 n_terms: int):
+    def __init__(self, space: SpaceModel, level: int, branch: BranchState):
         self.rho_powers = space.rho_powers
         self.ladder = _ladder(space.ladder_key, level)
-        self.n_terms = n_terms
         self.log_lam = branch.log_value
         jet = [1.0 + 0.0j]
         for d in range(1, space.depth):
@@ -219,7 +197,7 @@ class _JetChain:
     def masters(self, start: int, stop: int) -> np.ndarray:
         """M_{level+k} for k = start .. stop-1, as one (stop - start, size,
         size) array: M = sum_j rho^j diag_i(G[k + j, i, j])."""
-        rd, nu_half, shift = self.ladder.head(stop, self.n_terms)
+        rd, nu_half, shift = self.ladder.read(stop)
         diag = np.exp(nu_half[start:stop] * self.log_lam + shift[start:stop])
         diag *= rd[start:stop] @ self.log_jet
         return np.einsum("jac,kcj->kac", self.rho_powers, diag)
@@ -243,7 +221,7 @@ def fundamental_solution(space: SpaceModel, product: QuantumProduct,
             "base point inside the guarded radius: |lambda|=%g <= %g"
             % (lam_abs, GUARD_FACTOR * product.radius))
     n_terms = min(sseries.order + 1, SERIES_CAP + 1)
-    chain = _JetChain(space, level, branch, n_terms)
+    chain = _JetChain(space, level, branch)
     acc = np.zeros((space.size, space.size), dtype=complex)
     small_run = 0
     recent: list[float] = []

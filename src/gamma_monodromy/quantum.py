@@ -13,9 +13,9 @@ their slots are tabulated once per (m or n, K), read-only, by `_proj_table`
 and `_twisted_table`.  A call at a fresh q forms each degree's weight, q^d
 or (-1)^{dn} Q^{-d(n-1)}, and adds weight * heads in one indexed add.
 
-The cached series `sseries_proj` and `sseries_twisted` are built only as
-deep as they are read: first to 48 matrices, then to twice the depth each
-time a reader (the period series, `SSeries.head`) asks for more, up to the
+An `SSeries` is a `numerics.Prefix`: the cached series `sseries_proj` and
+`sseries_twisted` are built only as deep as a reader (the period series,
+`SSeries.head`) asks, first to 48 matrices and then doubling, up to the
 order K the caller named.  A prefix has the same bits whatever order it is
 built to: no degree's terms depend on K, K only decides which degrees and
 orders are kept, and the batched adjoint treats each matrix on its own.
@@ -33,7 +33,7 @@ from math import comb
 import numpy as np
 
 from .cohomology import SpaceModel, make_proj, make_twisted, make_blproj
-from .numerics import jet_mul
+from .numerics import Prefix, jet_mul
 
 
 @dataclass
@@ -85,57 +85,23 @@ def epsilon_matrix(n: int) -> np.ndarray:
     return eps
 
 
-_FIRST_DEPTH = 48     # matrices of an on-demand series' first build
+class SSeries(Prefix):
+    """The matrices S_0 .. S_K, mats[l] multiplying z^-l, read-only and
+    built only as deep as read: build(count) gives the first count."""
 
-
-class SSeries:
-    """The matrices S_0 .. S_K, mats[l] multiplying z^-l, read-only.
-
-    SSeries(space, param, mats) holds the array it is given.  A series from
-    `_on_demand` holds a builder of its first `depth` matrices instead, and
-    grows by doubling the depth when a reader asks for more; a grown array
-    replaces the old one whole.
-    """
-
-    def __init__(self, space: SpaceModel, param: complex, mats):
+    def __init__(self, space: SpaceModel, order: int, build):
+        super().__init__(build, order + 1)
         self.space = space
-        self.param = param
-        self._mats = np.asarray(mats)
-        if self._mats.flags.writeable:
-            self._mats = self._mats.view()
-            self._mats.flags.writeable = False
-        self._order = len(self._mats) - 1
-        self._build = None
-
-    @property
-    def order(self) -> int:
-        return self._order
+        self.order = order
 
     def head(self, terms: int) -> np.ndarray:
         """The first min(terms, K + 1) matrices, (count, size, size)."""
-        terms = min(terms, self._order + 1)
-        mats = self._mats
-        if len(mats) < terms:
-            depth = len(mats)
-            while depth < terms:
-                depth *= 2
-            mats = self._mats = self._build(min(depth, self._order + 1))
-        return mats[:terms]
+        return self.read(terms)[:terms]
 
     @property
     def mats(self) -> np.ndarray:
         """All K + 1 matrices, (K+1, size, size)."""
-        return self.head(self._order + 1)
-
-
-def _on_demand(space: SpaceModel, param: complex, order: int,
-               build) -> SSeries:
-    """A series to z^-order whose first `depth` matrices are build(depth),
-    a read-only array."""
-    out = SSeries(space, param, build(min(_FIRST_DEPTH, order + 1)))
-    out._order = order
-    out._build = build
-    return out
+        return self.head(self.limit)
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +128,17 @@ def _poly_pow_shifted(shift: complex, i: int, nterms: int) -> np.ndarray:
     return out
 
 
-def _inverse_series(space: SpaceModel, param: complex, K: int,
-                    table: tuple, weights) -> SSeries:
-    """Sum the degrees' q-free heads into (K+1, size, size): degree d adds
-    weights[d-1] * heads at its slots of the flattened array, then S_0 = 1."""
-    inv = np.zeros((K + 1, space.size, space.size), dtype=complex)
+def _inverse_series(size: int, K: int, table: tuple, weights) -> np.ndarray:
+    """Sum the degrees' q-free heads into (K+1, size, size), read-only:
+    degree d adds weights[d-1] * heads at its slots of the flattened
+    array, then S_0 = 1."""
+    inv = np.zeros((K + 1, size, size), dtype=complex)
     flat = inv.reshape(-1)
     for (slots, heads), weight in zip(table, weights):
         flat[slots] += weight * heads
-    inv[0] = np.eye(space.size)
+    inv[0] = np.eye(size)
     inv.flags.writeable = False
-    return SSeries(space, complex(param), inv)
+    return inv
 
 
 def _table(degrees, K: int) -> tuple:
@@ -209,8 +175,9 @@ def _proj_table(m: int, K: int) -> tuple:
     return _table(degrees, K)
 
 
-def s_inverse_series_proj(m: int, q: complex, K: int) -> SSeries:
-    """S(q,z)^{-1} on H*(P^m) to order z^-K; column i is S^{-1} p^i.
+def s_inverse_series_proj(m: int, q: complex, K: int) -> np.ndarray:
+    """S(q,z)^{-1} on H*(P^m) to order z^-K, (K+1, size, size) with entry
+    l multiplying z^-l, read-only; column i is S^{-1} p^i.
 
     S^{-1} p^i = p^i + sum_{d>=1} q^d (p - d z)^i / prod_{m'=1}^{d}
     (p - m' z)^{n-1} with n - 1 = m + 1; only powers of 1/z survive.
@@ -222,7 +189,7 @@ def s_inverse_series_proj(m: int, q: complex, K: int) -> SSeries:
     for _ in table:
         qd *= q
         weights.append(qd)
-    return _inverse_series(make_proj(m), q, K, table, weights)
+    return _inverse_series(m + 1, K, table, weights)
 
 
 def _exceptional_running(n: int, K: int, nw: int):
@@ -257,9 +224,10 @@ def _twisted_table(n: int, K: int) -> tuple:
                    for d, running in _exceptional_running(n, K, size)], K)
 
 
-def s_inverse_series_twisted(n: int, Q: complex, K: int) -> SSeries:
-    """twS(Q,z)^{-1} on the exceptional state space to order z^-K; column
-    i-1 is twS^{-1} e^i, 1 <= i <= n-1:
+def s_inverse_series_twisted(n: int, Q: complex, K: int) -> np.ndarray:
+    """twS(Q,z)^{-1} on the exceptional state space to order z^-K, read-only
+    as in `s_inverse_series_proj`; column i-1 is twS^{-1} e^i,
+    1 <= i <= n-1:
 
     twS^{-1} e^i = e^i + sum_{d>=1} (-1)^{dn} Q^{-d(n-1)}
     e / ((e + d z)^{n-i} prod_{m'=1}^{d-1} (e + m' z)^{n-1}),
@@ -270,7 +238,7 @@ def s_inverse_series_twisted(n: int, Q: complex, K: int) -> SSeries:
     table = _twisted_table(n, K)
     weights = [(-1.0) ** (d * n) * complex(Q) ** (-d * (n - 1))
                for d in range(1, len(table) + 1)]
-    return _inverse_series(make_twisted(n), Q, K, table, weights)
+    return _inverse_series(n - 1, K, table, weights)
 
 
 def blowup_unit_terms(n: int, K: int) -> dict[int, np.ndarray]:
@@ -316,32 +284,30 @@ def pairing_adjoint(space: SpaceModel, mat: np.ndarray) -> np.ndarray:
     return np.linalg.solve(g, np.swapaxes(mat, -1, -2) @ g)
 
 
-def s_from_inverse(sinv: SSeries) -> SSeries:
-    """Recover S from S^{-1} via S(z) = adjoint of S^{-1}(-z), read-only
-    because the caches below hand one object to every caller."""
-    mats = pairing_adjoint(sinv.space, np.asarray(sinv.mats))
+def s_from_inverse(space: SpaceModel, inv: np.ndarray) -> np.ndarray:
+    """S from the matrices of S^{-1} via S(z) = adjoint of S^{-1}(-z),
+    read-only because the caches below hand one array to every caller."""
+    mats = pairing_adjoint(space, inv)
     mats[1::2] *= -1.0
     mats.flags.writeable = False
-    return SSeries(sinv.space, sinv.param, mats)
-
-
-def _prefix_builder(make_inverse, *args):
-    """depth -> the first depth matrices of S, from S^{-1} to that order."""
-    return lambda depth: s_from_inverse(make_inverse(*args, depth - 1)).mats
+    return mats
 
 
 @lru_cache(maxsize=64)
 def sseries_proj(m: int, q: complex, K: int) -> SSeries:
-    """S on H*(P^m) to order z^-K, built on demand."""
-    return _on_demand(make_proj(m), complex(q), K,
-                      _prefix_builder(s_inverse_series_proj, m, q))
+    """S on H*(P^m) to order z^-K, built only as deep as read."""
+    space = make_proj(m)
+    return SSeries(space, K, lambda count: s_from_inverse(
+        space, s_inverse_series_proj(m, q, count - 1)))
 
 
 @lru_cache(maxsize=64)
 def sseries_twisted(n: int, Q: complex, K: int) -> SSeries:
-    """twS on the exceptional state space to order z^-K, built on demand."""
-    return _on_demand(make_twisted(n), complex(Q), K,
-                      _prefix_builder(s_inverse_series_twisted, n, Q))
+    """twS on the exceptional state space to order z^-K, built only as
+    deep as read."""
+    space = make_twisted(n)
+    return SSeries(space, K, lambda count: s_from_inverse(
+        space, s_inverse_series_twisted(n, Q, count - 1)))
 
 
 def symplectic_residual(s: SSeries) -> float:
@@ -349,7 +315,7 @@ def symplectic_residual(s: SSeries) -> float:
     space = s.space
     eye = np.eye(space.size)
     worst = 0.0
-    adj = pairing_adjoint(space, np.asarray(s.mats))
+    adj = pairing_adjoint(space, s.mats)
     for l in range(len(s.mats)):
         acc = np.zeros((space.size, space.size), dtype=complex)
         for a in range(l + 1):

@@ -203,6 +203,23 @@ def test_suite_single_criterion(tmp_path, capsys):
     assert "seconds" not in json.dumps(data)
 
 
+def test_suite_out_is_byte_identical_across_runs(tmp_path, capsys):
+    # all ten criteria: the payload carries numpy scalars and complex
+    # numbers, which the timing strip turns into plain JSON
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.main(["suite", "--out", str(a)]) == cli.EXIT_OK
+    assert cli.main(["suite", "--out", str(b)]) == cli.EXIT_OK
+    assert a.read_bytes() == b.read_bytes()
+    data = json.loads(a.read_text())
+    assert len(data["results"]) == 10 and data["pass"] is True
+    assert len(capsys.readouterr().out.strip().splitlines()) == 20
+
+
+def test_phi_without_q_exits_64(capsys):
+    assert cli.main(["phi", "--space", "proj:1"]) == cli.EXIT_USAGE
+    assert "missing required argument --q" in capsys.readouterr().err
+
+
 def test_console_script_usage_error():
     exe = shutil.which("gamma-monodromy")
     if exe is None:

@@ -149,6 +149,7 @@ def test_euler_pairing_factors_cached_read_only():
 def test_models_are_cached_frozen_values():
     assert make_proj(3) is make_proj(3)
     assert make_twisted(4) is make_twisted(4)
+    assert make_blproj(3) is make_blproj(3)
     for sp in (make_proj(3), make_twisted(4), make_blproj(3)):
         arrays = {k: v for k, v in vars(sp).items()
                   if isinstance(v, np.ndarray)}

@@ -239,6 +239,22 @@ def test_residue_series_overflow_guard():
         mr.phi_residue_series(3, 1.0, 3, 5.0, terms=120)
 
 
+@pytest.mark.parametrize("n, m", [(3, 1), (5, 2)])
+@pytest.mark.parametrize("q", [1.0, 0.7])
+def test_residue_series_at_integer_c_is_a_derivative(n, m, q):
+    # c = m + 1/2 - n/2 = 0: the table of Phi_m starts from the 1/Gamma jet
+    # at the pole c itself.  d Phi_{m+1} / d lambda = Phi_m, by central
+    # differences; the worst reading is 5.5e-11 relative
+    assert mr._c_exp(n, m) == 0.0
+    for ratio in (1.5, 2.5, 4.0):
+        lam = ratio * mr.u_of_q(n, q)
+        h = 1e-5 * lam
+        upper, lower = (mr.phi_residue_series(n, q, m + 1, lam + s * h,
+                                              terms=40) for s in (1, -1))
+        want = mr.phi_residue_series(n, q, m, lam, terms=40)
+        assert abs((upper - lower) / (2 * h) - want) < 1e-8 * abs(want)
+
+
 def test_local_exponent_near_the_edge():
     fit = mr.local_exponent_fit(3, 1.0, 3)
     assert abs(fit["slope"] - 2.5) < 0.02

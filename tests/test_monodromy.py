@@ -177,7 +177,7 @@ def test_composite_loops_give_big_circle():
 
 def _algebraic_result(space, alpha):
     mat = reflection_matrix(space, alpha)
-    return md.MonodromyResult(loop=[], matrix=mat)
+    return md.MonodromyResult(matrix=mat)
 
 
 def test_reflection_matrix_algebraic_properties():
@@ -221,7 +221,7 @@ def test_reflection_vector_default_sign_is_deterministic():
 
 def test_reflection_vector_requires_minus_one_eigenvalue():
     space = make_proj(1)
-    res = md.MonodromyResult(loop=[], matrix=np.eye(2, dtype=complex))
+    res = md.MonodromyResult(matrix=np.eye(2, dtype=complex))
     with pytest.raises(NumericsError):
         md.reflection_vector(res, space)
 
@@ -231,7 +231,7 @@ def test_reflection_vector_rejects_rank_two_defect():
     space = make_proj(2)
     mats = [reflection_matrix(space, psi_map(space, line_bundle(k), 0.0))
             for k in (0, 1)]
-    res = md.MonodromyResult(loop=[], matrix=mats[0] @ mats[1])
+    res = md.MonodromyResult(matrix=mats[0] @ mats[1])
     with pytest.raises(NumericsError, match="not a reflection"):
         md.reflection_vector(res, space)
 
@@ -241,7 +241,7 @@ def test_reflection_vector_rejects_transvection():
     space = make_proj(2)
     mat = np.eye(3, dtype=complex)
     mat[0, 2] = 5.0
-    res = md.MonodromyResult(loop=[], matrix=mat)
+    res = md.MonodromyResult(matrix=mat)
     with pytest.raises(NumericsError, match="not a reflection"):
         md.reflection_vector(res, space)
 
@@ -250,7 +250,7 @@ def test_reflection_vector_rejects_isotropic_direction():
     # p on the projective line squares to zero, so no vector proportional
     # to it can be normalized to square 2
     space = make_proj(1)
-    res = md.MonodromyResult(loop=[], matrix=np.diag([1.0, -1.0]).astype(complex))
+    res = md.MonodromyResult(matrix=np.diag([1.0, -1.0]).astype(complex))
     with pytest.raises(NumericsError, match="isotropic"):
         md.reflection_vector(res, space)
 

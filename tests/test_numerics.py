@@ -191,6 +191,17 @@ def test_polygamma_reflection_keeps_relative_accuracy():
             assert abs(nx.polygamma(k, z) - ref) <= 1e-14 * abs(ref)
 
 
+@pytest.mark.parametrize("z", [-0.1, -2.1, -3.8, -7.01, -20.15, -33.9])
+def test_polygamma_near_negative_integers_matches_mpmath(z):
+    # within 1/4 of an integer the reflection reads cot(pi r) as
+    # cos / sin; the worst reading is 2.6e-15 relative
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for k in (0, 1, 2, 3, 5, 8, 12):
+            ref = complex(mpmath.polygamma(k, mpmath.mpf(z)))
+            assert abs(nx.polygamma(k, z) - ref) <= 1e-14 * abs(ref)
+
+
 def test_polygamma_order_and_pole_errors():
     with pytest.raises(ValueError):
         nx.polygamma(nx.MAX_JET_ORDER + 1, 1.0)
@@ -299,6 +310,35 @@ def test_jet_exp_log_gamma_consistency():
 def test_jet_order_cap():
     with pytest.raises(ValueError):
         nx.recip_gamma_jet(0.0, nx.MAX_JET_ORDER + 1)
+
+
+# ---------------------------------------------------------------------------
+# tables built as deep as read
+# ---------------------------------------------------------------------------
+
+def test_prefix_growth_rule():
+    counts = []
+
+    def build(count):
+        counts.append(count)
+        out = np.arange(count, dtype=float)
+        out.flags.writeable = False
+        return out
+
+    table = nx.Prefix(build, 201)
+    assert counts == [] and table.value is None
+    first = table.read(1)
+    assert counts == [48] and len(first) == table.built == 48
+    assert table.read(48) is first and counts == [48]
+    for count, built in ((49, 96), (150, 192), (193, 201), (500, 201),
+                         (0, 201)):
+        assert len(table.read(count)) == table.built == built
+    assert counts == [48, 96, 192, 201]
+    # a grown value replaces the old one whole
+    assert len(first) == 48 and not first.flags.writeable
+    assert table.value[:48].tobytes() == first.tobytes()
+    # a short table is built whole at the first read
+    assert len(nx.Prefix(build, 30).read(1)) == 30 and counts[-1] == 30
 
 
 # ---------------------------------------------------------------------------

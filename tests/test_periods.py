@@ -119,7 +119,7 @@ def _ladder_deviation(sp, levels=45):
     for lam in LADDER_LAMS:
         for winding in (-1, 0, 1):
             br = principal_branch(lam, winding=winding)
-            chain = pd._JetChain(sp, start, br, levels)
+            chain = pd._JetChain(sp, start, br)
             for first in range(0, levels, pd._BLOCK):
                 block = chain.masters(first, min(first + pd._BLOCK, levels))
                 for k, got in enumerate(block, first):
@@ -200,12 +200,12 @@ def test_deep_ladder_rows_match_mpmath(sp):
     for lam in LADDER_LAMS:
         for winding in (-1, 0, 1):
             br = principal_branch(lam, winding=winding)
-            chain = pd._JetChain(sp, start, br, pd.SERIES_CAP + 1)
+            chain = pd._JetChain(sp, start, br)
             for k, want in _mp_masters(sp, start, br, DEEP_DIAGONALS).items():
                 got = chain.masters(k, k + 1)[0]
                 dev = np.max(np.abs(got - want)) / np.max(np.abs(want))
                 worst = max(worst, dev)
-    assert len(chain.ladder.rd) == pd.SERIES_CAP + 1
+    assert len(chain.ladder.value[0]) == pd.SERIES_CAP + 1
     assert worst < 1e-12
 
 
@@ -213,31 +213,35 @@ def test_ladder_cache_hands_out_read_only_prefixes():
     sp = make_proj(3)
     pd._ladder.cache_clear()
     br = principal_branch(5.0 - 2.0j, winding=1)
-    before = pd._JetChain(sp, -5, br, pd.SERIES_CAP + 1)
+    before = pd._JetChain(sp, -5, br)
     first = before.masters(0, pd._BLOCK)
     ladder = before.ladder
-    arrays = (ladder.rows, ladder.exps, ladder.rd, ladder.nu_half,
-              ladder.shift)
-    size = len(ladder.rd)
-    assert size == pd._LADDER_FIRST
+    arrays = ladder.value
+    size = len(arrays[0])
+    assert size == ladder.built == 48
     # another call grows the shared ladder to 192 and then 201 diagonals
-    other = pd._JetChain(sp, -5, principal_branch(9.0), pd.SERIES_CAP + 1)
+    other = pd._JetChain(sp, -5, principal_branch(9.0))
     other.masters(pd.SERIES_CAP - 3, pd.SERIES_CAP + 1)
     assert other.ladder is ladder
-    assert len(ladder.rd) == pd.SERIES_CAP + 1
-    assert ladder.exps[-1] > 0
-    grown = (ladder.rows, ladder.exps, ladder.rd, ladder.nu_half,
-             ladder.shift)
+    grown = ladder.value
+    assert len(grown[0]) == ladder.built == pd.SERIES_CAP + 1
+    # rows past 2^512 moved into their exponent
+    assert grown[2][-1, 0, -1] > 0
     for old, new in zip(arrays, grown):
         assert not old.flags.writeable and not new.flags.writeable
         assert old.tobytes() == new[:len(old)].tobytes()
     with pytest.raises(ValueError):
-        ladder.rd[0, 0, 0, 0] = 1.0
-    after = pd._JetChain(sp, -5, br, pd.SERIES_CAP + 1)
+        grown[0][0, 0, 0, 0] = 1.0
+    after = pd._JetChain(sp, -5, br)
     for chain in (before, after):
         assert chain.masters(0, pd._BLOCK).tobytes() == first.tobytes()
     assert (before.masters(size - 4, size + 4).tobytes()
             == after.masters(size - 4, size + 4).tobytes())
+    # a fresh build to any depth has the bits of the grown prefix
+    for count in (1, 48, 100):
+        fresh = pd._ladder_arrays(sp.ladder_key, -5, count)
+        for arr, new in zip(fresh, grown):
+            assert arr.tobytes() == new[:count].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +396,8 @@ def test_fundamental_solution_same_on_lazy_and_eager_series(kind, arg):
         make, make_inv = qm.sseries_twisted, qm.s_inverse_series_twisted
         level = -arg
     lazy = make.__wrapped__(arg, prod.param, pd.SERIES_CAP)
-    eager = SSeries(sp, prod.param, qm.s_from_inverse(
-        make_inv(arg, prod.param, pd.SERIES_CAP)).mats)
+    whole = qm.s_from_inverse(sp, make_inv(arg, prod.param, pd.SERIES_CAP))
+    eager = SSeries(sp, pd.SERIES_CAP, lambda count: whole)
     br = principal_branch(1.01 * pd.GUARD_FACTOR * prod.radius)
     got = pd.fundamental_solution(sp, prod, lazy, level, br, 1e-20)
     want = pd.fundamental_solution(sp, prod, eager, level, br, 1e-20)
@@ -531,8 +535,9 @@ def test_twisted_period_reduces_to_master_with_identity_series(monkeypatch):
 
     n, Q = 3, 1.0
     sp = make_twisted(n)
-    ident = SSeries(sp, complex(Q), [np.eye(sp.size, dtype=complex)]
+    mats = np.array([np.eye(sp.size, dtype=complex)]
                     + [np.zeros((sp.size, sp.size), complex)] * 12)
+    ident = SSeries(sp, 12, lambda count: mats)
     monkeypatch.setattr(pd, "sseries_twisted", lambda *a, **k: ident)
     br = principal_branch(9.0)
     beta = np.array([1.0, 0.0], dtype=complex)

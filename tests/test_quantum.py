@@ -99,13 +99,13 @@ def test_twisted_frobenius_property():
 def s_inverse_proj(m, q, i, K):
     """Coefficient vectors of z^0, z^-1, .., z^-K in S(q,z)^{-1} p^i: a
     column of the series array."""
-    return qm.s_inverse_series_proj(m, q, K).mats[:, :, i]
+    return qm.s_inverse_series_proj(m, q, K)[:, :, i]
 
 
 def s_inverse_twisted(n, Q, i, K):
     """Coefficient vectors of z^0 .. z^-K in twS(Q,z)^{-1} e^i,
     1 <= i <= n-1: a column of the series array."""
-    return qm.s_inverse_series_twisted(n, Q, K).mats[:, :, i - 1]
+    return qm.s_inverse_series_twisted(n, Q, K)[:, :, i - 1]
 
 
 def _scatter_heads(inv, l, heads):
@@ -164,7 +164,7 @@ def test_tabulated_inverse_matches_degree_by_degree_build(kind, n):
         params = (1.3, 0.6, 0.8 + 0.3j)
     for K in (47, 95, 200):
         for param in params:
-            got = build(n, param, K).mats
+            got = build(n, param, K)
             assert not got.flags.writeable
             assert got.tobytes() == oracle(n, param, K).tobytes()
 
@@ -269,9 +269,11 @@ def test_blowup_unit_no_pullback_mixing():
 
 def test_s_from_inverse_identity_series():
     sp = make_proj(2)
-    eye = [np.eye(3, dtype=complex)] + [np.zeros((3, 3), complex)] * 4
-    s = qm.s_from_inverse(qm.SSeries(sp, 1.0, eye))
-    for l, mat in enumerate(s.mats):
+    eye = np.array([np.eye(3, dtype=complex)]
+                   + [np.zeros((3, 3), complex)] * 4)
+    s = qm.s_from_inverse(sp, eye)
+    assert s.shape == (5, 3, 3) and not s.flags.writeable
+    for l, mat in enumerate(s):
         want = np.eye(3) if l == 0 else 0.0
         assert np.max(np.abs(mat - want)) < 1e-14
 
@@ -286,15 +288,16 @@ def test_s_times_inverse_is_identity():
             sinv = qm.s_inverse_series_twisted(args[0], args[1], args[2])
         size = s.space.size
         for l in range(s.order + 1):
-            acc = sum(s.mats[a] @ sinv.mats[l - a] for a in range(l + 1))
+            acc = sum(s.mats[a] @ sinv[l - a] for a in range(l + 1))
             want = np.eye(size) if l == 0 else np.zeros((size, size))
             assert np.max(np.abs(acc - want)) < 1e-10
 
 
 def test_s_from_inverse_is_involutive():
+    sp = make_proj(3)
     s0 = qm.s_inverse_series_proj(3, 0.8 + 0.1j, 6)
-    s2 = qm.s_from_inverse(qm.s_from_inverse(s0))
-    for a, b in zip(s0.mats, s2.mats):
+    s2 = qm.s_from_inverse(sp, qm.s_from_inverse(sp, s0))
+    for a, b in zip(s0, s2):
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -320,7 +323,7 @@ def test_sseries_is_one_read_only_array(make, make_inv, args):
     assert type(s.mats) is np.ndarray
     assert s.mats.shape == (201, size, size)
     assert not s.mats.flags.writeable
-    for l, mat in enumerate(make_inv(*args).mats):
+    for l, mat in enumerate(make_inv(*args)):
         want = (-1.0) ** l * qm.pairing_adjoint(s.space, mat)
         assert s.mats[l].tobytes() == want.tobytes()
 
@@ -335,8 +338,8 @@ def _fresh_series(kind, arg, param, K):
         make, make_inv = qm.sseries_proj, qm.s_inverse_series_proj
     else:
         make, make_inv = qm.sseries_twisted, qm.s_inverse_series_twisted
-    return (make.__wrapped__(arg, param, K),
-            qm.s_from_inverse(make_inv(arg, param, K)).mats)
+    s = make.__wrapped__(arg, param, K)
+    return s, qm.s_from_inverse(s.space, make_inv(arg, param, K))
 
 
 @pytest.mark.parametrize("kind, arg, param", _LAZY_CASES)
@@ -365,6 +368,8 @@ def test_lazy_sseries_builds_only_as_deep_as_read(monkeypatch):
 
     monkeypatch.setattr(qm, "s_inverse_series_proj", counted)
     s = qm.sseries_proj.__wrapped__(2, 0.9 - 0.2j, 200)
+    assert orders == []
+    s.head(1)
     assert orders == [47]
     s.head(48)
     assert orders == [47]
@@ -380,12 +385,16 @@ def test_lazy_sseries_builds_only_as_deep_as_read(monkeypatch):
 
 
 def test_plain_sseries_holds_its_array_read_only():
+    # a series over one fixed array: reads stop at its order and hand out
+    # that array's read-only prefixes
     mats = np.zeros((5, 2, 2), dtype=complex)
-    s = qm.SSeries(make_twisted(3), 1.0, mats)
+    mats.flags.writeable = False
+    s = qm.SSeries(make_twisted(3), 4, lambda count: mats[:count])
     assert s.order == 4
     assert s.head(9).shape == (5, 2, 2)
+    assert s.head(2).shape == (2, 2, 2)
     assert not s.mats.flags.writeable
-    assert mats.flags.writeable
+    assert s.mats.base is mats
 
 
 def test_symplectic_residuals():
