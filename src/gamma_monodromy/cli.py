@@ -15,7 +15,10 @@ Output is JSON (schema tag ``gamma-monodromy/1``) with complex numbers
 as [re, im] pairs; ``phi`` can emit CSV instead.  Payloads are
 deterministic for fixed inputs: grids and summation orders are fixed and
 wall-clock timings are kept out of the JSON.  Exit codes: 0 pass,
-1 tolerance breach, 2 numerical failure, 64 usage error.
+1 tolerance breach, 2 numerical failure, 64 usage error.  A
+``reflections`` loop that fails numerically is reported as
+{"k", "error", "pass": false} beside the loops that did not, and the
+command exits 2.
 """
 
 from __future__ import annotations
@@ -146,6 +149,7 @@ def _proj_entry(rep: dict, tol: float) -> dict:
             "residual": rep["residual"], "tolerance": tol,
             "pairing_residual": res["pairing"], "pairing_tolerance": 1e-6,
             "solver_residuals": {kk: float(vv) for kk, vv in res.items()},
+            "counters": dict(rep["monodromy"].counters),
             "pass": bool(rep["residual"] < tol and res["pairing"] < 1e-6)}
 
 
@@ -180,9 +184,19 @@ def cmd_reflections(cfg: RunConfig) -> int:
     if cfg.k is not None and not 0 <= cfg.k <= n - 2:
         raise UsageError("k %d outside [0, %d]" % (cfg.k, n - 2))
     ks = [cfg.k] if cfg.k is not None else range(n - 1)
-    payload["results"] = [entry(check(k), tol) for k in ks]
-    payload["pass"] = all(r["pass"] for r in payload["results"])
+    results = payload["results"] = []
+    for k in ks:
+        try:
+            results.append(entry(check(k), tol))
+        except NumericsError as exc:
+            # the other loops are still reported; the exit code says 2
+            print("gamma-monodromy: numerical failure at k = %d: %s"
+                  % (k, exc), file=sys.stderr)
+            results.append({"k": k, "error": str(exc), "pass": False})
+    payload["pass"] = all(r["pass"] for r in results)
     _emit(payload, cfg.out)
+    if any("error" in r for r in results):
+        return EXIT_NUMERIC
     return EXIT_OK if payload["pass"] else EXIT_FAIL
 
 

@@ -10,8 +10,13 @@ in path order.
 
 The big circle lies where the period series converges, so the series
 covers the arcs: it is summed at the loop's outer point on the branch the
-arc reaches, and the ODE is continued only along the local piece, the
-radial segment, the small circle and the way back.
+arc reaches.  The ODE is continued only along the radial segment, to the
+small circle.  The circle and the way back are not walked: at a
+semisimple point the connection has a simple pole at u_k with rank-one
+residue, so its local solutions there are a Frobenius series in
+lambda - u_k, and the turn multiplies the one solution that is not
+holomorphic at u_k by exp(2 pi i r).  The reflection's direction is read
+off that solution at the circle's start.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from . import numerics
 
 # tolerance of the base-point period series that starts each loop
 BASE_SERIES_TOL = 1e-12
-# bound on sigma_2/sigma_1 of C - I and on |nontrivial eigenvalue of C + 1|
+# bound on the "exponent" and "reflection" gates of a loop
 EIG_TOL = 1e-4
 
 
@@ -45,6 +50,7 @@ class IllConditionedError(NumericsError):
 @dataclass
 class MonodromyResult:
     matrix: np.ndarray
+    direction: np.ndarray
     residuals: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
 
@@ -90,10 +96,81 @@ def _on_series_circle(piece, product: QuantumProduct) -> bool:
             and piece.radius > GUARD_FACTOR * product.radius)
 
 
+def _retraces(back, piece) -> bool:
+    """back runs along piece in the opposite direction."""
+    tol = 1e-12 * max(1.0, abs(piece.start))
+    return type(back) is type(piece) and all(
+        abs(back.point(t) - piece.point(1.0 - t)) <= tol
+        for t in (0.0, 0.5, 1.0))
+
+
+def _way_in_and_circle(local: list) -> tuple[list, Arc]:
+    """Split a local piece that runs in, around a closed circle and back
+    the same way; ValueError for any other shape."""
+    n_in = (len(local) - 1) // 2
+    way_in, circle = local[:n_in], local[n_in]
+    if not (isinstance(circle, Arc) and circle.angle1 != circle.angle0
+            and abs(circle.end - circle.start)
+            <= 1e-12 * max(1.0, abs(circle.start))
+            and len(local) == 2 * n_in + 1
+            and all(_retraces(back, p) for p, back
+                    in zip(way_in, reversed(local[n_in + 1:])))):
+        raise ValueError("the loop's local piece must run in, around a "
+                         "circle and back the same way")
+    return way_in, circle
+
+
+def _local_solutions(u: np.ndarray, ut: np.ndarray, k: int,
+                     x: complex) -> tuple[np.ndarray, float, int]:
+    """The local solutions about the simple pole u_k, in the eigenbasis of E.
+
+    Column k is x^-r times the solution with exponent r = ut_kk, the others
+    the holomorphic solutions, which start in the kernel of row k of ut.
+    With T_J = Z_J x^J, rows i != k obey T_{J+1} = x ((ut - J - rho) T_J)_i
+    / ((u_k - u_i)(J + 1 + rho)), rho the column's exponent, and row k is
+    sum_{i != k} ut_ki (T_{J+1})_i / (J + 1 + rho - r).  The series converges
+    out to the nearest other u_i and stops, as a Taylor step of
+    ode_continue does, before the second of two consecutive terms below
+    machine epsilon times their column's scale.  Returns sum_J T_J, that
+    term relative to its column, and the terms summed.
+    """
+    r = complex(ut[k, k])
+    if abs(r - round(r.real)) < 1e-9:
+        raise NumericsError("not a reflection: integer local exponent %s"
+                            % r)
+    gaps = u[k] - u
+    if abs(x) >= np.min(np.abs(np.delete(gaps, k))):
+        raise ValueError("the circle starts outside the disc of the local "
+                         "series about u_k")
+    gaps[k] = 1.0           # row k is set from the others
+    row_k = ut[k].copy()
+    row_k[k] = 0.0
+    rho = np.zeros(len(u), dtype=complex)
+    rho[k] = r
+    term = np.eye(len(u), dtype=complex)
+    term[k] = -row_k / r
+    term[k, k] = 1.0
+    acc = term.copy()
+    eps = np.finfo(float).eps
+    small = 0
+    for j in range(numerics._TERM_CAP):
+        term = x * (ut @ term - (j + rho) * term) \
+            / np.outer(gaps, j + 1 + rho)
+        term[k] = row_k @ term / (j + 1 + rho - r)
+        rel = float(np.max(np.max(np.abs(term), axis=0)
+                           / np.max(np.abs(acc), axis=0)))
+        small = small + 1 if rel <= eps else 0
+        if small == 2:
+            return acc, rel, j
+        acc += term
+    raise NumericsError("local series did not converge at x=%r" % x)
+
+
 def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
                      sseries: SSeries, level: int, loop: list,
                      tol: float) -> MonodromyResult:
-    """Monodromy of the period matrix around the loop, C = I_outer^{-1} I_cont.
+    """Monodromy C of the period matrix around the loop, I_cont = I_outer C,
+    read off the local solutions at the singular point the loop circles.
 
     The matrix acts on cohomology coefficient vectors: the columns of the
     fundamental solution are the periods of the basis classes, so C is the
@@ -106,20 +183,32 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     are not continued: there the period series converges, so an arc only
     moves the branch of log lambda, by i (angle1 - angle0).  The series is
     summed at the start of the first local piece on the branch the leading
-    arcs reach (I_outer), and only the local pieces are continued (I_cont).
-    In the class basis C is the same matrix wherever along the arcs it is
-    read.  A loop without such arcs starts its local piece at the base.
+    arcs reach (I_outer).  The local piece must run in, around one circle
+    enclosing exactly one eigenvalue u_k of E (else ValueError), and back
+    the same way; only the way in is continued, to the circle's start
+    lambda_in (I_in).  There, with E = V diag(u) V^-1 and Ũ = V^-1 U V,
+    the local solutions x^r V Z(x) e_k (r = Ũ_kk, x = lambda - u_k) and
+    V Z(x) e_i, i != k, are summed as a Frobenius series (Dubrovin, LNM
+    1620; Coddington-Levinson, ch. 4).  The turn multiplies the first by
+    exp(i turn r) and fixes the others, so with H = V Z(x_in) it changes
+    I_in by (exp(i turn r) - 1) vec (e_k^T H^-1 I_in), vec = I_in^-1 H e_k.
+    C is the reflection I - 2 vec (vec|.)/(vec|vec) in that direction, and
+    ``direction`` carries vec over its 2-norm.  In the class basis C is
+    the same matrix wherever along the loop it is read.
 
     tol sets the period series (BASE_SERIES_TOL in the suite and the CLI).
     The series at the base point is summed in every case and raises
     IllConditionedError when its condition number exceeds 1e8.
-    residuals: "solve" (defect of I_outer C = I_cont over max|I_cont|),
-    "continuation" (first omitted Taylor terms, relative to their
-    columns), "truncation" (the last terms of the series at the outer
-    point over max|I_outer|), all three relative so they add into one
-    budget; "cond" and "cond_outer", the condition numbers of I_base and
-    I_outer.  counters: "taylor_steps" and "taylor_terms", the
-    continuation's work.
+    residuals, all relative: "solve" (defect of I_in vec = H e_k over
+    max|H e_k|), "continuation" (first omitted Taylor terms of the way in,
+    relative to their columns), "frobenius" (first omitted term of the
+    local series, relative to its column), "truncation" (the last terms of
+    the series at the outer point over max|I_outer|); "cond" and
+    "cond_outer", the condition numbers of I_base and I_outer; the two
+    gates reflection_vector reads: "exponent", |exp(2 pi i r) + 1|, and
+    "reflection", the max distance of C from the measured change over
+    the max of the latter.  counters: "taylor_steps" and "taylor_terms",
+    the continuation's work, and "frobenius_terms".
     """
     branch = principal_branch(loop[0].start)
     sol = fundamental_solution(space, product, sseries, level, branch, tol)
@@ -140,27 +229,55 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     if not local or abs(turn) > 1e-9:
         raise ValueError("the loop must leave and rejoin its base along the "
                          "same arcs about 0")
+    way_in, circle = _way_in_and_circle(local)
+    u, vmat = np.linalg.eig(product.euler_mult)
+    inside = np.flatnonzero(np.abs(u - circle.center) < circle.radius)
+    if len(inside) != 1:
+        raise ValueError("the circle encloses %d eigenvalues of E, not one"
+                         % len(inside))
+    k = int(inside[0])
     if lead:
         branch = BranchState(local[0].start, branch.log_value)
         sol = fundamental_solution(space, product, sseries, level, branch,
                                    tol)
     i_outer = sol.value
     upper = space.theta - (level + 0.5) * np.eye(space.size)
-    i_cont, _, cont_err, (steps, terms) = numerics.ode_continue(
-        product.euler_mult, upper, local, i_outer, branch0=branch)
-    cmat = np.linalg.solve(i_outer, i_cont)
-    solve_res = float(np.max(np.abs(i_outer @ cmat - i_cont)))
-    scale = float(np.max(np.abs(i_cont)))
+    i_in, cont_err, steps, terms = i_outer, 0.0, 0, 0
+    if way_in:
+        i_in, _, cont_err, (steps, terms) = numerics.ode_continue(
+            product.euler_mult, upper, way_in, i_outer, branch0=branch)
+    ut = np.linalg.solve(vmat, upper @ vmat)
+    zsum, frob_err, frob_terms = _local_solutions(u, ut, k,
+                                                  circle.start - u[k])
+    h = vmat @ zsum
+    vec = np.linalg.solve(i_in, h[:, k])
+    solve_res = float(np.max(np.abs(i_in @ vec - h[:, k])))
+    solve_res /= float(np.max(np.abs(h[:, k])))
+    factor = cmath.exp(1j * (circle.angle1 - circle.angle0) * ut[k, k])
+    measured = np.eye(space.size) + (factor - 1.0) * np.outer(
+        vec, np.linalg.solve(h, i_in)[k])
+    vec = vec / np.linalg.norm(vec)
+    row = np.array([intersection_pairing(space, vec, e)
+                    for e in np.eye(space.size)])
+    c2 = complex(row @ vec)
+    if abs(c2) < 1e-12:
+        raise NumericsError("anti-invariant direction is isotropic")
+    cmat = np.eye(space.size) - (2.0 / c2) * np.outer(vec, row)
     residuals = {
-        "solve": solve_res / scale if scale else solve_res,
+        "solve": solve_res,
         "continuation": cont_err,
+        "frobenius": frob_err,
         "truncation": sol.truncation_error / float(np.max(np.abs(i_outer))),
         "cond": cond,
         "cond_outer": float(np.linalg.cond(i_outer)) if lead else cond,
+        "exponent": abs(cmath.exp(2j * math.pi * ut[k, k]) + 1.0),
+        "reflection": float(np.max(np.abs(cmat - measured))
+                            / np.max(np.abs(measured))),
     }
-    return MonodromyResult(matrix=cmat, residuals=residuals,
+    return MonodromyResult(matrix=cmat, direction=vec, residuals=residuals,
                            counters={"taylor_steps": steps,
-                                     "taylor_terms": terms})
+                                     "taylor_terms": terms,
+                                     "frobenius_terms": frob_terms})
 
 
 def _orient(v: np.ndarray) -> np.ndarray:
@@ -175,26 +292,20 @@ def reflection_vector(result: MonodromyResult, space: SpaceModel,
                       candidate: np.ndarray | None = None) -> np.ndarray:
     """alpha with C = I - alpha (alpha|.) and (alpha|alpha) = 2.
 
-    D = C - I has rank one and column space span alpha, so alpha is the
-    dominant left singular vector u of D scaled by sqrt(2 / (u|u)), which
-    fixes it up to sign whatever the phase of u.  NumericsError unless
-    sigma_1 > 0, sigma_2 <= EIG_TOL sigma_1 and the nontrivial eigenvalue
-    1 + u^H D u is within EIG_TOL of -1 (a transvection I + N fails).
-    The sign maximizes Re (alpha|candidate) if a candidate is given, else
-    is set by _orient.  sigma_2/sigma_1 and the defects of C alpha = -alpha
-    and (alpha|alpha) = 2 go to ``result.residuals`` as "rank_one",
-    "eigen" and "pairing".
+    alpha is the carried direction scaled by sqrt(2 / (vec|vec)), which
+    fixes it up to sign whatever its phase.  NumericsError ("not a
+    reflection") unless the residuals "exponent" and "reflection" are
+    within EIG_TOL, or when the direction is isotropic.  The sign
+    maximizes Re (alpha|candidate) if a candidate is given, else is set by
+    _orient.  The defects of C alpha = -alpha and (alpha|alpha) = 2 go to
+    ``result.residuals`` as "eigen" and "pairing".
     """
-    mat = result.matrix
-    d = mat - np.eye(len(mat))
-    u, sv, _ = np.linalg.svd(d)
-    vec = u[:, 0]
-    eig = 1.0 + complex(np.vdot(vec, d @ vec))
-    if not (sv[0] > 0.0 and sv[1] <= EIG_TOL * sv[0]
-            and abs(eig + 1.0) <= EIG_TOL):
-        raise NumericsError("not a reflection: C - I has singular values "
-                            "%g, %g and C the eigenvalue %s"
-                            % (sv[0], sv[1], eig))
+    res = result.residuals
+    if not (res["exponent"] <= EIG_TOL and res["reflection"] <= EIG_TOL):
+        raise NumericsError("not a reflection: |exp(2 pi i r) + 1| = %g and "
+                            "the measured change is %g from C"
+                            % (res["exponent"], res["reflection"]))
+    vec = result.direction
     c2 = intersection_pairing(space, vec, vec)
     if abs(c2) < 1e-12:
         raise NumericsError("anti-invariant direction is isotropic")
@@ -204,11 +315,9 @@ def reflection_vector(result: MonodromyResult, space: SpaceModel,
     elif intersection_pairing(space, alpha,
                               np.asarray(candidate, complex)).real < 0.0:
         alpha = -alpha
-    result.residuals["rank_one"] = float(sv[1] / sv[0])
-    result.residuals["eigen"] = float(
-        np.max(np.abs(mat @ alpha + alpha)) / np.max(np.abs(alpha)))
-    result.residuals["pairing"] = abs(
-        intersection_pairing(space, alpha, alpha) - 2.0)
+    res["eigen"] = float(np.max(np.abs(result.matrix @ alpha + alpha))
+                         / np.max(np.abs(alpha)))
+    res["pairing"] = abs(intersection_pairing(space, alpha, alpha) - 2.0)
     return alpha
 
 

@@ -356,6 +356,9 @@ def criterion_composite() -> dict:
     With the right-action convention C(gamma then delta) = C_gamma C_delta
     the counterclockwise circle decomposes with the k = n-2 loop first and
     the k = 0 loop last, i.e. the matrix product C_{n-2} ... C_1 C_0.
+    Each C_k is the reflection monodromy_matrix builds from its loop's
+    direction, not a continued turn, so the product checks every alpha
+    together against T, the big-circle turn of the period series.
     """
     tol = 1e-5
     worst = 0.0

@@ -8,11 +8,15 @@ import pytest
 
 from gamma_monodromy import monodromy as md
 from gamma_monodromy.cohomology import (euler_char, line_bundle, make_proj,
-                                        psi_map)
+                                        make_twisted, psi_map)
+from gamma_monodromy import numerics as nx
 from gamma_monodromy.numerics import (Arc, BranchState, NumericsError,
+                                      Segment, principal_branch,
                                       validate_path)
-from gamma_monodromy.periods import MatrixSolution
-from gamma_monodromy.quantum import quantum_mult_proj, sseries_proj
+from gamma_monodromy.periods import (SERIES_CAP, MatrixSolution,
+                                     fundamental_solution)
+from gamma_monodromy.quantum import (quantum_mult_proj, quantum_mult_twisted,
+                                     sseries_proj, sseries_twisted)
 
 TOL = 1e-10
 CAP = 120
@@ -93,8 +97,46 @@ def test_gamma_loop_range_errors():
 def test_contractible_loop_is_identity():
     space, prod, sser = _setup(3)
     loop = [Arc(6.0, 1.0, 0.0, 2.0 * math.pi)]
-    res = md.monodromy_matrix(space, prod, sser, -3, loop, TOL)
-    assert np.max(np.abs(res.matrix - np.eye(space.size))) < 1e-7
+    branch = principal_branch(loop[0].start)
+    i_base = fundamental_solution(space, prod, sser, -3, branch, TOL).value
+    upper = space.theta - (-3 + 0.5) * np.eye(space.size)
+    i_cont = nx.ode_continue(prod.euler_mult, upper, loop, i_base,
+                             branch0=branch)[0]
+    cmat = np.linalg.solve(i_base, i_cont)
+    assert np.max(np.abs(cmat - np.eye(space.size))) < 1e-7
+
+
+def test_loop_must_circle_exactly_one_singular_point():
+    # the singular points of P^1 at q = 1 are 2 and -2
+    space, prod, sser = _setup(3)
+    for center, radius in ((6.0, 1.0), (0.0, 2.5)):
+        loop = [Segment(5.0, center + radius),
+                Arc(center, radius, 0.0, 2.0 * math.pi),
+                Segment(center + radius, 5.0)]
+        with pytest.raises(ValueError, match="encloses"):
+            md.monodromy_matrix(space, prod, sser, -3, loop, TOL)
+
+
+def test_circle_must_start_where_the_local_series_converges():
+    # on P^2 at q = 1 the circle about 8 encloses only u_0 = 3, but starts
+    # at 13.5, further from u_0 than the other two (3 sqrt 3 away)
+    space, prod, sser = _setup(4)
+    loop = [Segment(20.0, 13.5), Arc(8.0, 5.5, 0.0, 2.0 * math.pi),
+            Segment(13.5, 20.0)]
+    with pytest.raises(ValueError, match="outside the disc"):
+        md.monodromy_matrix(space, prod, sser, -4, loop, TOL)
+
+
+def test_loop_must_come_back_the_way_it_went_in():
+    space, prod, sser = _setup(3)
+    way_in, circle, back = md.gamma_loop(3, 0.0, 0)
+    half = Arc(circle.center, circle.radius, 0.0, math.pi)
+    for loop in ([way_in, circle, Segment(back.z0, back.z1 + 0.1)],
+                 [way_in, circle],
+                 [way_in, half, back],
+                 [way_in, Segment(circle.start, circle.start), back]):
+        with pytest.raises(ValueError, match="same way"):
+            md.monodromy_matrix(space, prod, sser, -3, loop, TOL)
 
 
 def test_loop_must_rejoin_its_base_along_the_series_circle():
@@ -175,9 +217,11 @@ def test_composite_loops_give_big_circle():
 # reflection vector extraction
 # ---------------------------------------------------------------------------
 
-def _algebraic_result(space, alpha):
+def _algebraic_result(space, alpha, exponent=0.0, reflection=0.0):
     mat = reflection_matrix(space, alpha)
-    return md.MonodromyResult(matrix=mat)
+    return md.MonodromyResult(
+        matrix=mat, direction=alpha / np.linalg.norm(alpha),
+        residuals={"exponent": exponent, "reflection": reflection})
 
 
 def test_reflection_matrix_algebraic_properties():
@@ -219,29 +263,71 @@ def test_reflection_vector_default_sign_is_deterministic():
     assert lead.real >= 0.0
 
 
-def test_reflection_vector_requires_minus_one_eigenvalue():
-    space = make_proj(1)
-    res = md.MonodromyResult(matrix=np.eye(2, dtype=complex))
-    with pytest.raises(NumericsError):
-        md.reflection_vector(res, space)
-
-
-def test_reflection_vector_rejects_rank_two_defect():
-    # the product of two reflections moves a plane, so C - I has rank two
+def test_reflection_vector_reads_both_gates_at_eig_tol():
     space = make_proj(2)
-    mats = [reflection_matrix(space, psi_map(space, line_bundle(k), 0.0))
-            for k in (0, 1)]
-    res = md.MonodromyResult(matrix=mats[0] @ mats[1])
+    cand = psi_map(space, line_bundle(1), 0.0)
+    md.reflection_vector(_algebraic_result(space, cand, md.EIG_TOL,
+                                           md.EIG_TOL), space)
+    for gates in ((1.01 * md.EIG_TOL, 0.0), (0.0, 1.01 * md.EIG_TOL)):
+        with pytest.raises(NumericsError, match="not a reflection"):
+            md.reflection_vector(_algebraic_result(space, cand, *gates),
+                                 space)
+
+
+def test_reflection_vector_requires_minus_one_eigenvalue():
+    # at level -2.75 the local exponent is r = 2.75, so the turn multiplies
+    # the local solution by exp(2 pi i r) = -i: a pseudo-reflection, which
+    # the exponent gate rejects
+    space, prod, sser = _setup(3)
+    res = md.monodromy_matrix(space, prod, sser, -2.75,
+                              md.gamma_loop(3, 0.0, 0), TOL)
+    assert abs(res.residuals["exponent"] - abs(1.0 - 1j)) < 1e-12
     with pytest.raises(NumericsError, match="not a reflection"):
         md.reflection_vector(res, space)
 
 
 def test_reflection_vector_rejects_transvection():
-    # I + N has C - I of rank one, but its only eigenvalue is 1
-    space = make_proj(2)
-    mat = np.eye(3, dtype=complex)
-    mat[0, 2] = 5.0
-    res = md.MonodromyResult(matrix=mat)
+    # at level -2.5 the local exponent is the integer 2: the local solutions
+    # may carry a logarithm and the turn is unipotent, so no reflection
+    space, prod, sser = _setup(3)
+    with pytest.raises(NumericsError, match="not a reflection"):
+        res = md.monodromy_matrix(space, prod, sser, -2.5,
+                                  md.gamma_loop(3, 0.0, 0), TOL)
+        md.reflection_vector(res, space)
+
+
+def test_reflection_gate_rejects_a_double_turn():
+    # twice around u_k the measured change is the identity, not C
+    space, prod, sser = _setup(3)
+    way_in, circle, back = md.gamma_loop(3, 0.0, 0)
+    twice = Arc(circle.center, circle.radius, circle.angle0,
+                circle.angle0 + 4.0 * math.pi)
+    res = md.monodromy_matrix(space, prod, sser, -3, [way_in, twice, back],
+                              TOL)
+    assert res.residuals["exponent"] < 1e-12
+    assert res.residuals["reflection"] > 1.0
+    with pytest.raises(NumericsError, match="not a reflection"):
+        md.reflection_vector(res, space)
+
+
+def test_reflection_gate_rejects_a_basis_the_pairing_does_not_see(
+        monkeypatch):
+    # periods of G-transformed classes: the monodromy is G^-1 C G, a
+    # reflection, but not an orthogonal one for the intersection pairing
+    space, prod, sser = _setup(4)
+    gmat = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.2], [0.1, 0.0, 1.0]])
+    exact = md.fundamental_solution
+
+    def skewed(*args):
+        sol = exact(*args)
+        return MatrixSolution(sol.space, sol.level, sol.value @ gmat,
+                              sol.branch, sol.truncation_error, sol.terms)
+
+    monkeypatch.setattr(md, "fundamental_solution", skewed)
+    res = md.monodromy_matrix(space, prod, sser, -4, md.gamma_loop(4, 0.0, 1),
+                              TOL)
+    assert res.residuals["exponent"] < 1e-12
+    assert res.residuals["reflection"] > 1e-2
     with pytest.raises(NumericsError, match="not a reflection"):
         md.reflection_vector(res, space)
 
@@ -250,7 +336,9 @@ def test_reflection_vector_rejects_isotropic_direction():
     # p on the projective line squares to zero, so no vector proportional
     # to it can be normalized to square 2
     space = make_proj(1)
-    res = md.MonodromyResult(matrix=np.diag([1.0, -1.0]).astype(complex))
+    res = md.MonodromyResult(matrix=np.diag([1.0, -1.0]).astype(complex),
+                             direction=np.array([0.0, 1.0], complex),
+                             residuals={"exponent": 0.0, "reflection": 0.0})
     with pytest.raises(NumericsError, match="isotropic"):
         md.reflection_vector(res, space)
 
@@ -304,7 +392,8 @@ def test_proj_reflection_check_p4(proj_checks):
     for i in range(len(_QS)):
         for out in proj_checks[6, i]:
             assert out["residual"] < 1e-5
-            assert out["monodromy"].residuals["rank_one"] < 1e-12
+            assert out["monodromy"].residuals["exponent"] < 1e-12
+            assert out["monodromy"].residuals["reflection"] < 1e-7
 
 
 def test_monodromy_is_integral_in_exceptional_basis(proj_checks):
@@ -321,6 +410,101 @@ def test_monodromy_is_integral_in_exceptional_basis(proj_checks):
                         for j in range(n - 1)]
             got = np.linalg.solve(basis, out["monodromy"].matrix @ basis)
             assert np.max(np.abs(got - want)) < 1e-6
+
+
+def _continued_monodromy(space, product, sser, level, loop, tol):
+    """The oracle: C = I_outer^-1 I_cont with the whole local piece of a
+    gamma_loop continued, the way in, the small circle and the way back.
+    The period series covers the leading big-circle arc of a k > 0 loop."""
+    branch = principal_branch(loop[0].start)
+    local = loop
+    if len(loop) == 5:
+        arc = loop[0]
+        branch = BranchState(loop[1].start, nx._resync_log(
+            arc.end, branch.log_value + 1j * (arc.angle1 - arc.angle0)))
+        local = loop[1:-1]
+    i_outer = fundamental_solution(space, product, sser, level, branch,
+                                   tol).value
+    upper = space.theta - (level + 0.5) * np.eye(space.size)
+    i_cont = nx.ode_continue(product.euler_mult, upper, local, i_outer,
+                             branch0=branch)[0]
+    return np.linalg.solve(i_outer, i_cont)
+
+
+def test_local_solutions_agree_with_the_continued_turn(proj_checks):
+    # the reflection read off the local solutions at u_k against the
+    # monodromy continued around the whole small circle, whose C - I is
+    # rank one
+    for (n, i), outs in proj_checks.items():
+        q = _QS[i]
+        space = make_proj(n - 2)
+        product = quantum_mult_proj(n - 2, q.base)
+        sser = sseries_proj(n - 2, q.base, SERIES_CAP)
+        for k, out in enumerate(outs):
+            oracle = _continued_monodromy(
+                space, product, sser, -n, md.gamma_loop(n, q.log_value, k),
+                md.BASE_SERIES_TOL)
+            sv = np.linalg.svd(oracle - np.eye(space.size), compute_uv=False)
+            assert sv[1] <= 1e-10 * sv[0]
+            diff = np.linalg.norm(out["monodromy"].matrix - oracle, np.inf)
+            assert diff <= 1e-8 * np.linalg.norm(oracle, np.inf)
+
+
+def _big_turn_closed_form(space):
+    """T = -exp(2 pi i theta) exp(2 pi i rho)."""
+    return -(space.exp_pi_i_theta ** 2)[:, None] * (
+        space.exp_pi_i_rho @ space.exp_pi_i_rho)
+
+
+def _assert_big_turn(space, product, sser, n, base):
+    want = _big_turn_closed_form(space)
+    for level in (-n, -n + 1):
+        got = md.big_circle_matrix(space, product, sser, level, base,
+                                   md.BASE_SERIES_TOL)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_big_circle_turn_closed_form_proj(m):
+    n = m + 2
+    space = make_proj(m)
+    for q in _QS:
+        _assert_big_turn(space, quantum_mult_proj(m, q.base),
+                         sseries_proj(m, q.base, SERIES_CAP), n,
+                         md.gamma_loop(n, q.log_value, 0)[0].start)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_big_circle_turn_closed_form_twisted(n):
+    space = make_twisted(n)
+    for Q in (0.6, 1.0, 1.6):
+        product = quantum_mult_twisted(n, Q)
+        _assert_big_turn(space, product,
+                         sseries_twisted(n, complex(Q), SERIES_CAP), n,
+                         2.0 * product.radius)
+
+
+def test_reflection_work_count_pinned():
+    # every loop of the reflections workload at its unjittered anchors: a
+    # change that moves a step, a stopping term or the local series length
+    # shows here (continuing the whole local piece took 256 steps and
+    # 6,297 terms)
+    total = {"taylor_steps": 0, "taylor_terms": 0, "frobenius_terms": 0}
+    for n, mod, arg in ((3, 1.8, 0.75), (4, 0.8, -0.45), (5, 0.55, -0.8)):
+        q_log = math.log(mod) + 1j * math.pi * arg
+        q = BranchState(cmath.exp(q_log), q_log)
+        for k in range(n - 1):
+            counters = md.proj_reflection_check(n, q, k)["monodromy"].counters
+            for key in total:
+                total[key] += counters[key]
+    for n, Q in ((3, 1.6), (4, 0.6)):
+        for k in range(n - 1):
+            counters = md.twisted_reflection_check(n, Q, k)["monodromy"] \
+                .counters
+            for key in total:
+                total[key] += counters[key]
+    assert total == {"taylor_steps": 28, "taylor_terms": 671,
+                     "frobenius_terms": 228}
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +527,8 @@ def test_twisted_reflection_check_rejects_bad_q():
 
 @pytest.mark.parametrize("n, Q", [(4, 1.3), (6, 1.0)])
 def test_twisted_constant_survives_roundoff(monkeypatch, n, Q):
-    # 2/c2 is -1 up to rounding for even n; noise in C at the 1e-15 level
-    # must not pick the sign of beta and so of the constant
+    # 2/c2 is -1 up to rounding for even n; noise in the direction at the
+    # 1e-15 level must not pick the sign of beta and so of the constant
     want = [md.twisted_reflection_check(n, Q, k, tol=md.BASE_SERIES_TOL)
             ["constant"] for k in range(n - 1)]
     exact = md.monodromy_matrix
@@ -352,8 +536,8 @@ def test_twisted_constant_survives_roundoff(monkeypatch, n, Q):
 
     def perturbed(*args):
         res = exact(*args)
-        res.matrix = res.matrix * (1.0 + 1e-15 * rng.standard_normal(
-            res.matrix.shape))
+        res.direction = res.direction * (1.0 + 1e-15 * rng.standard_normal(
+            res.direction.shape))
         return res
 
     monkeypatch.setattr(md, "monodromy_matrix", perturbed)
