@@ -219,7 +219,12 @@ def cmd_phi(cfg: RunConfig) -> int:
     mb_cfg = mirror.make_mb_config(n, q, m, float(lams[-1]),
                                    min(tol, 1e-7))
     mb = mirror.phi_mb_batch(n, q, m, lams, mb_cfg)
-    ser = mirror.phi_residue_series(n, q, m, lams)
+    # the d-th residue falls like (u/lambda)^((n-1) d): enough terms for a
+    # 2^-54 relative tail at the smallest lambda, and no deeper poles,
+    # whose 1/Gamma factor overflows on odd m
+    terms = math.ceil(54 * math.log(2)
+                      / ((n - 1) * math.log(lams[0] / u))) + 1
+    ser = mirror.phi_residue_series(n, q, m, lams, terms)
     rows = [[float(lv), float(sv.real), float(mv.real),
              float(abs(sv - mv))]
             for lv, sv, mv in zip(lams, ser, mb)]

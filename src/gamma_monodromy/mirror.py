@@ -20,20 +20,25 @@ Gamma(x)^{n-1} is eaten by 1/Gamma((n-1)x + c).  That is the integrand the
 Ooura-Mori double-exponential Fourier rule is built for (T. Ooura and
 M. Mori, "A robust double exponential formula for Fourier-type integrals",
 J. Comput. Appl. Math. 112 (1999) 229-241); ``make_mb_config`` picks its
-step h by halving.
+step h by halving.  H is lambda^(n+c-2) times a lambda-free G(b), and each
+node takes G from the cheapest exact form of its band: one joint Stirling
+series of both log Gamma far out on the line, three moments of a Taylor jet
+for the nodes next to the real axis, and log Gamma in between.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .numerics import (LOG_GAMMA_1P, NumericsError, jet_exp, jet_mul,
-                       log_gamma_array, log_gamma_jet, recip_gamma_jet)
+from .numerics import (LOG_GAMMA_1P, LOG_GAMMA_STIRLING, NumericsError,
+                       jet_exp, jet_mul, log_gamma_array, log_gamma_jet,
+                       recip_gamma_jet)
 
 # Re x of every vertical contour line
 _LINE = 1.0
@@ -52,6 +57,14 @@ _DE_THI = 6.0
 _DE_H0 = 0.1
 _DE_HALVINGS = 5
 _OMEGA_FLOOR = 1e-3
+# bands of the folded integrand G(b): nodes with b < _TAIL_B at every
+# lambda go to the moments of the axis tail, nodes with b >= _FAR_RADIUS
+# (more where |c|/(n-1) is large) to the joint Stirling series in 1/x,
+# formed to degree _FAR_DEGREE and cut where the rest falls below 2^-60,
+# the rest to log_gamma_array
+_TAIL_B = 1e-3
+_FAR_RADIUS = 20.0
+_FAR_DEGREE = 40
 # roundoff of a rule sum, in units of eps * sum_j w_j |F(b_j)|: at most 5
 # against h = 0.003125 for h = 0.025..0.00625, n = 3, 4, m = 3..8,
 # q = 0.3..2 and lambda = 0.05u..4u
@@ -71,8 +84,9 @@ class FitQualityError(NumericsError):
 
 @dataclass
 class MBConfig:
-    """Step h of the Ooura-Mori rule on Re x = _LINE, its nodes per
-    lambda, and the error estimate of ``make_mb_config``."""
+    """Step h of the Ooura-Mori rule on Re x = _LINE, the nodes it
+    evaluates per lambda (all but the axis tail), and the error estimate
+    of ``make_mb_config``."""
     h: float
     nodes: int
     error_estimate: float
@@ -87,21 +101,136 @@ def _c_exp(n: int, m: int) -> float:
     return m + 0.5 - n / 2.0
 
 
-def _log_integrand(n: int, q: float, m: int, x: np.ndarray) -> np.ndarray:
-    """log of q^{-x} Gamma(x)^{n-1} / Gamma((n-1)x+c) mod 2 pi i, the
-    lambda part and the 1/x left out; one log Gamma call for both
-    arguments."""
-    c = _c_exp(n, m)
-    size = x.shape[-1]
-    lg = log_gamma_array(np.concatenate([x, (n - 1) * x + c], axis=-1))
-    return ((n - 1) * lg[..., :size] - lg[..., size:]) - x * math.log(q)
-
-
 @lru_cache(maxsize=None)
-def _de_rule(h: float) -> tuple:
+def _far_series(n: int, m: int) -> tuple:
+    """Radius R, constant C0 and the read-only coefficients p_0 = 0, p_1,
+    .., p_D of the far band: with N = n-1, v = 1/x and |x| >= R,
+
+        N log Gamma(x) - log Gamma(Nx + c) - x log q
+            = -(m - 1/2) log x - N x log u + C0 + sum_k p_k v^k.
+
+    Stirling's series of both log Gamma (DLMF 5.11.1, beta_j =
+    B_2j / (2j (2j-1)), j <= 8) and log(Nx + c) = log N + log x
+    + log(1 + a v), a = c/N, leave C0 = (N-1)/2 log 2 pi - (c-1/2) log N
+    and the series of -(N/v + c - 1/2) log(1 + a v) + c
+    + N sum_j beta_j v^(2j-1) - sum_j beta_j N^(1-2j) v^(2j-1)
+    (1 + a v)^(1-2j): the x log x, the N x and, with
+    log q = N log u - N log N, the N x log N terms cancel exactly, where
+    the difference of two log Gamma loses six digits at |x| = 3e4.
+    R >= 8 |a| keeps |a v| <= 1/8, so the terms past _FAR_DEGREE add up to
+    less than |c| 8^-40; the series is cut further where the rest is below
+    2^-60 at |v| = 1/R (degree 11 to 16 at m = n .. n+3)."""
+    big_n = n - 1
+    c = _c_exp(n, m)
+    a = c / big_n
+    deg = _FAR_DEGREE
+    k = np.arange(1, deg + 2)
+    # log(1 + a v) = sum_k log1p[k] v^k
+    log1p = np.zeros(deg + 2)
+    log1p[1:] = -(-a) ** k / k
+    p = np.zeros(deg + 1)
+    p[1:] = -big_n * log1p[2:] - (c - 0.5) * log1p[1:-1]
+    for j, beta in enumerate(LOG_GAMMA_STIRLING, start=1):
+        lo = 2 * j - 1
+        p[lo] += big_n * beta
+        # (1 + a v)^(1-2j) by its binomial series
+        coef = beta * float(big_n) ** (1 - 2 * j)
+        for i in range(deg - lo + 1):
+            p[lo + i] -= coef
+            coef *= (1 - 2 * j - i) / (i + 1) * a
+    radius = max(_FAR_RADIUS, 8.0 * abs(a))
+    rest = np.cumsum((np.abs(p) * radius ** -np.arange(len(p)))[::-1])
+    deg = len(p) - 1 - int(np.count_nonzero(rest < 2.0 ** -60))
+    p = p[:deg + 1].copy()
+    p.flags.writeable = False
+    const = (0.5 * (big_n - 1) * math.log(2.0 * math.pi)
+             - (c - 0.5) * math.log(big_n))
+    return radius, const, p
+
+
+def _folded(n: int, q: float, m: int, b: np.ndarray) -> np.ndarray:
+    """G(b) at nodes b >= 0 of any shape: the integrand at x = 1 + ib
+    (_LINE = 1) of lambda > 0 is e^{i omega b} lambda^(n+c-2) G(b), and G
+    is free of lambda, since the lambda^(i(n-1)b) of the power and the
+    e^{-i omega b} leave u^(i(n-1)b).
+
+    Nodes with b >= R take the series of ``_far_series``, one log, one
+    reciprocal and one Horner sum each, and the 1/x joins its log x; the
+    others take log_gamma_array at x and (n-1)x + c."""
+    big_n = n - 1
+    logq = math.log(q)
+    logu = math.log(u_of_q(n, q))
+    radius, const, poly = _far_series(n, m)
+    out = np.empty(b.shape, dtype=complex)
+    far = b >= radius
+    bf = b[far]
+    v = 1.0 / (_LINE + 1j * bf)
+    s = poly[-1] * v
+    for coef in poly[-2:0:-1]:
+        s += coef
+        s *= v
+    s.real -= (m + 0.5) * 0.5 * np.log1p(bf * bf)
+    s.imag -= (m + 0.5) * np.arctan(bf)
+    s.real += const - big_n * logu
+    out[far] = np.exp(s)
+    x = _LINE + 1j * b[~far]
+    size = len(x)
+    lg = log_gamma_array(np.concatenate([x, big_n * x + _c_exp(n, m)]))
+    out[~far] = np.exp(big_n * lg[:size] - lg[size:] - logq
+                       + 1j * (big_n * logu - logq) * x.imag) / x
+    return out
+
+
+@lru_cache(maxsize=64)
+def _axis_jet(n: int, q: float, m: int) -> np.ndarray:
+    """Read-only real Taylor coefficients kappa_0 .. kappa_4 of
+    K(w) = G(b), w = ib, about the axis: K = exp(Lambda) with the real jet
+    Lambda(w) = N log Gamma(1 + w) - log Gamma(N + c + N w) - log q
+    + w (N log u - log q) - log(1 + w), N = n-1."""
+    big_n = n - 1
+    order = 4
+    k = np.arange(order + 1)
+    logq = math.log(q)
+    log_k = (big_n * np.array(LOG_GAMMA_1P[:order + 1])
+             - log_gamma_jet(big_n + _c_exp(n, m), order) * float(big_n) ** k)
+    log_k[0] -= logq
+    log_k[1] += big_n * math.log(u_of_q(n, q)) - logq
+    log_k[1:] += (-1.0) ** k[1:] / k[1:]
+    kappa = jet_exp(log_k).real.copy()
+    kappa.flags.writeable = False
+    return kappa
+
+
+def _axis_tail(kappa: np.ndarray, moments: np.ndarray, omega: np.ndarray,
+               stretch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The axis tail's part of sum_j w_j (cos(omega b_j) Re G(b_j)
+    - sin(omega b_j) Im G(b_j)) and of sum_j w_j |G(b_j)|, per lambda.
+
+    There b = stretch phi < _TAIL_B and |omega b| < 1e-6: G(b) = K(ib),
+    the cosine, the sine and |K(ib)| go to order b^4, and the sums become
+    the moments sum_j w_j phi_j^(2p) of ``_de_rule``.  The first omitted
+    terms are O(b^6), below 1e-18 |K(0)| times a Taylor coefficient."""
+    k0, k1, k2, k3, k4 = kappa
+    w2 = omega * omega
+    s2 = stretch * stretch
+    cos_m, sin_m = moments
+    even = k0 * cos_m[0] + s2 * (
+        -(k2 + 0.5 * k0 * w2) * cos_m[1]
+        + s2 * (k4 + 0.5 * k2 * w2 + k0 * w2 * w2 / 24.0) * cos_m[2])
+    odd = omega * s2 * (k1 * sin_m[1] - s2 * (k3 + k1 * w2 / 6.0) * sin_m[2])
+    # |K(ib)| = k0 (1 + alpha b^2 / 2 + (beta / 2 - alpha^2 / 8) b^4)
+    alpha = (k1 * k1 - 2.0 * k0 * k2) / (k0 * k0)
+    beta = (k2 * k2 + 2.0 * k0 * k4 - 2.0 * k1 * k3) / (k0 * k0)
+    both = cos_m + sin_m
+    mag = k0 * (both[0] + s2 * (0.5 * alpha * both[1] + s2 * (
+        0.5 * beta - 0.125 * alpha * alpha) * both[2]))
+    return even - odd, mag
+
+
+def _de_nodes(h: float) -> tuple:
     """M = pi/h, then phi(t) and h phi'(t) at the sine nodes t = kh
     followed by the cosine nodes t = (k+1/2)h, _DE_TLO <= t <= _DE_THI,
-    and the number of sine nodes; the arrays are read-only.
+    and the number of sine nodes.
 
     phi(t) = t / (1 - exp(-g)), g = 2 pi t + alpha (1 - e^{-t})
     + beta (e^t - 1), tends to t fast as t -> inf, so M phi(kh) and
@@ -126,10 +255,32 @@ def _de_rule(h: float) -> tuple:
     a = 2.0 * math.pi + alpha + beta
     phi[zero] = 1.0 / a
     dphi[zero] = ((alpha - beta) + a * a) / (2.0 * a * a)
-    weights = h * dphi
-    for arr in (phi, weights):
+    return big_m, phi, h * dphi, hi - lo + 1
+
+
+@lru_cache(maxsize=None)
+def _de_rule(h: float) -> tuple:
+    """The rule of ``_de_nodes`` as it is evaluated: M, phi and the
+    weights at the nodes evaluated, sine nodes first, the number of those
+    sine nodes, and the moments of the axis tail; the arrays are
+    read-only.
+
+    The nodes with M phi / _OMEGA_FLOOR < _TAIL_B, the lowest t of each
+    kind, are the axis tail, where b < _TAIL_B at every lambda: the rule
+    keeps of them only the moments sum_j w_j phi_j^(2p), p = 0, 1, 2, of
+    the cosine nodes (row 0) and of the sine nodes (row 1).
+    """
+    big_m, phi, weights, nsin = _de_nodes(h)
+    tail = big_m / _OMEGA_FLOOR * phi < _TAIL_B
+    sine = np.arange(len(phi)) < nsin
+    moments = np.array([[weights[part] @ phi[part] ** (2 * p)
+                         for p in range(3)]
+                        for part in (tail & ~sine, tail & sine)])
+    rule = (phi[~tail], weights[~tail], moments)
+    for arr in rule:
         arr.flags.writeable = False
-    return big_m, phi, weights, hi - lo + 1
+    return (big_m, rule[0], rule[1], int(np.count_nonzero(~tail[:nsin])),
+            moments)
 
 
 def _real_lams(lams) -> np.ndarray:
@@ -150,14 +301,18 @@ def _phi_de(n: int, q: float, m: int, lams: np.ndarray,
     (x = _LINE + ib).  For real lambda H(-b) = conj H(b), so folding
     b -> -b gives int_0^inf of 2 cos(omega b) Re H(b) - 2 sin(omega b) Im H(b):
     the cosine part goes to the cosine nodes, the sine part to the sine
-    nodes, on b = M phi(t) / max(|omega|, _OMEGA_FLOOR).  Each lambda has
+    nodes, on b = M phi(t) / max(|omega|, _OMEGA_FLOOR).  H is
+    lambda^(n+c-2) times the lambda-free G of ``_folded``, so each node
+    takes G from the cheapest form of its band: the moments of the axis
+    tail (``_axis_tail``), the far series, or log Gamma.  Each lambda has
     its own nodes; the integrands of up to _MB_BLOCK nodes are formed as
     one (lambdas, nodes) array, and each lambda's sums are its own row's,
     so a value does not depend on the other lambdas of the call.
     """
-    big_m, phi, weights, nsin = _de_rule(h)
+    big_m, phi, weights, nsin, moments = _de_rule(h)
     logu = math.log(u_of_q(n, q))
-    c = _c_exp(n, m)
+    kappa = _axis_jet(n, q, m)
+    power = (n - 1) * _LINE + _c_exp(n, m) - 1.0
     pref = (2.0 * math.pi) ** ((1 - n) / 2.0)
     vals = np.empty(len(lams), dtype=complex)
     mags = np.empty(len(lams))
@@ -168,38 +323,62 @@ def _phi_de(n: int, q: float, m: int, lams: np.ndarray,
         omega = (n - 1) * (loglam - logu)
         stretch = big_m / np.maximum(np.abs(omega), _OMEGA_FLOOR)
         b = stretch[:, None] * phi
-        x = _LINE + 1j * b
         theta = omega[:, None] * b
-        h_pos = np.exp(_log_integrand(n, q, m, x)
-                       + loglam[:, None] * ((n - 1) * x + c - 1)
-                       - 1j * theta) / x
-        even = np.cos(theta[:, nsin:]) * h_pos.real[:, nsin:]
-        odd = np.sin(theta[:, :nsin]) * h_pos.imag[:, :nsin]
-        modulus = np.abs(h_pos)
-        norm = 2.0 * pref * stretch
+        g = _folded(n, q, m, b)
+        even = np.cos(theta[:, nsin:]) * g.real[:, nsin:]
+        odd = np.sin(theta[:, :nsin]) * g.imag[:, :nsin]
+        modulus = np.abs(g)
+        tail, tail_mag = _axis_tail(kappa, moments, omega, stretch)
+        norm = 2.0 * pref * stretch * lams[lo:lo + rows] ** power
         for i in range(len(norm)):
             vals[lo + i] = norm[i] * (even[i] @ weights[nsin:]
-                                      - odd[i] @ weights[:nsin])
-            mags[lo + i] = norm[i] * (modulus[i] @ weights)
+                                      - odd[i] @ weights[:nsin] + tail[i])
+            mags[lo + i] = norm[i] * (modulus[i] @ weights + tail_mag[i])
     return vals, mags
 
 
-@lru_cache(maxsize=256)
-def _probe(n: int, q: float, m: int, lam: float, h: float) -> tuple:
-    """Phi at one lambda by the rule of step h and its roundoff scale, as
-    numbers.  Every ``make_mb_config`` call for (n, q, m) probes the edge
-    lambda = u(q) at the same h sequence, so these repeat; a value does not
-    depend on the other lambdas of a ``_phi_de`` call, so a cached one is
-    the same bits."""
-    vals, mags = _phi_de(n, q, m, np.array([lam]), h)
-    return complex(vals[0]), float(mags[0])
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
-def _probe_rule(n: int, q: float, m: int, lams: list,
-                h: float) -> tuple[np.ndarray, np.ndarray]:
-    """``_phi_de`` at the probe lambdas, through the cache of ``_probe``."""
-    vals, mags = zip(*(_probe(n, q, m, lam, h) for lam in lams))
-    return np.array(vals), np.array(mags)
+class _ProbeCache:
+    """Phi at (n, q, m, lambda, h) by the rule of step h and its roundoff
+    scale, as numbers, the last `size` read.  Every ``make_mb_config``
+    call for (n, q, m) probes the edge lambda = u(q) at the same h
+    sequence, so these repeat.  A read makes one ``_phi_de`` call for all
+    its lambdas not kept; a value does not depend on the other lambdas of
+    the call, so a kept one is the same bits."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.kept: dict = {}
+        self.hits = self.misses = 0
+
+    def read(self, n: int, q: float, m: int, lams: list,
+             h: float) -> tuple[np.ndarray, np.ndarray]:
+        keys = [(n, q, m, lam, h) for lam in lams]
+        new = [key for key in keys if key not in self.kept]
+        self.hits += len(keys) - len(new)
+        self.misses += len(new)
+        if new:
+            vals, mags = _phi_de(n, q, m, np.array([k[3] for k in new]), h)
+            self.kept.update(zip(new, zip(vals.tolist(), mags.tolist())))
+        # read keys move to the end; the oldest go past `size`
+        out = [self.kept.pop(key) for key in keys]
+        self.kept.update(zip(keys, out))
+        for key in list(self.kept)[:-self.size]:
+            del self.kept[key]
+        vals, mags = zip(*out)
+        return np.array(vals), np.array(mags)
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, self.size, len(self.kept))
+
+    def cache_clear(self) -> None:
+        self.kept.clear()
+        self.hits = self.misses = 0
+
+
+_probe = _ProbeCache(256)
 
 
 def make_mb_config(n: int, q: float, m: int, lam_max: float,
@@ -219,10 +398,10 @@ def make_mb_config(n: int, q: float, m: int, lam_max: float,
         raise ValueError("q must be real positive")
     probes = sorted({u_of_q(n, q), float(lam_max)})
     h = _DE_H0
-    coarse, _ = _probe_rule(n, q, m, probes, h)
+    coarse, _ = _probe.read(n, q, m, probes, h)
     for _ in range(_DE_HALVINGS):
         h /= 2.0
-        fine, magnitude = _probe_rule(n, q, m, probes, h)
+        fine, magnitude = _probe.read(n, q, m, probes, h)
         roundoff = _ROUNDOFF_UNITS * np.finfo(float).eps * magnitude
         diff = np.abs(fine - coarse)
         est = float(np.max(diff + roundoff))

@@ -67,8 +67,8 @@ _COT_POLYS = _cot_derivative_polys()
 # Re w > 7 or |Im w| > 7 (the first omitted term is below 1e-15 there);
 # elsewhere the Taylor series about 1 within _LG_TAYLOR_RADIUS, or an
 # upward shift into the Stirling region
-_LG_STIRLING = tuple(b / (2 * j * (2 * j - 1))
-                     for j, b in enumerate(_BERNOULLI_2J[:8], start=1))
+LOG_GAMMA_STIRLING = tuple(b / (2 * j * (2 * j - 1))
+                           for j, b in enumerate(_BERNOULLI_2J[:8], start=1))
 _LG_STIRLING_EDGE = 7.0
 _HALF_LOG_2PI = 0.5 * math.log(TWO_PI)
 _LG_TAYLOR_RADIUS = 0.08
@@ -175,22 +175,23 @@ def _taylor_depth(radius: float) -> int:
 
 def _log_gamma1p(e, depth: int):
     """log Gamma(1 + e) by its Taylor series to e^depth; e is a number or
-    an array, and an array result is built in place."""
+    an array.  Not multiplied in place: numpy multiplies a one-point
+    complex array in place with other roundings than a longer one."""
     s = LOG_GAMMA_1P[depth] * e
     for c in LOG_GAMMA_1P[depth - 1:0:-1]:
         s += c
-        s *= e
+        s = s * e
     return s
 
 
 def _stirling_tail(r):
     """sum_j B_2j / (2j (2j-1)) r^(2j-1), j <= 8, at r = 1/w."""
     r2 = r * r
-    s = _LG_STIRLING[-1] * r2
-    for c in _LG_STIRLING[-2:0:-1]:
+    s = LOG_GAMMA_STIRLING[-1] * r2
+    for c in LOG_GAMMA_STIRLING[-2:0:-1]:
         s += c
         s *= r2
-    s += _LG_STIRLING[0]
+    s += LOG_GAMMA_STIRLING[0]
     s *= r
     return s
 
@@ -238,7 +239,7 @@ def log_gamma_array(z: np.ndarray) -> np.ndarray:
 
     Where Re z > 7 or |Im z| > 7, Stirling's series; within
     _LG_TAYLOR_RADIUS of 1, the Taylor series about 1, to the depth that
-    the largest |z - 1| needs; elsewhere the shift
+    the whole disc needs; elsewhere the shift
     w = z + 7 with one product p = z (z+1) .. (z+6) and one log,
 
         log Gamma(z) = (z - 1/2) log w + log(w^7 e^{-Re w} / p) - i Im w
@@ -246,8 +247,9 @@ def log_gamma_array(z: np.ndarray) -> np.ndarray:
 
     whose terms stay near the size of the result: the integrand of a
     contour that cancels to 1e-10 of its size needs that.  Each region is
-    one boolean mask, the Taylor disc is looked for among the shifted
-    points only, and the arithmetic is done in place.
+    one boolean mask, the Taylor disc is looked for among the points of
+    the shift region and the shift runs on the rest of them only, and the
+    arithmetic is done in place.
     """
     z = np.asarray(z, dtype=complex)
     if not np.all(z.real > 0.0):
@@ -266,33 +268,38 @@ def log_gamma_array(z: np.ndarray) -> np.ndarray:
     out[high] = val
     zl = z[low]
     if zl.size:
-        w = zl + edge
+        e = zl - 1.0
+        dist = e.real * e.real
+        dist += e.imag * e.imag
+        near = dist <= _LG_TAYLOR_RADIUS ** 2
+        val = np.empty_like(zl)
+        if near.any():
+            # every point to the depth the whole disc needs, so that its
+            # value does not depend on where the other points lie
+            val[near] = _log_gamma1p(e[near],
+                                     _taylor_depth(_LG_TAYLOR_RADIUS))
+        zs = zl[~near]
+        w = zs + edge
         # z (z+1) .. (z+6) = s (s + 5) (s + 8) (z + 3), s = z (z + 6)
-        s = zl + 6.0
-        s *= zl
+        s = zs + 6.0
+        s *= zs
         prod = s + 5.0
         prod *= s
         s += 8.0
         prod *= s
-        prod *= zl + 3.0
+        prod *= zs + 3.0
         ratio = w * w
         ratio *= w
         ratio *= ratio
         ratio *= w
         ratio *= np.exp(-w.real)
         ratio /= prod
-        val = _log_array(ratio)
-        val += (zl - 0.5) * _log_array(w)
-        val.imag -= w.imag
-        val += _HALF_LOG_2PI
-        val += _stirling_tail(1.0 / w)
-        e = zl - 1.0
-        dist = e.real * e.real
-        dist += e.imag * e.imag
-        near = dist <= _LG_TAYLOR_RADIUS ** 2
-        if near.any():
-            depth = _taylor_depth(math.sqrt(float(np.max(dist[near]))))
-            val[near] = _log_gamma1p(e[near], depth)
+        shifted = _log_array(ratio)
+        shifted += (zs - 0.5) * _log_array(w)
+        shifted.imag -= w.imag
+        shifted += _HALF_LOG_2PI
+        shifted += _stirling_tail(1.0 / w)
+        val[~near] = shifted
         out[low] = val
     return out
 

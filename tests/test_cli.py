@@ -204,10 +204,27 @@ def test_phi_json_payload(tmp_path):
     assert "tail_bound" not in comp
     assert 0.0 < comp["quadrature_error"] <= 1e-7
     assert comp["quadrature_h"] == 0.025
-    assert comp["nodes_per_lambda"] == 1041
+    assert comp["nodes_per_lambda"] == 720
     fit = data["exponent_fit"]
     assert fit["expected"] == 2.5
     assert fit["deviation"] < fit["tolerance"]
+
+
+@pytest.mark.parametrize("space, code", [
+    ("proj:1", cli.EXIT_OK), ("proj:2", cli.EXIT_OK),
+    # odd m: the residue series stops at the terms its smallest lambda
+    # needs, short of the deep poles whose 1/Gamma factor overflows
+    ("proj:3", cli.EXIT_OK), ("proj:4", cli.EXIT_OK),
+    # the exponent fit is 0.025 from m - 1/2, against 0.02
+    ("proj:5", cli.EXIT_FAIL),
+])
+def test_phi_exit_codes(space, code, tmp_path):
+    out = tmp_path / "phi.json"
+    assert cli.main(["phi", "--space", space, "--q", "1",
+                     "--out", str(out)]) == code
+    data = json.loads(out.read_text())
+    assert data["pass"] is (code == cli.EXIT_OK)
+    assert data["comparison"]["max_abs_diff"] < 1e-8
 
 
 def test_phi_csv_contract(tmp_path):

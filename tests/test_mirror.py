@@ -27,6 +27,40 @@ INVERSION_N3_Q1 = 0.90923943249776
 # Phi(n=3, m=3, q=1) at lambda = ratio * u; Gauss-Legendre on the truncated
 # line read 2.9957e-10 at 1.0001 u
 PHI33 = {1.5: 0.43616936203784354629, 1.0001: 3.0168488664925214693e-10}
+# the lambda-free folded integrand G(b) = q^{-x} Gamma(x)^(n-1) u^{i(n-1)b}
+# / (Gamma((n-1)x + c) x) at x = 1 + ib, q = 0.7, keyed by (n, m, b); from
+# 40-digit mpmath.  Through log_gamma_array the two log Gamma cancel six
+# digits at b = 3e4 and read 1e-10 off these
+FAR_G = {
+    (3, 3, 20.0): complex(4.908127035884244e-6, 7.3007392184341252e-6),
+    (3, 3, 450.0): complex(1.1477601676801899e-10, 1.1676992924854211e-10),
+    (3, 3, 3e4): complex(4.7851043753404009e-17, 4.7863406870005103e-17),
+    (3, 3, 1e6): complex(2.2380522869839083e-22, 2.2380696319563443e-22),
+    (3, 6, 20.0): complex(-1.3101149393551199e-10, 2.915420315701536e-11),
+    (3, 6, 450.0): complex(-1.6277214766661926e-19, 1.5474439051157113e-19),
+    (3, 6, 3e4): complex(-2.2164522047711586e-31, 2.2147720321705381e-31),
+    (3, 6, 1e6): complex(-2.7976080215800115e-41, 2.7975443767214782e-41),
+    (4, 4, 20.0): complex(4.395568494682848e-8, -2.6380471554999999e-8),
+    (4, 4, 450.0): complex(3.0351400199636963e-14, -2.9697143196200775e-14),
+    (4, 4, 3e4): complex(1.8620265652713278e-22, -1.8614180578810457e-22),
+    (4, 4, 1e6): complex(2.6119369315463283e-29, -2.6119113201792051e-29),
+    (4, 7, 20.0): complex(5.0166308788646928e-14, 2.2769378994146237e-13),
+    (4, 7, 450.0): complex(1.1890310052729321e-23, 1.2508697769949372e-23),
+    (4, 7, 3e4): complex(2.5528320443260716e-37, 2.5547734074152163e-37),
+    (4, 7, 1e6): complex(9.6736827500566343e-49, 9.6739033662816647e-49),
+    (10, 10, 20.0): complex(-2.038175255325361e-24, 4.7566923795076819e-25),
+    (10, 10, 450.0): complex(-9.7600217250628984e-39, 9.2886100566192453e-39),
+    (10, 10, 3e4): complex(-6.7313047185397689e-58, 6.7263100325911201e-58),
+    (10, 10, 1e6): complex(-6.882023304400757e-74, 6.8818700536436855e-74),
+    (10, 13, 20.0): complex(1.0083769975346663e-32, -3.5476369204455038e-31),
+    (10, 13, 450.0): complex(-1.3812617669525342e-49, -1.4851402445622289e-49),
+    (10, 13, 3e4): complex(-3.4167304878579223e-74, -3.4204455649003212e-74),
+    (10, 13, 1e6): complex(-9.4401021898501001e-95, -9.4404099596801202e-95),
+}
+# nodes evaluated per lambda at each step h: the rule's 10.4/h nodes less
+# its axis tail
+EVALUATED_NODES = {0.1: 174, 0.05: 354, 0.025: 720, 0.0125: 1463,
+                   0.00625: 2969, 0.003125: 6021}
 
 
 def phi_mellin_barnes(n, q, m, lam):
@@ -87,9 +121,10 @@ def test_error_estimate_bounds_the_true_error():
 
 
 def test_cached_rule_is_read_only():
-    _, phi, weights, _ = mr._de_rule(0.025)
-    for arr in (phi, weights, *mr._torus_rule(3), *mr._torus_rule(4),
-                *mr._residue_table(3, 1.0, 3, 60)):
+    _, phi, weights, _, moments = mr._de_rule(0.025)
+    for arr in (phi, weights, moments, mr._far_series(3, 3)[2],
+                mr._axis_jet(3, 1.0, 3), *mr._torus_rule(3),
+                *mr._torus_rule(4), *mr._residue_table(3, 1.0, 3, 60)):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -230,6 +265,80 @@ def test_contour_value_does_not_depend_on_the_batch():
     assert mr._probe.cache_info().hits == 0
     again = mr.make_mb_config(4, 1.3, 5, 6.0, 1e-9)
     assert mr._probe.cache_info().hits > 0 and again == first
+
+
+def test_probes_of_one_step_share_one_call(monkeypatch):
+    # every h of make_mb_config evaluates its uncached probes in one
+    # _phi_de call; a probe kept from an earlier config is not recomputed
+    calls = []
+    phi_de = mr._phi_de
+
+    def counted(n, q, m, lams, h):
+        calls.append((len(lams), h))
+        return phi_de(n, q, m, lams, h)
+
+    monkeypatch.setattr(mr, "_phi_de", counted)
+    mr._probe.cache_clear()
+    mr.make_mb_config(3, 0.8, 4, 5.0, 1e-9)
+    steps = [h for _, h in calls]
+    assert [size for size, _ in calls] == [2] * len(steps)
+    assert len(set(steps)) == len(steps)
+    calls.clear()
+    # the edge lambda = u is kept at every h, so only lam_max is new
+    mr.make_mb_config(3, 0.8, 4, 6.0, 1e-9)
+    assert calls and all(size == 1 for size, _ in calls)
+
+
+def test_far_series_against_mpmath():
+    for (n, m, b), want in FAR_G.items():
+        assert b >= mr._far_series(n, m)[0]
+        got = complex(mr._folded(n, 0.7, m, np.array([b]))[0])
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_evaluated_nodes_pinned():
+    for h, count in EVALUATED_NODES.items():
+        big_m, phi, weights, nsin, _ = mr._de_rule(h)
+        full_m, full_phi, full_w, full_nsin = mr._de_nodes(h)
+        tail = full_m / mr._OMEGA_FLOOR * full_phi < mr._TAIL_B
+        assert big_m == full_m and len(phi) == count
+        assert np.array_equal(phi, full_phi[~tail])
+        assert np.array_equal(weights, full_w[~tail])
+        assert nsin == np.count_nonzero(~tail[:full_nsin])
+        # the tail is the lowest t of each kind
+        assert not tail[full_nsin - 1] and not tail[-1]
+        assert tail[0] and tail[full_nsin]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_axis_tail_moments_match_the_direct_sum(n):
+    # the tail's part of both rule sums against the sums over its nodes,
+    # G from log_gamma_array; measured in sum_j w_j |G(b_j)| over the
+    # whole rule, the scale of the rule's roundoff
+    q = 1.3
+    for m in (n, n + 3):
+        kappa = mr._axis_jet(n, q, m)
+        for h in EVALUATED_NODES:
+            big_m, phi, weights, nsin = mr._de_nodes(h)
+            moments = mr._de_rule(h)[4]
+            tail = big_m / mr._OMEGA_FLOOR * phi < mr._TAIL_B
+            sine = np.arange(len(phi)) < nsin
+            for omega in (0.0, 4e-4, 0.5, -0.5):
+                stretch = big_m / max(abs(omega), mr._OMEGA_FLOOR)
+                b = stretch * phi
+                g = mr._folded(n, q, m, b)
+                scale = weights @ np.abs(g)
+                cos_part = tail & ~sine
+                sin_part = tail & sine
+                direct = (weights[cos_part] @ (np.cos(omega * b[cos_part])
+                                               * g.real[cos_part])
+                          - weights[sin_part] @ (np.sin(omega * b[sin_part])
+                                                 * g.imag[sin_part]))
+                direct_mag = weights[tail] @ np.abs(g[tail])
+                val, mag = mr._axis_tail(kappa, moments, np.array([omega]),
+                                         np.array([stretch]))
+                assert abs(val[0] - direct) <= 1e-16 * scale
+                assert abs(mag[0] - direct_mag) <= 1e-16 * scale
 
 
 def test_residue_series_overflow_guard():

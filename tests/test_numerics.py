@@ -99,6 +99,19 @@ def test_log_gamma_left_half_plane_mod_2pi():
     assert np.max(_mod_2pi_error(got, scipy.special.loggamma(z))) < 1e-14
 
 
+def test_log_gamma_array_value_does_not_depend_on_the_batch():
+    # in the Taylor disc about 1 each point is summed to its own depth:
+    # alone, beside a point at the disc's edge, or among all of them
+    z = _log_gamma_grids()["disc 1"]
+    z = z[np.abs(z - 1.0) <= 0.08]
+    alone = np.array([nx.log_gamma_array(z[i:i + 1])[0]
+                      for i in range(len(z))])
+    edge = np.array([nx.log_gamma_array(np.array([v, 1.0 + 0.0799j]))[0]
+                     for v in z])
+    assert np.array_equal(nx.log_gamma_array(z), alone)
+    assert np.array_equal(edge, alone)
+
+
 def test_log_gamma_array_rejects_left_half_plane():
     with pytest.raises(ValueError):
         nx.log_gamma_array(np.array([1.0, -0.5 + 1j]))
