@@ -32,8 +32,6 @@ from functools import partial
 
 import numpy as np
 
-from . import mirror
-from . import suite as suite_mod
 from .cohomology import make_blproj, make_proj
 from .monodromy import proj_reflection_check, twisted_reflection_check
 from .numerics import BranchState, NumericsError
@@ -201,6 +199,7 @@ def cmd_reflections(cfg: RunConfig) -> int:
 
 
 def cmd_phi(cfg: RunConfig) -> int:
+    from . import mirror
     kind, par = parse_space(cfg.space)
     if kind != "proj":
         raise UsageError("phi requires a proj:m space")
@@ -271,8 +270,9 @@ def cmd_phi(cfg: RunConfig) -> int:
 
 
 def cmd_suite(cfg: RunConfig, only: str | None) -> int:
+    from .suite import run_suite
     try:
-        results = suite_mod.run_suite(only=only)
+        results = run_suite(only=only)
     except ValueError as exc:
         raise UsageError(str(exc))
     for res in results:
@@ -347,8 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print("gamma-monodromy: error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (NumericsError, mirror.FitQualityError,
-            np.linalg.LinAlgError) as exc:
+    except (NumericsError, np.linalg.LinAlgError) as exc:
         print("gamma-monodromy: numerical failure: %s" % exc,
               file=sys.stderr)
         return EXIT_NUMERIC

@@ -1,22 +1,22 @@
 """Loop construction, monodromy of the period matrix, and reflection
 vectors.
 
-Loops are based at lambda_0 = 2(n-1) * q^{1/(n-1)} and consist of a
-clockwise arc along the big circle, a radial segment toward the chosen
-singular point u_k, a full counterclockwise circle of small radius around
-it, and the reverse way back.  Monodromy acts on the right:
-I_continued = I_base . C, so concatenating loops multiplies their matrices
-in path order.
+A loop is a value, Loop(arc, way_in, circle): out from the base point
+lambda_0 = 2(n-1) q^{1/(n-1)} along a clockwise arc of the big circle,
+in along a radial segment toward the chosen singular point u_k, once
+counterclockwise around a small circle about it, and back the same way.
+Monodromy acts on the right: I_continued = I_base . C, so concatenating
+loops multiplies their matrices in path order.
 
 The big circle lies where the period series converges, so the series
-covers the arcs: it is summed at the loop's outer point on the branch the
-arc reaches.  The ODE is continued only along the radial segment, to the
-small circle.  The circle and the way back are not walked: at a
-semisimple point the connection has a simple pole at u_k with rank-one
-residue, so its local solutions there are a Frobenius series in
-lambda - u_k, and the turn multiplies the one solution that is not
-holomorphic at u_k by exp(2 pi i r).  The reflection's direction is read
-off that solution at the circle's start.
+covers the arc: it is summed at the outer point on the branch the arc's
+angle psi reaches.  The ODE is continued only along the way in.  The
+circle and the way back are not walked: at a semisimple point the
+connection has a simple pole at u_k with rank-one residue, so its local
+solutions there are a Frobenius series in lambda - u_k, and the turn
+multiplies the one solution that is not holomorphic at u_k by
+exp(2 pi i r).  The reflection's direction is read off that solution at
+the circle's start.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,8 @@ from .cohomology import (SpaceModel, euler_pairing, exceptional_sheaf,
                          intersection_pairing, line_bundle, make_blproj,
                          make_proj, psi_map)
 from .numerics import (Arc, BranchState, NumericsError, Segment,
-                       principal_branch, scale_path)
-from .periods import GUARD_FACTOR, SERIES_CAP, fundamental_solution
+                       principal_branch)
+from .periods import SERIES_CAP, fundamental_solution
 from .quantum import (QuantumProduct, SSeries, quantum_mult_proj,
                       sseries_proj)
 from . import numerics
@@ -59,8 +60,18 @@ def base_radius(n: int) -> float:
     return 2.0 * (n - 1)
 
 
-def gamma_loop(n: int, q_log: complex, k: int) -> list:
-    """Closed loop around the k-th singular point, based at 2(n-1)q^{1/(n-1)}.
+class Loop(NamedTuple):
+    """The loop gamma_k: out along arc, about 0 from the base point (a
+    point at k = 0), in along way_in, once counterclockwise around circle
+    about u_k, and back the same way, which is implied."""
+
+    arc: Arc
+    way_in: Segment
+    circle: Arc
+
+
+def gamma_loop(n: int, q_log: complex, k: int) -> Loop:
+    """The loop around the k-th singular point, based at 2(n-1)q^{1/(n-1)}.
 
     The small circle radius is (n-1)/2 capped at a fifth of the minimal
     pairwise distance between singular points, so the loop can never link
@@ -75,49 +86,16 @@ def gamma_loop(n: int, q_log: complex, k: int) -> list:
         minpd = 2.0 * (n - 1) * math.sin(math.pi / (n - 1))
         r = min(r, 0.2 * minpd)
     direction = cmath.exp(1j * phi)
-    outer = lam0 * direction
-    inner = (n - 1 + r) * direction
-    center = (n - 1) * direction
-    pieces: list = []
-    if k > 0:
-        pieces.append(Arc(0.0, lam0, 0.0, phi))
-    pieces.append(Segment(outer, inner))
-    pieces.append(Arc(center, r, phi, phi + 2.0 * math.pi))
-    pieces.append(Segment(inner, outer))
-    if k > 0:
-        pieces.append(Arc(0.0, lam0, phi, 0.0))
     w = cmath.exp(complex(q_log) / (n - 1))
-    return scale_path(pieces, w)
-
-
-def _on_series_circle(piece, product: QuantumProduct) -> bool:
-    """An arc about 0 outside the guard, where the period series converges."""
-    return (isinstance(piece, Arc) and piece.center == 0
-            and piece.radius > GUARD_FACTOR * product.radius)
-
-
-def _retraces(back, piece) -> bool:
-    """back runs along piece in the opposite direction."""
-    tol = 1e-12 * max(1.0, abs(piece.start))
-    return type(back) is type(piece) and all(
-        abs(back.point(t) - piece.point(1.0 - t)) <= tol
-        for t in (0.0, 0.5, 1.0))
-
-
-def _way_in_and_circle(local: list) -> tuple[list, Arc]:
-    """Split a local piece that runs in, around a closed circle and back
-    the same way; ValueError for any other shape."""
-    n_in = (len(local) - 1) // 2
-    way_in, circle = local[:n_in], local[n_in]
-    if not (isinstance(circle, Arc) and circle.angle1 != circle.angle0
-            and abs(circle.end - circle.start)
-            <= 1e-12 * max(1.0, abs(circle.start))
-            and len(local) == 2 * n_in + 1
-            and all(_retraces(back, p) for p, back
-                    in zip(way_in, reversed(local[n_in + 1:])))):
-        raise ValueError("the loop's local piece must run in, around a "
-                         "circle and back the same way")
-    return way_in, circle
+    # the loop at q = 1 times w: radii times |w|, angles plus arg w
+    rot, mag = cmath.phase(w), abs(w)
+    outer = lam0 * direction * w
+    inner = (n - 1 + r) * direction * w
+    arc = (Arc(0.0 * w, lam0 * mag, 0.0 + rot, phi + rot) if k > 0
+           else Arc(outer, 0.0, 0.0, 0.0))
+    return Loop(arc, Segment(outer, inner),
+                Arc((n - 1) * direction * w, r * mag, phi + rot,
+                    phi + 2.0 * math.pi + rot))
 
 
 def _local_solutions(u: np.ndarray, ut: np.ndarray, k: int,
@@ -167,7 +145,7 @@ def _local_solutions(u: np.ndarray, ut: np.ndarray, k: int,
 
 
 def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
-                     sseries: SSeries, level: int, loop: list,
+                     sseries: SSeries, level: int, loop: Loop,
                      tol: float) -> MonodromyResult:
     """Monodromy C of the period matrix around the loop, I_cont = I_outer C,
     read off the local solutions at the singular point the loop circles.
@@ -179,13 +157,10 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     reflection operator, whose components grow with the class degree), so
     residual checks against it must be scale-relative.
 
-    The loop's leading and trailing arcs about 0 outside the guard radius
-    are not continued: there the period series converges, so an arc only
-    moves the branch of log lambda, by i (angle1 - angle0).  The series is
-    summed at the start of the first local piece on the branch the leading
-    arcs reach (I_outer).  The local piece must run in, around one circle
-    enclosing exactly one eigenvalue u_k of E (else ValueError), and back
-    the same way; only the way in is continued, to the circle's start
+    The arc is not continued: the period series converges on it, so it
+    only moves the branch of log lambda, by i psi with psi = angle1 -
+    angle0.  The series is summed at the start of way_in on that branch
+    (I_outer), and way_in is continued to the circle's start
     lambda_in (I_in).  There, with E = V diag(u) V^-1 and Ũ = V^-1 U V,
     the local solutions x^r V Z(x) e_k (r = Ũ_kk, x = lambda - u_k) and
     V Z(x) e_i, i != k, are summed as a Frobenius series (Dubrovin, LNM
@@ -199,53 +174,44 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     tol sets the period series (BASE_SERIES_TOL in the suite and the CLI).
     The series at the base point is summed in every case and raises
     IllConditionedError when its condition number exceeds 1e8.
-    residuals, all relative: "solve" (defect of I_in vec = H e_k over
+    The circle must close and enclose exactly one eigenvalue u_k of E,
+    else ValueError.  residuals: "solve" (defect of I_in vec = H e_k over
     max|H e_k|), "continuation" (first omitted Taylor terms of the way in,
     relative to their columns), "frobenius" (first omitted term of the
     local series, relative to its column), "truncation" (the last terms of
     the series at the outer point over max|I_outer|); "cond" and
-    "cond_outer", the condition numbers of I_base and I_outer; the two
-    gates reflection_vector reads: "exponent", |exp(2 pi i r) + 1|, and
-    "reflection", the max distance of C from the measured change over
-    the max of the latter.  counters: "taylor_steps" and "taylor_terms",
-    the continuation's work, and "frobenius_terms".
+    "cond_outer", the 2-norm condition numbers of I_base and I_outer,
+    which are not relative; the two gates reflection_vector reads:
+    "exponent", |exp(2 pi i r) + 1|, and "reflection", the max distance
+    of C from the measured change over the max of the latter.  counters:
+    "taylor_steps" and "taylor_terms", the continuation's work, and
+    "frobenius_terms".
     """
-    branch = principal_branch(loop[0].start)
+    arc, way_in, circle = loop
+    branch = principal_branch(arc.start)
     sol = fundamental_solution(space, product, sseries, level, branch, tol)
     cond = float(np.linalg.cond(sol.value))
     if cond > 1e8:
         raise IllConditionedError("period matrix condition number %g" % cond)
-    lead = 0
-    while lead < len(loop) and _on_series_circle(loop[lead], product):
-        arc = loop[lead]
-        branch = BranchState(arc.end, numerics._resync_log(
-            arc.end, branch.log_value + 1j * (arc.angle1 - arc.angle0)))
-        lead += 1
-    trail = len(loop)
-    while trail > lead and _on_series_circle(loop[trail - 1], product):
-        trail -= 1
-    local = loop[lead:trail]
-    turn = sum(p.angle1 - p.angle0 for p in loop[:lead] + loop[trail:])
-    if not local or abs(turn) > 1e-9:
-        raise ValueError("the loop must leave and rejoin its base along the "
-                         "same arcs about 0")
-    way_in, circle = _way_in_and_circle(local)
+    if circle.angle1 == circle.angle0 or abs(circle.end - circle.start) \
+            > 1e-12 * max(1.0, abs(circle.start)):
+        raise ValueError("the loop's circle must close")
     u, vmat = np.linalg.eig(product.euler_mult)
     inside = np.flatnonzero(np.abs(u - circle.center) < circle.radius)
     if len(inside) != 1:
         raise ValueError("the circle encloses %d eigenvalues of E, not one"
                          % len(inside))
     k = int(inside[0])
-    if lead:
-        branch = BranchState(local[0].start, branch.log_value)
+    psi = arc.angle1 - arc.angle0
+    if psi:
+        branch = BranchState(way_in.start, numerics._resync_log(
+            arc.end, branch.log_value + 1j * psi))
         sol = fundamental_solution(space, product, sseries, level, branch,
                                    tol)
     i_outer = sol.value
     upper = space.theta - (level + 0.5) * np.eye(space.size)
-    i_in, cont_err, steps, terms = i_outer, 0.0, 0, 0
-    if way_in:
-        i_in, _, cont_err, (steps, terms) = numerics.ode_continue(
-            product.euler_mult, upper, way_in, i_outer, branch0=branch)
+    i_in, _, cont_err, (steps, terms) = numerics.ode_continue(
+        product.euler_mult, upper, [way_in], i_outer, branch0=branch)
     ut = np.linalg.solve(vmat, upper @ vmat)
     zsum, frob_err, frob_terms = _local_solutions(u, ut, k,
                                                   circle.start - u[k])
@@ -269,7 +235,7 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
         "frobenius": frob_err,
         "truncation": sol.truncation_error / float(np.max(np.abs(i_outer))),
         "cond": cond,
-        "cond_outer": float(np.linalg.cond(i_outer)) if lead else cond,
+        "cond_outer": float(np.linalg.cond(i_outer)) if psi else cond,
         "exponent": abs(cmath.exp(2j * math.pi * ut[k, k]) + 1.0),
         "reflection": float(np.max(np.abs(cmat - measured))
                             / np.max(np.abs(measured))),

@@ -502,30 +502,14 @@ Piece = Segment | Arc
 PathSpec = Sequence[Piece]
 
 
-def validate_path(path: PathSpec, closed: bool = False, tol: float = 1e-12) -> None:
-    """Endpoints of consecutive pieces must agree within tol."""
+def validate_path(path: PathSpec) -> None:
+    """Consecutive pieces must join within 1e-12 max(1, max |start|)."""
     if not path:
         raise ValueError("empty path")
     scale = max(1.0, max(abs(p.start) for p in path))
     for a, b in zip(path, path[1:]):
-        if abs(a.end - b.start) > tol * scale:
+        if abs(a.end - b.start) > 1e-12 * scale:
             raise ValueError("path pieces do not join: %r -> %r" % (a.end, b.start))
-    if closed and abs(path[-1].end - path[0].start) > tol * scale:
-        raise ValueError("path does not close up")
-
-
-def scale_path(path: PathSpec, w: complex) -> list:
-    """Image of the path under multiplication by w."""
-    out = []
-    rot = cmath.phase(w)
-    mag = abs(w)
-    for p in path:
-        if isinstance(p, Segment):
-            out.append(Segment(p.z0 * w, p.z1 * w))
-        else:
-            out.append(Arc(p.center * w, p.radius * mag,
-                           p.angle0 + rot, p.angle1 + rot))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,18 @@ def test_phi_exit_codes(space, code, tmp_path):
     assert data["comparison"]["max_abs_diff"] < 1e-8
 
 
+def test_phi_fit_quality_error_exits_2(monkeypatch, capsys):
+    from gamma_monodromy import mirror
+
+    def poor_fit(*args):
+        raise mirror.FitQualityError("exponent fit r^2 = 0.5")
+
+    monkeypatch.setattr(mirror, "local_exponent_fit", poor_fit)
+    assert cli.main(["phi", "--space", "proj:1", "--q", "1"]) \
+        == cli.EXIT_NUMERIC
+    assert "numerical failure: exponent fit" in capsys.readouterr().err
+
+
 def test_phi_csv_contract(tmp_path):
     out = tmp_path / "phi.csv"
     rc = cli.main(["phi", "--space", "proj:1", "--q", "1", "--m", "3",
@@ -290,6 +302,16 @@ def test_module_entry_point_matches():
                            "phi", "--space", "proj:1", "--q", "-2"],
                           capture_output=True, text=True)
     assert proc.returncode == cli.EXIT_USAGE
+
+
+def test_cli_import_leaves_mirror_and_suite_unloaded():
+    # reflections needs neither; phi and suite import them when they run
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gamma_monodromy.cli; "
+         "print(sorted(set(sys.modules) & {'gamma_monodromy.mirror', "
+         "'gamma_monodromy.suite'}))"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -43,6 +43,14 @@ def reflection_action(space, alpha, x):
             - md.intersection_pairing(space, x, alpha) * alpha)
 
 
+def full_path(loop):
+    """The whole closed loop as a path: out along the arc, in, once around
+    the circle, and back the same way."""
+    arc, way_in, circle = loop
+    return [arc, way_in, circle, Segment(way_in.z1, way_in.z0),
+            Arc(arc.center, arc.radius, arc.angle1, arc.angle0)]
+
+
 def reflection_matrix(space, alpha):
     cols = [reflection_action(space, alpha, col)
             for col in np.eye(space.size, dtype=complex)]
@@ -59,14 +67,31 @@ def test_punctures_p1():
     assert np.max(np.abs(got - want)) < 1e-14
 
 
-def test_gamma_loop_closed_and_based_at_big_circle():
+def test_gamma_loop_pieces_join_and_start_at_the_base():
     for n in (3, 4, 5):
         for k in range(n - 1):
-            for q_log in (0.0, 0.7j):
+            for q_log in (0.0, 0.7j, math.log(0.55) - 0.8j * math.pi):
                 loop = md.gamma_loop(n, q_log, k)
-                validate_path(loop, closed=True, tol=1e-9)
+                arc, way_in, circle = loop
+                # the benchmark reads the base point off loop[0]
                 base = 2.0 * (n - 1) * cmath.exp(complex(q_log) / (n - 1))
                 assert abs(loop[0].start - base) < 1e-12
+                assert abs(arc.end - way_in.start) \
+                    <= 1e-12 * abs(way_in.start)
+                assert abs(way_in.end - circle.start) \
+                    <= 1e-12 * abs(circle.start)
+                if k == 0:
+                    assert arc.start == way_in.start
+                else:
+                    assert arc.center == 0 and arc.angle1 < arc.angle0
+                # one counterclockwise turn, which closes
+                turn = circle.angle1 - circle.angle0
+                assert abs(turn - 2.0 * math.pi) < 1e-12
+                assert abs(circle.end - circle.start) \
+                    <= 1e-12 * abs(circle.start)
+                path = full_path(loop)
+                validate_path(path)
+                assert abs(path[-1].end - base) < 1e-12 * abs(base)
 
 
 def test_gamma_loop_avoids_other_punctures():
@@ -110,9 +135,9 @@ def test_loop_must_circle_exactly_one_singular_point():
     # the singular points of P^1 at q = 1 are 2 and -2
     space, prod, sser = _setup(3)
     for center, radius in ((6.0, 1.0), (0.0, 2.5)):
-        loop = [Segment(5.0, center + radius),
-                Arc(center, radius, 0.0, 2.0 * math.pi),
-                Segment(center + radius, 5.0)]
+        loop = md.Loop(Arc(5.0, 0.0, 0.0, 0.0),
+                       Segment(5.0, center + radius),
+                       Arc(center, radius, 0.0, 2.0 * math.pi))
         with pytest.raises(ValueError, match="encloses"):
             md.monodromy_matrix(space, prod, sser, -3, loop, TOL)
 
@@ -121,34 +146,22 @@ def test_circle_must_start_where_the_local_series_converges():
     # on P^2 at q = 1 the circle about 8 encloses only u_0 = 3, but starts
     # at 13.5, further from u_0 than the other two (3 sqrt 3 away)
     space, prod, sser = _setup(4)
-    loop = [Segment(20.0, 13.5), Arc(8.0, 5.5, 0.0, 2.0 * math.pi),
-            Segment(13.5, 20.0)]
+    loop = md.Loop(Arc(20.0, 0.0, 0.0, 0.0), Segment(20.0, 13.5),
+                   Arc(8.0, 5.5, 0.0, 2.0 * math.pi))
     with pytest.raises(ValueError, match="outside the disc"):
         md.monodromy_matrix(space, prod, sser, -4, loop, TOL)
 
 
-def test_loop_must_come_back_the_way_it_went_in():
+def test_loop_circle_must_close():
+    # a half turn, or none, about u_k is not a monodromy
     space, prod, sser = _setup(3)
-    way_in, circle, back = md.gamma_loop(3, 0.0, 0)
-    half = Arc(circle.center, circle.radius, 0.0, math.pi)
-    for loop in ([way_in, circle, Segment(back.z0, back.z1 + 0.1)],
-                 [way_in, circle],
-                 [way_in, half, back],
-                 [way_in, Segment(circle.start, circle.start), back]):
-        with pytest.raises(ValueError, match="same way"):
-            md.monodromy_matrix(space, prod, sser, -3, loop, TOL)
-
-
-def test_loop_must_rejoin_its_base_along_the_series_circle():
-    # arcs about 0 outside the guard come from the series; a loop made of
-    # them alone, or one that does not turn back along them, has no local
-    # piece to read C from
-    space, prod, sser = _setup(3)
-    r = md.base_radius(3)
-    for loop in ([Arc(0.0, r, 0.0, 2.0 * math.pi)],
-                 md.gamma_loop(3, 0.0, 1)[:-1]):
-        with pytest.raises(ValueError, match="same arcs"):
-            md.monodromy_matrix(space, prod, sser, -3, loop, TOL)
+    loop = md.gamma_loop(3, 0.0, 0)
+    c = loop.circle
+    for angle1 in (c.angle0 + math.pi, c.angle0):
+        open_loop = loop._replace(
+            circle=Arc(c.center, c.radius, c.angle0, angle1))
+        with pytest.raises(ValueError, match="circle must close"):
+            md.monodromy_matrix(space, prod, sser, -3, open_loop, TOL)
 
 
 def test_reflections_on_p1_match_gamma_classes():
@@ -299,11 +312,11 @@ def test_reflection_vector_rejects_transvection():
 def test_reflection_gate_rejects_a_double_turn():
     # twice around u_k the measured change is the identity, not C
     space, prod, sser = _setup(3)
-    way_in, circle, back = md.gamma_loop(3, 0.0, 0)
-    twice = Arc(circle.center, circle.radius, circle.angle0,
-                circle.angle0 + 4.0 * math.pi)
-    res = md.monodromy_matrix(space, prod, sser, -3, [way_in, twice, back],
-                              TOL)
+    loop = md.gamma_loop(3, 0.0, 0)
+    c = loop.circle
+    twice = Arc(c.center, c.radius, c.angle0, c.angle0 + 4.0 * math.pi)
+    res = md.monodromy_matrix(space, prod, sser, -3,
+                              loop._replace(circle=twice), TOL)
     assert res.residuals["exponent"] < 1e-12
     assert res.residuals["reflection"] > 1.0
     with pytest.raises(NumericsError, match="not a reflection"):
@@ -413,22 +426,16 @@ def test_monodromy_is_integral_in_exceptional_basis(proj_checks):
 
 
 def _continued_monodromy(space, product, sser, level, loop, tol):
-    """The oracle: C = I_outer^-1 I_cont with the whole local piece of a
-    gamma_loop continued, the way in, the small circle and the way back.
-    The period series covers the leading big-circle arc of a k > 0 loop."""
-    branch = principal_branch(loop[0].start)
-    local = loop
-    if len(loop) == 5:
-        arc = loop[0]
-        branch = BranchState(loop[1].start, nx._resync_log(
-            arc.end, branch.log_value + 1j * (arc.angle1 - arc.angle0)))
-        local = loop[1:-1]
-    i_outer = fundamental_solution(space, product, sser, level, branch,
-                                   tol).value
+    """The oracle: C = I_base^-1 I_cont with the whole closed loop
+    continued from the base point, the arcs, the way in, the small circle
+    and the way back."""
+    branch = principal_branch(loop.arc.start)
+    i_base = fundamental_solution(space, product, sser, level, branch,
+                                  tol).value
     upper = space.theta - (level + 0.5) * np.eye(space.size)
-    i_cont = nx.ode_continue(product.euler_mult, upper, local, i_outer,
-                             branch0=branch)[0]
-    return np.linalg.solve(i_outer, i_cont)
+    i_cont = nx.ode_continue(product.euler_mult, upper, full_path(loop),
+                             i_base, branch0=branch)[0]
+    return np.linalg.solve(i_base, i_cont)
 
 
 def test_local_solutions_agree_with_the_continued_turn(proj_checks):

@@ -16,6 +16,7 @@ from gamma_monodromy import numerics as nx
 from gamma_monodromy import periods as pd
 from gamma_monodromy.cohomology import make_proj
 from gamma_monodromy.quantum import quantum_mult_proj, sseries_proj
+from test_monodromy import full_path
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -399,12 +400,6 @@ def test_validate_path_rejects_gap():
         nx.validate_path(p)
 
 
-def test_validate_path_closed():
-    nx.validate_path(unit_circle(), closed=True)
-    with pytest.raises(ValueError):
-        nx.validate_path([nx.Segment(0.0, 1.0)], closed=True)
-
-
 def reverse_piece(p):
     if isinstance(p, nx.Segment):
         return nx.Segment(p.z1, p.z0)
@@ -421,15 +416,6 @@ def test_reverse_path_endpoints():
     assert abs(r[0].start - p[-1].end) < 1e-15
     assert abs(r[-1].end - p[0].start) < 1e-15
     nx.validate_path(r)
-
-
-def test_scale_path_maps_points():
-    w = 2.0j
-    p = [nx.Segment(1.0, 2.0), nx.Arc(0.0, 2.0, 0.0, 1.0)]
-    s = nx.scale_path(p, w)
-    for orig, img in zip(p, s):
-        for t in (0.0, 0.37, 1.0):
-            assert abs(img.point(t) - w * orig.point(t)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +585,8 @@ def _assert_same_continuation(args, **kw):
 
 
 def _reflection_loops(n, q_log, level):
-    """(euler, upper, loop, I_base, branch0) of every loop k of P^{n-2} at
-    q = exp(q_log), as monodromy_matrix hands them to ode_continue."""
+    """(euler, upper, path, I_base, branch0) of every loop k of P^{n-2} at
+    q = exp(q_log): the whole closed loop, walked from the base point."""
     q = cmath.exp(q_log)
     space = make_proj(n - 2)
     product = quantum_mult_proj(n - 2, q)
@@ -608,11 +594,11 @@ def _reflection_loops(n, q_log, level):
     upper = space.theta - (level + 0.5) * np.eye(space.size)
     calls = []
     for k in range(n - 1):
-        loop = md.gamma_loop(n, q_log, k)
-        branch0 = nx.principal_branch(loop[0].start)
+        path = full_path(md.gamma_loop(n, q_log, k))
+        branch0 = nx.principal_branch(path[0].start)
         i_base = pd.fundamental_solution(space, product, sser, level, branch0,
                                          md.BASE_SERIES_TOL).value
-        calls.append((product.euler_mult, upper, loop, i_base, branch0))
+        calls.append((product.euler_mult, upper, path, i_base, branch0))
     return calls
 
 
@@ -662,8 +648,9 @@ def test_ode_blocked_matches_termwise_p3_loops(p3_loops, monkeypatch, block):
     # stop on a block's first term, some inside a block, and some on a run
     # of two small terms split across blocks
     monkeypatch.setattr(nx, "_TBLOCK", block)
-    for args in p3_loops:
-        _assert_same_continuation(args[:4], branch0=args[4])
+    steps = sum(_assert_same_continuation(args[:4], branch0=args[4])[3][0]
+                for args in p3_loops)
+    assert steps == 144
 
 
 def test_ode_blocked_matches_termwise_twisted4(twisted4_loops):
@@ -687,16 +674,17 @@ def _outer_branch(loop, branch0):
 
 
 def test_ode_counts_repeat_and_match_monodromy(p3_loops):
-    # a k > 0 loop continues only its inward segment, loop[1], from the
-    # period series at the outer point; the big-circle arcs, the small
-    # circle and the way back are not walked
-    euler, upper, loop, _, branch0 = p3_loops[2]
+    # a k > 0 loop continues only its way in from the period series at the
+    # outer point; the big-circle arcs, the small circle and the way back
+    # are not walked
+    loop = md.gamma_loop(5, P3_Q_LOG, 2)
+    euler, upper, _, i_base, branch0 = p3_loops[2]
     space, product, sser = _p3_model()
     outer = _outer_branch(loop, branch0)
     sol = pd.fundamental_solution(space, product, sser, -5, outer,
                                   md.BASE_SERIES_TOL)
     i_outer = sol.value
-    counts = [nx.ode_continue(euler, upper, loop[1:2], i_outer,
+    counts = [nx.ode_continue(euler, upper, [loop.way_in], i_outer,
                               branch0=outer)[3] for _ in range(2)]
     steps, terms = counts[0]
     assert counts[1] == counts[0]
@@ -711,8 +699,8 @@ def test_ode_counts_repeat_and_match_monodromy(p3_loops):
                                            / float(np.max(np.abs(i_outer))))
     # the whole loop took 41 steps and 995 terms, the inward segment 2 and
     # 48
-    whole_steps, whole_terms = nx.ode_continue(*p3_loops[2][:4],
-                                               branch0=branch0)[3]
+    whole_steps, whole_terms = nx.ode_continue(
+        euler, upper, full_path(loop), i_base, branch0=branch0)[3]
     assert 10 * steps < whole_steps and 10 * terms < whole_terms
 
 
