@@ -117,9 +117,10 @@ def _config_dict(cfg: RunConfig) -> dict:
     return d
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
+def _emit(payload: dict | str, out: str | None) -> None:
+    """Write payload, as JSON unless it is already text, to out or stdout."""
+    text = payload if isinstance(payload, str) else json.dumps(
+        payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -237,12 +238,7 @@ def cmd_phi(cfg: RunConfig) -> int:
     if cfg.format == "csv":
         lines = ["lambda,re_phi_series,re_phi_mb,abs_diff"]
         lines += ["%.12g,%.12g,%.12g,%.12g" % tuple(r) for r in rows]
-        text = "\n".join(lines) + "\n"
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit("\n".join(lines) + "\n", cfg.out)
         return EXIT_OK if ok else EXIT_FAIL
 
     payload = {

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -337,48 +336,16 @@ def _phi_de(n: int, q: float, m: int, lams: np.ndarray,
     return vals, mags
 
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-class _ProbeCache:
-    """Phi at (n, q, m, lambda, h) by the rule of step h and its roundoff
-    scale, as numbers, the last `size` read.  Every ``make_mb_config``
-    call for (n, q, m) probes the edge lambda = u(q) at the same h
-    sequence, so these repeat.  A read makes one ``_phi_de`` call for all
-    its lambdas not kept; a value does not depend on the other lambdas of
-    the call, so a kept one is the same bits."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.kept: dict = {}
-        self.hits = self.misses = 0
-
-    def read(self, n: int, q: float, m: int, lams: list,
-             h: float) -> tuple[np.ndarray, np.ndarray]:
-        keys = [(n, q, m, lam, h) for lam in lams]
-        new = [key for key in keys if key not in self.kept]
-        self.hits += len(keys) - len(new)
-        self.misses += len(new)
-        if new:
-            vals, mags = _phi_de(n, q, m, np.array([k[3] for k in new]), h)
-            self.kept.update(zip(new, zip(vals.tolist(), mags.tolist())))
-        # read keys move to the end; the oldest go past `size`
-        out = [self.kept.pop(key) for key in keys]
-        self.kept.update(zip(keys, out))
-        for key in list(self.kept)[:-self.size]:
-            del self.kept[key]
-        vals, mags = zip(*out)
-        return np.array(vals), np.array(mags)
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, self.size, len(self.kept))
-
-    def cache_clear(self) -> None:
-        self.kept.clear()
-        self.hits = self.misses = 0
-
-
-_probe = _ProbeCache(256)
+@lru_cache(maxsize=256)
+def _probe(n: int, q: float, m: int, lam: float,
+           h: float) -> tuple[complex, float]:
+    """Phi at one lambda by the rule of step h and its roundoff scale, as
+    numbers.  Cached because every ``make_mb_config`` call for (n, q, m)
+    probes the edge lambda = u(q) at the same h sequence, whatever its
+    lam_max; a value does not depend on the other lambdas of a
+    ``_phi_de`` call, so a cached one is the bits a batch would give."""
+    vals, mags = _phi_de(n, q, m, np.array([lam]), h)
+    return complex(vals[0]), float(mags[0])
 
 
 def make_mb_config(n: int, q: float, m: int, lam_max: float,
@@ -391,17 +358,25 @@ def make_mb_config(n: int, q: float, m: int, lam_max: float,
     larger of |I_h - I_2h| + roundoff there, so it exceeds tol only when
     roundoff sets the floor.  h = _DE_H0 only serves as I_2h: that rule is
     too coarse to be in its asymptotic regime, and the difference can come
-    out small by accident."""
+    out small by accident.  Each probe is read one lambda at a time through
+    ``_probe``, which keeps the last 256 by (n, q, m, lambda, h): the h
+    sequence does not depend on lam_max, so the u probes of one (n, q, m)
+    repeat from call to call."""
     if m <= 0.5:
         raise ValueError("contour needs m > 1/2 for a decaying integrand")
     if q <= 0:
         raise ValueError("q must be real positive")
     probes = sorted({u_of_q(n, q), float(lam_max)})
+
+    def read(h: float) -> tuple[np.ndarray, np.ndarray]:
+        vals, mags = zip(*(_probe(n, q, m, lam, h) for lam in probes))
+        return np.array(vals), np.array(mags)
+
     h = _DE_H0
-    coarse, _ = _probe.read(n, q, m, probes, h)
+    coarse, _ = read(h)
     for _ in range(_DE_HALVINGS):
         h /= 2.0
-        fine, magnitude = _probe.read(n, q, m, probes, h)
+        fine, magnitude = read(h)
         roundoff = _ROUNDOFF_UNITS * np.finfo(float).eps * magnitude
         diff = np.abs(fine - coarse)
         est = float(np.max(diff + roundoff))

@@ -454,22 +454,14 @@ def _resync_log(point: complex, log_val: complex) -> complex:
 
 @dataclass(frozen=True)
 class Segment:
-    z0: complex
-    z1: complex
+    start: complex
+    end: complex
 
     def point(self, t: float) -> complex:
-        return self.z0 + (self.z1 - self.z0) * t
+        return self.start + (self.end - self.start) * t
 
     def length(self) -> float:
-        return abs(self.z1 - self.z0)
-
-    @property
-    def start(self) -> complex:
-        return self.z0
-
-    @property
-    def end(self) -> complex:
-        return self.z1
+        return abs(self.end - self.start)
 
 
 @dataclass(frozen=True)

@@ -267,26 +267,25 @@ def test_contour_value_does_not_depend_on_the_batch():
     assert mr._probe.cache_info().hits > 0 and again == first
 
 
-def test_probes_of_one_step_share_one_call(monkeypatch):
-    # every h of make_mb_config evaluates its uncached probes in one
-    # _phi_de call; a probe kept from an earlier config is not recomputed
+def test_edge_probes_are_kept_across_configs(monkeypatch):
+    # make_mb_config probes u and lam_max one lambda at a time; a second
+    # config for the same (n, q, m) reads every u probe from the cache, so
+    # only the new lam_max is evaluated, once per h
     calls = []
     phi_de = mr._phi_de
 
     def counted(n, q, m, lams, h):
-        calls.append((len(lams), h))
+        calls.append((list(lams), h))
         return phi_de(n, q, m, lams, h)
 
     monkeypatch.setattr(mr, "_phi_de", counted)
     mr._probe.cache_clear()
     mr.make_mb_config(3, 0.8, 4, 5.0, 1e-9)
-    steps = [h for _, h in calls]
-    assert [size for size, _ in calls] == [2] * len(steps)
-    assert len(set(steps)) == len(steps)
     calls.clear()
-    # the edge lambda = u is kept at every h, so only lam_max is new
     mr.make_mb_config(3, 0.8, 4, 6.0, 1e-9)
-    assert calls and all(size == 1 for size, _ in calls)
+    steps = [h for _, h in calls]
+    assert calls and all(lams == [6.0] for lams, _ in calls)
+    assert len(set(steps)) == len(steps)
 
 
 def test_far_series_against_mpmath():

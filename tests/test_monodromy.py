@@ -47,7 +47,7 @@ def full_path(loop):
     """The whole closed loop as a path: out along the arc, in, once around
     the circle, and back the same way."""
     arc, way_in, circle = loop
-    return [arc, way_in, circle, Segment(way_in.z1, way_in.z0),
+    return [arc, way_in, circle, Segment(way_in.end, way_in.start),
             Arc(arc.center, arc.radius, arc.angle1, arc.angle0)]
 
 

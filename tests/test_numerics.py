@@ -402,7 +402,7 @@ def test_validate_path_rejects_gap():
 
 def reverse_piece(p):
     if isinstance(p, nx.Segment):
-        return nx.Segment(p.z1, p.z0)
+        return nx.Segment(p.end, p.start)
     return nx.Arc(p.center, p.radius, p.angle1, p.angle0)
 
 
