@@ -90,12 +90,13 @@ def gamma_loop(n: int, q_log: complex, k: int) -> Loop:
     # the loop at q = 1 times w: radii times |w|, angles plus arg w
     rot, mag = cmath.phase(w), abs(w)
     outer = lam0 * direction * w
-    inner = (n - 1 + r) * direction * w
     arc = (Arc(0.0 * w, lam0 * mag, 0.0 + rot, phi + rot) if k > 0
            else Arc(outer, 0.0, 0.0, 0.0))
-    return Loop(arc, Segment(outer, inner),
-                Arc((n - 1) * direction * w, r * mag, phi + rot,
-                    phi + 2.0 * math.pi + rot))
+    circle = Arc((n - 1) * direction * w, r * mag, phi + rot,
+                 phi + 2.0 * math.pi + rot)
+    # the way in ends exactly where the circle starts, so I_in and the
+    # local solutions are read at one point
+    return Loop(arc, Segment(outer, circle.start), circle)
 
 
 def _local_solutions(u: np.ndarray, ut: np.ndarray, k: int,

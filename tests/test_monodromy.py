@@ -78,8 +78,7 @@ def test_gamma_loop_pieces_join_and_start_at_the_base():
                 assert abs(loop[0].start - base) < 1e-12
                 assert abs(arc.end - way_in.start) \
                     <= 1e-12 * abs(way_in.start)
-                assert abs(way_in.end - circle.start) \
-                    <= 1e-12 * abs(circle.start)
+                assert way_in.end == circle.start
                 if k == 0:
                     assert arc.start == way_in.start
                 else:
