@@ -177,8 +177,10 @@ def cmd_reflections(cfg: RunConfig) -> int:
         payload["level"] = -(cfg.m if cfg.m is not None else n)
     else:
         n = par
-        check = partial(twisted_reflection_check, n,
-                        _branch_value(cfg.Q, "--Q"), m=cfg.m)
+        Q = _branch_value(cfg.Q, "--Q")
+        if cfg.Q[1] != 0.0:
+            raise UsageError("twisted spaces require real positive --Q")
+        check = partial(twisted_reflection_check, n, Q, m=cfg.m)
         entry = _twisted_entry
     if cfg.k is not None and not 0 <= cfg.k <= n - 2:
         raise UsageError("k %d outside [0, %d]" % (cfg.k, n - 2))
@@ -212,6 +214,8 @@ def cmd_phi(cfg: RunConfig) -> int:
     q = float(cfg.q[0])
     n = par + 2
     m = cfg.m if cfg.m is not None else n
+    if m < 1:
+        raise UsageError("phi requires --m >= 1")
     u = mirror.u_of_q(n, q)
 
     scan = mirror.zero_region_scan(n, q, m, npts=20, tol=tol)

@@ -108,10 +108,9 @@ def _local_solutions(u: np.ndarray, ut: np.ndarray, k: int,
     With T_J = Z_J x^J, rows i != k obey T_{J+1} = x ((ut - J - rho) T_J)_i
     / ((u_k - u_i)(J + 1 + rho)), rho the column's exponent, and row k is
     sum_{i != k} ut_ki (T_{J+1})_i / (J + 1 + rho - r).  The series converges
-    out to the nearest other u_i and stops, as a Taylor step of
-    ode_continue does, before the second of two consecutive terms below
-    machine epsilon times their column's scale.  Returns sum_J T_J, that
-    term relative to its column, and the terms summed.
+    out to the nearest other u_i; numerics.sum_series sums it, as it does a
+    Taylor step of ode_continue, and returns sum_J T_J, the stopping term
+    relative to its column, and the terms summed.
     """
     r = complex(ut[k, k])
     if abs(r - round(r.real)) < 1e-9:
@@ -126,23 +125,18 @@ def _local_solutions(u: np.ndarray, ut: np.ndarray, k: int,
     row_k[k] = 0.0
     rho = np.zeros(len(u), dtype=complex)
     rho[k] = r
-    term = np.eye(len(u), dtype=complex)
-    term[k] = -row_k / r
-    term[k, k] = 1.0
-    acc = term.copy()
-    eps = np.finfo(float).eps
-    small = 0
-    for j in range(numerics._TERM_CAP):
+    first = np.eye(len(u), dtype=complex)
+    first[k] = -row_k / r
+    first[k, k] = 1.0
+
+    def step(j, term):
         term = x * (ut @ term - (j + rho) * term) \
             / np.outer(gaps, j + 1 + rho)
         term[k] = row_k @ term / (j + 1 + rho - r)
-        rel = float(np.max(np.max(np.abs(term), axis=0)
-                           / np.max(np.abs(acc), axis=0)))
-        small = small + 1 if rel <= eps else 0
-        if small == 2:
-            return acc, rel, j
-        acc += term
-    raise NumericsError("local series did not converge at x=%r" % x)
+        return term
+
+    return numerics.sum_series(
+        first, step, "local series did not converge at x=%r" % x)
 
 
 def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
@@ -211,8 +205,8 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
                                    tol)
     i_outer = sol.value
     upper = space.theta - (level + 0.5) * np.eye(space.size)
-    i_in, _, cont_err, (steps, terms) = numerics.ode_continue(
-        product.euler_mult, upper, [way_in], i_outer, branch0=branch)
+    i_in, cont_err, (steps, terms) = numerics.ode_continue(
+        product.euler_mult, upper, [way_in], i_outer)
     ut = np.linalg.solve(vmat, upper @ vmat)
     zsum, frob_err, frob_terms = _local_solutions(u, ut, k,
                                                   circle.start - u[k])

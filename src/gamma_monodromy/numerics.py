@@ -1,8 +1,8 @@
 """Low-level numerics: truncated jets, complex special functions, branch
-tracking, Taylor-recurrence continuation of the constant-coefficient
-connection along piecewise paths, and ``Prefix``, the one growth rule of
-the tables built only as deep as they are read (the calibration series
-and the Gamma-jet ladder).
+states of log(lambda), ``sum_series``, the one summation of the local
+series of the connection (the Taylor steps of ``ode_continue`` and the
+Frobenius series of ``monodromy``), and ``Prefix``, the growth rule of the
+tables built only as deep as read (calibration series, Gamma-jet ladder).
 
 A truncated jet sum_k c[k] w^k is the complex coefficient array c itself,
 of length order + 1 <= 13; jet_mul, jet_recip and jet_exp do the
@@ -412,7 +412,7 @@ def recip_gamma_jet(z: complex, order: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# branch tracking
+# branches of log(lambda)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -505,64 +505,76 @@ def validate_path(path: PathSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# continuation of (lambda - E) Y' = U Y by its Taylor recurrence
+# local series of (lambda - E) Y' = U Y, and continuation by Taylor steps
 # ---------------------------------------------------------------------------
 
 _SING_EPS = 1e-12
 _TERM_CAP = 200
-_TBLOCK = 8           # Taylor terms formed per batch
+_TBLOCK = 8           # series terms formed per batch
 
 
-def ode_continue(
-    euler: np.ndarray,
-    upper: np.ndarray,
-    path: PathSpec,
-    y0: np.ndarray,
-    branch0: BranchState | None = None,
-) -> tuple[np.ndarray, BranchState, float, tuple[int, int]]:
-    """Continue a solution of (lambda - E) dY/dlambda = U Y along the path,
-    tracking log(lambda).
+def sum_series(first: np.ndarray, step, message: str
+               ) -> tuple[np.ndarray, float, int]:
+    """Sum T_0 + T_1 + .. column by column, T_0 = first and
+    T_{j+1} = step(j, T_j), stopping before the second of two consecutive
+    terms at or below machine epsilon times their column's scale (the max
+    modulus of the partial sum before them); there is no tolerance to set.
+
+    The terms are formed _TBLOCK at a time, their norms, partial sums and
+    column scales taken per block, and the stopping rule reads them one by
+    one, so the result is that of a term-by-term sum.  Returns the value,
+    the stopping term over its column's scale, and the terms summed after
+    T_0; NumericsError(message) when _TERM_CAP terms do not stop it.
+    """
+    eps = np.finfo(float).eps
+    # row 0 is the running sum, rows 1.. the block's terms
+    buf = np.empty((_TBLOCK + 1,) + first.shape, dtype=complex)
+    term = buf[0] = first
+    small = 0
+    for start in range(0, _TERM_CAP, _TBLOCK):
+        block = buf[:min(_TBLOCK, _TERM_CAP - start) + 1]
+        for i, j in enumerate(range(start, start + len(block) - 1)):
+            term = block[i + 1] = step(j, term)
+        tnorms = np.max(np.abs(block[1:]), axis=1)
+        np.cumsum(block, axis=0, out=block)
+        scales = np.max(np.abs(block[:-1]), axis=1)
+        rels = np.max(tnorms / np.where(scales > 0, scales, 1.0),
+                      axis=1).tolist()
+        for i, rel in enumerate(rels):
+            small = small + 1 if rel <= eps else 0
+            if small == 2:
+                # the value is the partial sum before the second small term
+                return block[i].copy(), rel, start + i
+        buf[0] = block[-1]
+    raise NumericsError(message)
+
+
+def ode_continue(euler: np.ndarray, upper: np.ndarray, path: PathSpec,
+                 y0: np.ndarray) -> tuple[np.ndarray, float, tuple[int, int]]:
+    """Continue a solution of (lambda - E) dY/dlambda = U Y along the path.
 
     E (euler) and U (upper) are constant square matrices; y0 is a vector
     or a matrix of columns.  Around a node c the Taylor coefficients obey
-    Y_{j+1} = (c - E)^{-1} (U - j) Y_j / (j+1), and the series converges on
-    the disk reaching the nearest eigenvalue of E.  Each step h moves at
-    most half that distance and at most half of |c| along the piece, so
-    the terms decay at least like 2^-j up to a polynomial factor, and
-    log(lambda) advances exactly by the principal log1p(h/c).  A step sums
-    until two consecutive terms fall below machine epsilon times their
-    column's scale; there is no tolerance to choose.  The terms are formed
-    _TBLOCK at a time, and their norms, partial sums and column scales are
-    taken per block, but the stopping rule reads them one by one, so the
-    stopping term and the value are those of a term-by-term sum.  The
-    branch is only re-anchored on the exact endpoint of each piece, keeping
-    the accumulated winding.
+    Y_{j+1} = (c - E)^{-1} (U - j) Y_j / (j+1), summed by ``sum_series``.
+    The series converges on the disk reaching the nearest eigenvalue of E,
+    the only singular points of the connection, and each step h moves at
+    most half that distance, so the terms decay at least like 2^-j up to a
+    polynomial factor.
 
-    Returns the continued solution, its branch state, the continuation
-    error estimate (the sum over steps of the first omitted term relative
-    to its column's scale) and the work done, (steps, terms): Taylor
-    steps, and terms summed into the steps' values.  Raises NumericsError
-    when a node comes within 1e-12 * max(1, |lambda|) of an eigenvalue of
-    E or of the origin, or when a step's series has not converged in
-    _TERM_CAP terms.
+    Returns the continued solution, the continuation error estimate (the
+    sum over steps of the first omitted term relative to its column's
+    scale) and the work done, (steps, terms): Taylor steps, and terms
+    summed into their values.  Raises NumericsError when a node comes
+    within 1e-12 * max(1, |lambda|) of an eigenvalue of E, or when a step's
+    series does not stop in _TERM_CAP terms.
     """
     validate_path(path)
     y0 = np.asarray(y0, dtype=complex)
     y = y0.reshape(len(y0), -1).copy()
-    start = path[0].start
-    if branch0 is None:
-        branch0 = principal_branch(start)
-    if abs(branch0.base - start) > 1e-9 * max(1.0, abs(start)):
-        raise ValueError("branch0.base does not match path start")
-    branch0.check()
-    logl = branch0.log_value
     sing = np.linalg.eigvals(euler)
     eye = np.eye(len(euler))
-    eps = np.finfo(float).eps
     trunc = 0.0
     steps = terms = 0
-    # row 0 is the running sum, rows 1.. the block's terms
-    buf = np.empty((_TBLOCK + 1,) + y.shape, dtype=complex)
 
     for piece in path:
         plen = piece.length()
@@ -571,8 +583,7 @@ def ode_continue(
         t = 0.0
         c = piece.start
         while t < 1.0:
-            # the origin is singular for log(lambda)
-            reach = min(float(np.min(np.abs(c - sing))), abs(c))
+            reach = float(np.min(np.abs(c - sing)))
             if reach < _SING_EPS * max(1.0, abs(c)):
                 raise NumericsError(
                     "continuation node %r on a singular point" % c)
@@ -581,38 +592,14 @@ def ode_continue(
             z = piece.end if t_next == 1.0 else piece.point(t_next)
             h = z - c
             resolvent = np.linalg.inv(c * eye - euler)
-            term = buf[0] = y
-            small = 0
-            for first in range(0, _TERM_CAP, _TBLOCK):
-                block = buf[:min(_TBLOCK, _TERM_CAP - first) + 1]
-                for i, j in enumerate(range(first, first + len(block) - 1)):
-                    term = block[i + 1] = (h / (j + 1)) * (
-                        resolvent @ (upper @ term - j * term))
-                tnorms = np.max(np.abs(block[1:]), axis=1)
-                np.cumsum(block, axis=0, out=block)
-                scales = np.max(np.abs(block[:-1]), axis=1)
-                rels = np.max(tnorms / np.where(scales > 0, scales, 1.0),
-                              axis=1).tolist()
-                for i, rel in enumerate(rels):
-                    small = small + 1 if rel <= eps else 0
-                    if small == 2:
-                        break
-                if small == 2:
-                    break
-                buf[0] = block[-1]
-            else:
-                raise NumericsError(
-                    "Taylor series did not converge at lambda=%r" % c)
-            # the value is the partial sum before the second small term
-            y = block[i].copy()
+
+            def step(j, term):
+                return (h / (j + 1)) * (resolvent @ (upper @ term - j * term))
+            y, rel, summed = sum_series(
+                y, step, "Taylor series did not converge at lambda=%r" % c)
             trunc += rel
             steps += 1
-            terms += first + i
-            logl = logl + np.log1p(h / c)
+            terms += summed
             t, c = t_next, z
-        # re-anchor on the exact piece endpoint, keeping the winding
-        logl = _resync_log(piece.end, logl)
 
-    endpoint = path[-1].end
-    return (y.reshape(y0.shape), BranchState(endpoint, logl), trunc,
-            (steps, terms))
+    return y.reshape(y0.shape), trunc, (steps, terms)

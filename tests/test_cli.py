@@ -287,6 +287,18 @@ def test_phi_without_q_exits_64(capsys):
     assert "missing required argument --q" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["reflections", "--space", "twisted:3", "--Q", "1", "--Q-arg", "0.5"],
+     "twisted spaces require real positive --Q"),
+    (["phi", "--space", "proj:1", "--q", "1", "--m", "0"],
+     "phi requires --m >= 1"),
+])
+def test_out_of_domain_flags_exit_64(argv, message, capsys):
+    # both died with a traceback and exit 1, the code of a tolerance breach
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "gamma-monodromy: error: %s\n" % message
+
+
 def test_console_script_usage_error():
     exe = shutil.which("gamma-monodromy")
     if exe is None:

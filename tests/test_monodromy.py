@@ -124,8 +124,7 @@ def test_contractible_loop_is_identity():
     branch = principal_branch(loop[0].start)
     i_base = fundamental_solution(space, prod, sser, -3, branch, TOL).value
     upper = space.theta - (-3 + 0.5) * np.eye(space.size)
-    i_cont = nx.ode_continue(prod.euler_mult, upper, loop, i_base,
-                             branch0=branch)[0]
+    i_cont = nx.ode_continue(prod.euler_mult, upper, loop, i_base)[0]
     cmat = np.linalg.solve(i_base, i_cont)
     assert np.max(np.abs(cmat - np.eye(space.size))) < 1e-7
 
@@ -433,7 +432,7 @@ def _continued_monodromy(space, product, sser, level, loop, tol):
                                   tol).value
     upper = space.theta - (level + 0.5) * np.eye(space.size)
     i_cont = nx.ode_continue(product.euler_mult, upper, full_path(loop),
-                             i_base, branch0=branch)[0]
+                             i_base)[0]
     return np.linalg.solve(i_base, i_cont)
 
 

@@ -428,23 +428,21 @@ def scalar(a: complex, size: int = 1) -> np.ndarray:
 
 def test_ode_zero_rhs_identity():
     y0 = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    y1, br, _, _ = nx.ode_continue(scalar(0.0, 2), scalar(0.0, 2),
-                                   unit_circle(), y0)
+    y1, _, _ = nx.ode_continue(scalar(0.0, 2), scalar(0.0, 2),
+                               unit_circle(), y0)
     assert np.max(np.abs(y1 - y0)) < 1e-12
-    # branch picked up one full turn
-    assert abs(br.log_value.imag - 2 * math.pi) < 1e-9
 
 
 def test_ode_halfpower_monodromy():
     # lam y' = y/2
     y0 = np.array([1.0 + 0.0j])
-    y1, _, _, _ = nx.ode_continue(scalar(0.0), scalar(0.5), unit_circle(), y0)
+    y1, _, _ = nx.ode_continue(scalar(0.0), scalar(0.5), unit_circle(), y0)
     assert abs(y1[0] + 1.0) < 1e-9
 
 
 def test_ode_fullpower_monodromy_trivial():
     y0 = np.array([1.0 + 0.0j])
-    y1, _, _, _ = nx.ode_continue(scalar(0.0), scalar(1.0), unit_circle(), y0)
+    y1, _, _ = nx.ode_continue(scalar(0.0), scalar(1.0), unit_circle(), y0)
     assert abs(y1[0] - 1.0) < 1e-9
 
 
@@ -456,9 +454,9 @@ def test_ode_composability():
     euler = scalar(0.0, 2)
     p = [nx.Segment(1.0, 2.0 + 1.0j)]
     qq = [nx.Segment(2.0 + 1.0j, 3.0 - 0.5j)]
-    ya, bra, _, _ = nx.ode_continue(euler, upper, p, y0)
-    yb, _, _, _ = nx.ode_continue(euler, upper, qq, ya, branch0=bra)
-    yc, _, _, _ = nx.ode_continue(euler, upper, p + qq, y0)
+    ya, _, _ = nx.ode_continue(euler, upper, p, y0)
+    yb, _, _ = nx.ode_continue(euler, upper, qq, ya)
+    yc, _, _ = nx.ode_continue(euler, upper, p + qq, y0)
     assert np.max(np.abs(yb - yc)) < 3 * tol
 
 
@@ -469,9 +467,8 @@ def test_ode_reversibility():
     upper = np.array([[0.0, 2.0], [1.0, 0.0]])
     euler = scalar(0.2j, 2)
     p = [nx.Arc(0.0, 1.5, 0.0, math.pi), nx.Segment(-1.5, -2.5)]
-    y1, br, _, _ = nx.ode_continue(euler, upper, p, y0)
-    y2, _, _, _ = nx.ode_continue(euler, upper, reverse_path(p), y1,
-                                  branch0=br)
+    y1, _, _ = nx.ode_continue(euler, upper, p, y0)
+    y2, _, _ = nx.ode_continue(euler, upper, reverse_path(p), y1)
     assert np.max(np.abs(y2 - y0)) < 3 * tol
 
 
@@ -480,14 +477,6 @@ def test_ode_segment_into_singular_point_raises():
     path = [nx.Segment(0.5, 1.0)]  # runs straight into the singularity
     with pytest.raises(nx.NumericsError):
         nx.ode_continue(scalar(1.0), scalar(1.0), path, y0)
-
-
-def test_ode_branch_tracks_windings():
-    y0 = np.array([1.0 + 0.0j])
-    two_turns = [nx.Arc(0.0, 1.0, 0.0, 4 * math.pi)]
-    _, br, _, _ = nx.ode_continue(scalar(0.0), scalar(0.0), two_turns, y0)
-    assert abs(br.log_value.imag - 4 * math.pi) < 1e-8
-    br.check()
 
 
 def test_ode_loop_around_one_of_two_singular_points():
@@ -499,98 +488,77 @@ def test_ode_loop_around_one_of_two_singular_points():
     path = [nx.Segment(3.0, 1.3), nx.Arc(1.0, 0.3, 0.0, 2 * math.pi),
             nx.Segment(1.3, 3.0)]
     y0 = np.array([1.0 + 0.0j, 1.0 + 0.0j])
-    y1, br, err, _ = nx.ode_continue(euler, upper, path, y0)
+    y1, err, _ = nx.ode_continue(euler, upper, path, y0)
     assert abs(y1[0] - cmath.exp(2j * math.pi * 0.3)) < 1e-13
     assert abs(y1[1] - 1.0) < 1e-13
-    # the loop does not wind around the origin
-    assert abs(br.log_value - math.log(3.0)) < 1e-14
     assert 0.0 <= err < 1e-13
 
 
 # ---------------------------------------------------------------------------
-# ode_continue against its term-by-term form
+# sum_series against its term-by-term form
 # ---------------------------------------------------------------------------
 
-def _ode_continue_termwise(euler, upper, path, y0, branch0=None):
-    """Test oracle: ode_continue with the Taylor terms formed and tested
-    one at a time, the loop the blocked form must reproduce bit for bit."""
-    nx.validate_path(path)
-    y0 = np.asarray(y0, dtype=complex)
-    y = y0.reshape(len(y0), -1).copy()
-    start = path[0].start
-    if branch0 is None:
-        branch0 = nx.principal_branch(start)
-    if abs(branch0.base - start) > 1e-9 * max(1.0, abs(start)):
-        raise ValueError("branch0.base does not match path start")
-    branch0.check()
-    logl = branch0.log_value
-    sing = np.linalg.eigvals(euler)
-    eye = np.eye(len(euler))
+def _sum_series_termwise(first, step, message):
+    """Test oracle: sum_series with the terms formed and tested one at a
+    time, the loop the blocked form must reproduce bit for bit."""
     eps = np.finfo(float).eps
-    trunc = 0.0
-    steps = terms = 0
-
-    for piece in path:
-        plen = piece.length()
-        if plen == 0.0:
-            continue
-        t = 0.0
-        c = piece.start
-        while t < 1.0:
-            reach = min(float(np.min(np.abs(c - sing))), abs(c))
-            if reach < nx._SING_EPS * max(1.0, abs(c)):
-                raise nx.NumericsError(
-                    "continuation node %r on a singular point" % c)
-            t_next = min(1.0, t + 0.5 * reach / plen)
-            z = piece.end if t_next == 1.0 else piece.point(t_next)
-            h = z - c
-            resolvent = np.linalg.inv(c * eye - euler)
-            term = y
-            acc = y.copy()
-            small = 0
-            for j in range(nx._TERM_CAP):
-                term = (h / (j + 1)) * (resolvent @ (upper @ term - j * term))
-                scale = np.max(np.abs(acc), axis=0)
-                rel = float(np.max(np.max(np.abs(term), axis=0)
-                                   / np.where(scale > 0, scale, 1.0)))
-                small = small + 1 if rel <= eps else 0
-                if small == 2:
-                    trunc += rel
-                    terms += j
-                    break
-                acc += term
-            else:
-                raise nx.NumericsError(
-                    "Taylor series did not converge at lambda=%r" % c)
-            steps += 1
-            y = acc
-            logl = logl + np.log1p(h / c)
-            t, c = t_next, z
-        logl = nx._resync_log(piece.end, logl)
-
-    endpoint = path[-1].end
-    return (y.reshape(y0.shape), nx.BranchState(endpoint, logl), trunc,
-            (steps, terms))
+    term = first
+    acc = first.copy()
+    small = 0
+    for j in range(nx._TERM_CAP):
+        term = step(j, term)
+        scale = np.max(np.abs(acc), axis=0)
+        rel = float(np.max(np.max(np.abs(term), axis=0)
+                           / np.where(scale > 0, scale, 1.0)))
+        small = small + 1 if rel <= eps else 0
+        if small == 2:
+            return acc, rel, j
+        acc += term
+    raise nx.NumericsError(message)
 
 
-def _assert_same_continuation(args, **kw):
-    got = nx.ode_continue(*args, **kw)
-    want = _ode_continue_termwise(*args, **kw)
-    assert np.array_equal(got[0], want[0])
-    assert got[1].base == want[1].base
-    assert np.array_equal(got[1].log_value, want[1].log_value)
-    assert np.array_equal(got[2], want[2])
-    assert got[3] == want[3]
+def _termwise(fn, args):
+    """fn(*args) with the term-by-term oracle in place of sum_series."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nx, "sum_series", _sum_series_termwise)
+        return fn(*args)
+
+
+def _assert_same_series(fn, args):
+    """fn(*args), ode_continue or _local_solutions, gives the same bits
+    with sum_series and with the term-by-term oracle."""
+    got = fn(*args)
+    want = _termwise(fn, args)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
     return got
+
+
+def _assert_term_cap_boundary(monkeypatch, fn, args, n_terms, match):
+    """fn(*args), whose series stops on term index n_terms - 1, fits in
+    _TERM_CAP = n_terms, the same bits in both forms, and raises in both
+    below it."""
+    monkeypatch.setattr(nx, "_TERM_CAP", n_terms)
+    _assert_same_series(fn, args)
+    monkeypatch.setattr(nx, "_TERM_CAP", n_terms - 1)
+    with pytest.raises(nx.NumericsError, match=match):
+        fn(*args)
+    with pytest.raises(nx.NumericsError, match=match):
+        _termwise(fn, args)
+
+
+def _proj_model(n, q_log):
+    """(space, product, S-series) of P^{n-2} at q = exp(q_log)."""
+    q = cmath.exp(q_log)
+    return (make_proj(n - 2), quantum_mult_proj(n - 2, q),
+            sseries_proj(n - 2, q, pd.SERIES_CAP))
 
 
 def _reflection_loops(n, q_log, level):
     """(euler, upper, path, I_base, branch0) of every loop k of P^{n-2} at
     q = exp(q_log): the whole closed loop, walked from the base point."""
-    q = cmath.exp(q_log)
-    space = make_proj(n - 2)
-    product = quantum_mult_proj(n - 2, q)
-    sser = sseries_proj(n - 2, q, pd.SERIES_CAP)
+    space, product, sser = _proj_model(n, q_log)
     upper = space.theta - (level + 0.5) * np.eye(space.size)
     calls = []
     for k in range(n - 1):
@@ -602,8 +570,30 @@ def _reflection_loops(n, q_log, level):
     return calls
 
 
+def _frobenius_calls(n, q_log, level):
+    """The arguments of the _local_solutions call that monodromy_matrix
+    makes on every loop k of P^{n-2} at q = exp(q_log)."""
+    space, product, sser = _proj_model(n, q_log)
+    calls = []
+    local = md._local_solutions
+
+    def record(*args):
+        calls.append(args)
+        return local(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(md, "_local_solutions", record)
+        for k in range(n - 1):
+            md.monodromy_matrix(space, product, sser, level,
+                                md.gamma_loop(n, q_log, k),
+                                md.BASE_SERIES_TOL)
+    return calls
+
+
 # P^3 at the reflections anchor q = 1.8 exp(0.75 pi i), level -n
 P3_Q_LOG = math.log(1.8) + 0.75j * math.pi
+# the projective model of the twisted n = 4 theory at Q = 0.6
+TWISTED4_Q_LOG = 1j * math.pi - 3 * math.log(0.6)
 
 
 @pytest.fixture(scope="module")
@@ -613,32 +603,38 @@ def p3_loops():
 
 @pytest.fixture(scope="module")
 def twisted4_loops():
-    # the projective model of the twisted n = 4 theory at Q = 0.6
-    return _reflection_loops(4, 1j * math.pi - 3 * math.log(0.6), -4)
+    return _reflection_loops(4, TWISTED4_Q_LOG, -4)
+
+
+@pytest.fixture(scope="module")
+def frobenius_calls():
+    return (_frobenius_calls(5, P3_Q_LOG, -5)
+            + _frobenius_calls(4, TWISTED4_Q_LOG, -4))
 
 
 def test_ode_blocked_matches_termwise_small_systems():
     y0 = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    _assert_same_continuation((scalar(0.0, 2), scalar(0.0, 2),
-                               unit_circle(), y0))
+    _assert_same_series(nx.ode_continue, (scalar(0.0, 2), scalar(0.0, 2),
+                                          unit_circle(), y0))
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
     path = [nx.Segment(1.0, 2.0 + 1.0j), nx.Segment(2.0 + 1.0j, 3.0 - 0.5j)]
-    _assert_same_continuation((scalar(0.0, 2), rot, path,
-                               np.array([1.0 + 0.5j, -0.25j])))
+    _assert_same_series(nx.ode_continue, (scalar(0.0, 2), rot, path,
+                                          np.array([1.0 + 0.5j, -0.25j])))
     swap = np.array([[0.0, 2.0], [1.0, 0.0]])
     arc = [nx.Arc(0.0, 1.5, 0.0, math.pi), nx.Segment(-1.5, -2.5)]
-    _assert_same_continuation((scalar(0.2j, 2), swap, arc,
-                               np.array([0.3 + 1.0j, 0.8])))
+    _assert_same_series(nx.ode_continue, (scalar(0.2j, 2), swap, arc,
+                                          np.array([0.3 + 1.0j, 0.8])))
     euler = np.diag([1.0, 1.5 + 0.25j])
     around = [nx.Segment(3.0, 1.3), nx.Arc(1.0, 0.3, 0.0, 2 * math.pi),
               nx.Segment(1.3, 3.0)]
-    _assert_same_continuation((euler, np.diag([0.3, 0.7]), around,
-                               np.ones((2, 3), dtype=complex)))
+    _assert_same_series(nx.ode_continue, (euler, np.diag([0.3, 0.7]), around,
+                                          np.ones((2, 3), dtype=complex)))
 
 
 def test_ode_blocked_matches_termwise_1d():
-    y1 = _assert_same_continuation((scalar(0.0), scalar(0.5), unit_circle(),
-                                    np.array([1.0 + 0.0j])))[0]
+    y1 = _assert_same_series(nx.ode_continue,
+                             (scalar(0.0), scalar(0.5), unit_circle(),
+                              np.array([1.0 + 0.0j])))[0]
     assert y1.shape == (1,)
 
 
@@ -648,20 +644,26 @@ def test_ode_blocked_matches_termwise_p3_loops(p3_loops, monkeypatch, block):
     # stop on a block's first term, some inside a block, and some on a run
     # of two small terms split across blocks
     monkeypatch.setattr(nx, "_TBLOCK", block)
-    steps = sum(_assert_same_continuation(args[:4], branch0=args[4])[3][0]
+    steps = sum(_assert_same_series(nx.ode_continue, args[:4])[2][0]
                 for args in p3_loops)
     assert steps == 144
 
 
 def test_ode_blocked_matches_termwise_twisted4(twisted4_loops):
     for args in twisted4_loops:
-        _assert_same_continuation(args[:4], branch0=args[4])
+        _assert_same_series(nx.ode_continue, args[:4])
 
 
-def _p3_model():
-    q = cmath.exp(P3_Q_LOG)
-    return (make_proj(3), quantum_mult_proj(3, q),
-            sseries_proj(3, q, pd.SERIES_CAP))
+@pytest.mark.parametrize("block", [1, 3, 8])
+def test_frobenius_blocked_matches_termwise(frobenius_calls, monkeypatch,
+                                            block):
+    # the seven series stop on term 16: inside a block of 3, and on the
+    # first term of the third block of 8, after a small term that ends the
+    # second
+    monkeypatch.setattr(nx, "_TBLOCK", block)
+    terms = [_assert_same_series(md._local_solutions, args)[2]
+             for args in frobenius_calls]
+    assert terms == [16] * 7
 
 
 def _outer_branch(loop, branch0):
@@ -679,13 +681,13 @@ def test_ode_counts_repeat_and_match_monodromy(p3_loops):
     # are not walked
     loop = md.gamma_loop(5, P3_Q_LOG, 2)
     euler, upper, _, i_base, branch0 = p3_loops[2]
-    space, product, sser = _p3_model()
-    outer = _outer_branch(loop, branch0)
-    sol = pd.fundamental_solution(space, product, sser, -5, outer,
+    space, product, sser = _proj_model(5, P3_Q_LOG)
+    sol = pd.fundamental_solution(space, product, sser, -5,
+                                  _outer_branch(loop, branch0),
                                   md.BASE_SERIES_TOL)
     i_outer = sol.value
-    counts = [nx.ode_continue(euler, upper, [loop.way_in], i_outer,
-                              branch0=outer)[3] for _ in range(2)]
+    counts = [nx.ode_continue(euler, upper, [loop.way_in], i_outer)[2]
+              for _ in range(2)]
     steps, terms = counts[0]
     assert counts[1] == counts[0]
     assert steps > 0 and 2 * steps <= terms < nx._TERM_CAP * steps
@@ -700,7 +702,7 @@ def test_ode_counts_repeat_and_match_monodromy(p3_loops):
     # the whole loop took 41 steps and 995 terms, the inward segment 2 and
     # 48
     whole_steps, whole_terms = nx.ode_continue(
-        euler, upper, full_path(loop), i_base, branch0=branch0)[3]
+        euler, upper, full_path(loop), i_base)[2]
     assert 10 * steps < whole_steps and 10 * terms < whole_terms
 
 
@@ -708,12 +710,11 @@ def test_big_circle_arc_continuation_matches_series(p3_loops):
     # what the loops no longer walk: continuing the base-point periods
     # along the leading arc lands on the period series at the arc's end,
     # on the branch that monodromy_matrix takes there
-    space, product, sser = _p3_model()
+    space, product, sser = _proj_model(5, P3_Q_LOG)
     for euler, upper, loop, i_base, branch0 in p3_loops[1:]:
-        y, branch, _, _ = nx.ode_continue(euler, upper, loop[:1], i_base,
-                                          branch0=branch0)
-        assert branch.log_value == _outer_branch(loop, branch0).log_value
-        want = pd.fundamental_solution(space, product, sser, -5, branch,
+        y = nx.ode_continue(euler, upper, loop[:1], i_base)[0]
+        want = pd.fundamental_solution(space, product, sser, -5,
+                                       _outer_branch(loop, branch0),
                                        md.BASE_SERIES_TOL).value
         assert np.max(np.abs(y - want)) < 1e-11 * np.max(np.abs(want))
 
@@ -728,17 +729,20 @@ def test_ode_term_cap_raises(monkeypatch):
 
 @pytest.mark.parametrize("block", [3, 8])
 def test_ode_term_cap_boundary(monkeypatch, block):
-    # one step: the oracle stops on term index N - 1, so it needs N terms
+    # one step, which stops on term index `summed`
     args = (scalar(0.0, 2), np.array([[0.0, 1.0], [-1.0, 0.0]]),
             [nx.Segment(1.0, 1.0 + 0.4j)], np.array([1.0 + 0.5j, -0.25j]))
-    steps, summed = _ode_continue_termwise(*args)[3]
+    steps, summed = nx.ode_continue(*args)[2]
     assert steps == 1
-    n_terms = summed + 1
     monkeypatch.setattr(nx, "_TBLOCK", block)
-    monkeypatch.setattr(nx, "_TERM_CAP", n_terms)
-    _assert_same_continuation(args)
-    monkeypatch.setattr(nx, "_TERM_CAP", n_terms - 1)
-    for fn in (nx.ode_continue, _ode_continue_termwise):
-        with pytest.raises(nx.NumericsError,
-                           match="Taylor series did not converge"):
-            fn(*args)
+    _assert_term_cap_boundary(monkeypatch, nx.ode_continue, args,
+                              summed + 1, "Taylor series did not converge")
+
+
+@pytest.mark.parametrize("block", [3, 8])
+def test_frobenius_term_cap_boundary(frobenius_calls, monkeypatch, block):
+    args = frobenius_calls[1]
+    monkeypatch.setattr(nx, "_TBLOCK", block)
+    _assert_term_cap_boundary(monkeypatch, md._local_solutions, args,
+                              md._local_solutions(*args)[2] + 1,
+                              "local series did not converge")
