@@ -184,6 +184,15 @@ def cmd_reflections(cfg: RunConfig) -> int:
         entry = _twisted_entry
     if cfg.k is not None and not 0 <= cfg.k <= n - 2:
         raise UsageError("k %d outside [0, %d]" % (cfg.k, n - 2))
+    # the level -m periods carry 1/Gamma(theta + m + 1/2), which vanishes
+    # at its nonpositive integers: their matrix is then exactly singular
+    m = cfg.m if cfg.m is not None else n
+    for theta in np.diag(make_proj(n - 2).theta).real:
+        arg = theta + m + 0.5
+        if arg <= 0 and arg == round(arg):
+            raise UsageError("--m %d makes the period matrix singular: "
+                             "theta + m + 1/2 = %d at theta = %g"
+                             % (m, arg, theta))
     ks = [cfg.k] if cfg.k is not None else range(n - 1)
     results = payload["results"] = []
     for k in ks:

@@ -689,9 +689,17 @@ def laplace_spot_check(n: int, q: float, m: int) -> dict:
     lambda-power replaced by its Laplace image s^{n/2 - (n-1)x - m - 1/2}.
     Lambda values are produced by the contour only on the edge region
     [u, 1.5 u], where the residue series has not kicked in; past that the
-    series is used (the two agree to ~1e-14 on the overlap, far below the
-    1e-4 target here).  `extension_sensitivity`, the change from stopping
-    the left side at Lambda instead, bounds its truncation.
+    series is used on 20 and 6 equal panels (the two agree to ~1e-14 on the
+    overlap, far below the 1e-4 target here).  `extension_sensitivity`, the
+    change from stopping the left side at Lambda instead, bounds its
+    truncation.
+
+    On the edge Phi(u + t) = t^{m - 1/2} (a_0 + a_1 t + ...), the local form
+    at a regular singular point, so equal panels in lambda would converge
+    only algebraically at u.  The edge is one 32-node panel in tau in
+    [0, 1] with lambda = u + (1.5 u - u) tau^2 and weight 2 (1.5 u - u) tau:
+    the integrand is then tau^{2m} times a function smooth in tau, and the
+    rule converges geometrically.
     """
     u = u_of_q(n, q)
     smin = min(_LAPLACE_S)
@@ -699,18 +707,21 @@ def laplace_spot_check(n: int, q: float, m: int) -> dict:
     lam_max = lam_break + 30.0 / smin
     cfg = make_mb_config(n, q, m, lam_break, 3e-6)
 
-    def lhs_on(lo: float, hi: float, npan: int) -> np.ndarray:
-        # every panel lies wholly on one side of lam_break
-        lams, wts = _gl_panels(lo, hi, npan)
-        if hi <= lam_break:
-            g = phi_mb_batch(n, q, m, lams, cfg)
-        else:
-            g = phi_residue_series(n, q, m, lams)
+    def lhs_on(lams: np.ndarray, wts: np.ndarray, g: np.ndarray) -> np.ndarray:
         return np.array([np.sum(wts * np.exp(-lams * s) * g)
                          for s in _LAPLACE_S])
 
-    lhs_narrow = lhs_on(u, lam_break, 8) + lhs_on(lam_break, lam_max, 20)
-    lhs = lhs_narrow + lhs_on(lam_max, lam_max + 15.0 / smin, 6)
+    def series_on(lo: float, hi: float, npan: int) -> np.ndarray:
+        lams, wts = _gl_panels(lo, hi, npan)
+        return lhs_on(lams, wts, phi_residue_series(n, q, m, lams))
+
+    tau, wtau = _gl_panels(0.0, 1.0, 1)
+    width = lam_break - u
+    edge = u + width * tau ** 2
+    lhs_narrow = (lhs_on(edge, 2.0 * width * tau * wtau,
+                         phi_mb_batch(n, q, m, edge, cfg))
+                  + series_on(lam_break, lam_max, 20))
+    lhs = lhs_narrow + series_on(lam_max, lam_max + 15.0 / smin, 6)
 
     x, w, vals = _gamma_line(n, q)
     pref = (2.0 * math.pi) ** ((1 - n) / 2.0)

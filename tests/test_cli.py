@@ -340,3 +340,29 @@ def test_reflections_exit_codes(argv, code, capsys):
     assert cli.main(["reflections"] + argv) == code
     if code == cli.EXIT_NUMERIC:
         assert "not a reflection" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--space", "proj:1", "--q", "1", "--m", "0"],
+    ["--space", "proj:1", "--q", "1", "--m", "-3"],
+    ["--space", "proj:3", "--q", "1", "--m", "1"],
+    ["--space", "twisted:3", "--Q", "1", "--m", "0"],
+])
+def test_reflections_degenerate_level_exits_64(argv, capsys):
+    # theta + m + 1/2 is a nonpositive integer for some theta: 1/Gamma
+    # vanishes there, and the period matrix is exactly singular
+    assert cli.main(["reflections"] + argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("gamma-monodromy: error: --m ")
+    assert "makes the period matrix singular" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--space", "proj:2", "--q", "1", "--m", "0"], cli.EXIT_OK),
+    (["--space", "twisted:4", "--Q", "1", "--m", "-3"], cli.EXIT_OK),
+    # no theta + m + 1/2 is a pole of Gamma here; the periods overflow
+    (["--space", "proj:1", "--q", "1", "--m", "40"], cli.EXIT_NUMERIC),
+])
+def test_reflections_regular_levels_keep_their_codes(argv, code, capsys):
+    assert cli.main(["reflections"] + argv) == code

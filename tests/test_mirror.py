@@ -455,3 +455,27 @@ def test_laplace_residual_is_not_the_truncation():
     # extension_sensitivity reports, so the residual sits well below it
     out = mr.laplace_spot_check(3, 1.0, 3)
     assert np.max(out["rel_errors"]) < 1e-2 * out["extension_sensitivity"]
+
+
+def test_laplace_edge_in_tau_reaches_roundoff():
+    # lambda = u + (lam_break - u) tau^2 absorbs the t^(m - 1/2) of Phi at
+    # u; equal panels in lambda read 1.3e-14 and 4.3e-14 here
+    for q in (1.0, 2.0):
+        out = mr.laplace_spot_check(3, q, 3)
+        assert np.max(out["rel_errors"]) < 5e-15
+
+
+def test_laplace_edge_takes_32_contour_lambdas(monkeypatch):
+    seen = []
+    contour = mr.phi_mb_batch
+
+    def counting(n, q, m, lams, cfg):
+        seen.append(np.array(lams, dtype=float))
+        return contour(n, q, m, lams, cfg)
+
+    monkeypatch.setattr(mr, "phi_mb_batch", counting)
+    mr.laplace_spot_check(3, 1.0, 3)
+    lams = np.concatenate(seen)
+    u = mr.u_of_q(3, 1.0)
+    assert lams.size == 32
+    assert np.all((lams > u) & (lams < 1.5 * u))
