@@ -92,6 +92,13 @@ def parse_space(text: str) -> tuple[str, int]:
     return kind, num
 
 
+def _finite(text: str) -> float:
+    """The type of every float flag: nan and inf are usage errors."""
+    if not math.isfinite(value := float(text)):
+        raise UsageError("not a finite number: %s" % text)
+    return value
+
+
 def _check_tol(tol: float) -> float:
     if not 1e-12 <= tol <= 1e-3:
         raise UsageError("tol %g outside [1e-12, 1e-3]" % tol)
@@ -300,16 +307,16 @@ def cmd_suite(cfg: RunConfig, only: str | None) -> int:
 # argparse options of every flag
 _FLAGS = {
     "space": {"help": "proj:m or twisted:n"},
-    "q": {"type": float, "help": "modulus of q"},
-    "q-arg": {"type": float, "default": 0.0,
+    "q": {"type": _finite, "help": "modulus of q"},
+    "q-arg": {"type": _finite, "default": 0.0,
               "help": "argument of q in units of pi (default 0)"},
-    "Q": {"type": float, "help": "modulus of Q"},
-    "Q-arg": {"type": float, "default": 0.0,
+    "Q": {"type": _finite, "help": "modulus of Q"},
+    "Q-arg": {"type": _finite, "default": 0.0,
               "help": "argument of Q in units of pi (default 0)"},
     "k": {"type": int, "help": "single line-bundle index"},
     "m": {"type": int, "help": "period level magnitude "
           "(default: n of the ambient space)"},
-    "tol": {"type": float, "default": 1e-4,
+    "tol": {"type": _finite, "default": 1e-4,
             "help": "report tolerance, in [1e-12, 1e-3]"},
     "out": {"help": "write the payload to this path"},
     "format": {"choices": ("json", "csv"), "default": "json"},
@@ -345,18 +352,18 @@ def main(argv: list[str] | None = None) -> int:
         sub = subs.add_parser(name, help=text)
         for flag in flags.split():
             sub.add_argument("--" + flag, **_FLAGS[flag])
-    args = parser.parse_args(argv)
-    cfg = _to_config(args)
     try:
+        args = parser.parse_args(argv)
+        cfg = _to_config(args)
         if args.command == "reflections":
             return cmd_reflections(cfg)
         if args.command == "phi":
             return cmd_phi(cfg)
         return cmd_suite(cfg, args.only)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print("gamma-monodromy: error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (NumericsError, np.linalg.LinAlgError) as exc:
+    except (NumericsError, np.linalg.LinAlgError, OverflowError) as exc:
         print("gamma-monodromy: numerical failure: %s" % exc,
               file=sys.stderr)
         return EXIT_NUMERIC

@@ -31,8 +31,7 @@ import numpy as np
 from .cohomology import (SpaceModel, euler_pairing, exceptional_sheaf,
                          intersection_pairing, line_bundle, make_blproj,
                          make_proj, psi_map)
-from .numerics import (Arc, BranchState, NumericsError, Segment,
-                       principal_branch)
+from .numerics import BranchState, NumericsError, principal_branch
 from .periods import SERIES_CAP, fundamental_solution
 from .quantum import (QuantumProduct, SSeries, quantum_mult_proj,
                       sseries_proj)
@@ -58,6 +57,33 @@ class MonodromyResult:
 
 def base_radius(n: int) -> float:
     return 2.0 * (n - 1)
+
+
+class Segment(NamedTuple):
+    start: complex
+    end: complex
+
+
+class Arc(NamedTuple):
+    """Circular arc center + radius*exp(i*angle), angle from angle0 to angle1
+    (counterclockwise when angle1 > angle0)."""
+
+    center: complex
+    radius: float
+    angle0: float
+    angle1: float
+
+    def point(self, t: float) -> complex:
+        a = self.angle0 + (self.angle1 - self.angle0) * t
+        return self.center + self.radius * cmath.exp(1j * a)
+
+    @property
+    def start(self) -> complex:
+        return self.point(0.0)
+
+    @property
+    def end(self) -> complex:
+        return self.point(1.0)
 
 
 class Loop(NamedTuple):
@@ -206,7 +232,7 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     i_outer = sol.value
     upper = space.theta - (level + 0.5) * np.eye(space.size)
     i_in, cont_err, (steps, terms) = numerics.ode_continue(
-        product.euler_mult, upper, [way_in], i_outer)
+        product.euler_mult, upper, way_in.start, way_in.end, i_outer)
     ut = np.linalg.solve(vmat, upper @ vmat)
     zsum, frob_err, frob_terms = _local_solutions(u, ut, k,
                                                   circle.start - u[k])

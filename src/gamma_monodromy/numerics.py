@@ -1,8 +1,9 @@
 """Low-level numerics: truncated jets, complex special functions, branch
 states of log(lambda), ``sum_series``, the one summation of the local
-series of the connection (the Taylor steps of ``ode_continue`` and the
-Frobenius series of ``monodromy``), and ``Prefix``, the growth rule of the
-tables built only as deep as read (calibration series, Gamma-jet ladder).
+series of the connection (the Taylor steps of ``ode_continue``, which
+continues along one straight segment, and the Frobenius series of
+``monodromy``), and ``Prefix``, the growth rule of the tables built only
+as deep as read (calibration series, Gamma-jet ladder).
 
 A truncated jet sum_k c[k] w^k is the complex coefficient array c itself,
 of length order + 1 <= 13; jet_mul, jet_recip and jet_exp do the
@@ -24,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -435,73 +435,12 @@ def principal_branch(lam: complex, winding: int = 0) -> BranchState:
     return BranchState(lam, cmath.log(lam) + 2j * math.pi * winding)
 
 
-def branch_power(b: BranchState, s: complex) -> complex:
-    """lambda**s on the branch carried by b, i.e. exp(s*log_value)."""
-    return cmath.exp(complex(s) * b.log_value)
-
-
 def _resync_log(point: complex, log_val: complex) -> complex:
     # keep the accumulated winding but re-anchor modulus and residual phase
     # on the exact endpoint, so exp(log) == base to machine precision
     p = cmath.log(point)
     w = round((log_val - p).imag / TWO_PI)
     return p + 2j * math.pi * w
-
-
-# ---------------------------------------------------------------------------
-# paths
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Segment:
-    start: complex
-    end: complex
-
-    def point(self, t: float) -> complex:
-        return self.start + (self.end - self.start) * t
-
-    def length(self) -> float:
-        return abs(self.end - self.start)
-
-
-@dataclass(frozen=True)
-class Arc:
-    """Circular arc center + radius*exp(i*angle), angle from angle0 to angle1
-    (counterclockwise when angle1 > angle0)."""
-
-    center: complex
-    radius: float
-    angle0: float
-    angle1: float
-
-    def point(self, t: float) -> complex:
-        a = self.angle0 + (self.angle1 - self.angle0) * t
-        return self.center + self.radius * cmath.exp(1j * a)
-
-    def length(self) -> float:
-        return abs(self.angle1 - self.angle0) * self.radius
-
-    @property
-    def start(self) -> complex:
-        return self.point(0.0)
-
-    @property
-    def end(self) -> complex:
-        return self.point(1.0)
-
-
-Piece = Segment | Arc
-PathSpec = Sequence[Piece]
-
-
-def validate_path(path: PathSpec) -> None:
-    """Consecutive pieces must join within 1e-12 max(1, max |start|)."""
-    if not path:
-        raise ValueError("empty path")
-    scale = max(1.0, max(abs(p.start) for p in path))
-    for a, b in zip(path, path[1:]):
-        if abs(a.end - b.start) > 1e-12 * scale:
-            raise ValueError("path pieces do not join: %r -> %r" % (a.end, b.start))
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +488,10 @@ def sum_series(first: np.ndarray, step, message: str
     raise NumericsError(message)
 
 
-def ode_continue(euler: np.ndarray, upper: np.ndarray, path: PathSpec,
-                 y0: np.ndarray) -> tuple[np.ndarray, float, tuple[int, int]]:
-    """Continue a solution of (lambda - E) dY/dlambda = U Y along the path.
+def ode_continue(euler: np.ndarray, upper: np.ndarray, start: complex,
+                 end: complex, y0: np.ndarray) -> tuple:
+    """Continue a solution of (lambda - E) dY/dlambda = U Y along the
+    straight segment from start to end.
 
     E (euler) and U (upper) are constant square matrices; y0 is a vector
     or a matrix of columns.  Around a node c the Taylor coefficients obey
@@ -564,42 +504,36 @@ def ode_continue(euler: np.ndarray, upper: np.ndarray, path: PathSpec,
     Returns the continued solution, the continuation error estimate (the
     sum over steps of the first omitted term relative to its column's
     scale) and the work done, (steps, terms): Taylor steps, and terms
-    summed into their values.  Raises NumericsError when a node comes
-    within 1e-12 * max(1, |lambda|) of an eigenvalue of E, or when a step's
-    series does not stop in _TERM_CAP terms.
+    summed into their values; start == end returns y0 with work (0, 0).
+    Raises NumericsError when a node comes within 1e-12 * max(1, |lambda|)
+    of an eigenvalue of E, or when a step's series does not stop in
+    _TERM_CAP terms.
     """
-    validate_path(path)
     y0 = np.asarray(y0, dtype=complex)
     y = y0.reshape(len(y0), -1).copy()
     sing = np.linalg.eigvals(euler)
     eye = np.eye(len(euler))
-    trunc = 0.0
-    steps = terms = 0
+    trunc, steps, terms = 0.0, 0, 0
+    plen = abs(end - start)
+    t = 0.0 if plen else 1.0
+    c = start
+    while t < 1.0:
+        reach = float(np.min(np.abs(c - sing)))
+        if reach < _SING_EPS * max(1.0, abs(c)):
+            raise NumericsError(
+                "continuation node %r on a singular point" % c)
+        t_next = min(1.0, t + 0.5 * reach / plen)
+        z = end if t_next == 1.0 else start + (end - start) * t_next
+        h = z - c
+        resolvent = np.linalg.inv(c * eye - euler)
 
-    for piece in path:
-        plen = piece.length()
-        if plen == 0.0:
-            continue
-        t = 0.0
-        c = piece.start
-        while t < 1.0:
-            reach = float(np.min(np.abs(c - sing)))
-            if reach < _SING_EPS * max(1.0, abs(c)):
-                raise NumericsError(
-                    "continuation node %r on a singular point" % c)
-            # arclength 0.5*reach bounds the chord |h| by the same amount
-            t_next = min(1.0, t + 0.5 * reach / plen)
-            z = piece.end if t_next == 1.0 else piece.point(t_next)
-            h = z - c
-            resolvent = np.linalg.inv(c * eye - euler)
-
-            def step(j, term):
-                return (h / (j + 1)) * (resolvent @ (upper @ term - j * term))
-            y, rel, summed = sum_series(
-                y, step, "Taylor series did not converge at lambda=%r" % c)
-            trunc += rel
-            steps += 1
-            terms += summed
-            t, c = t_next, z
+        def step(j, term):
+            return (h / (j + 1)) * (resolvent @ (upper @ term - j * term))
+        y, rel, summed = sum_series(
+            y, step, "Taylor series did not converge at lambda=%r" % c)
+        trunc += rel
+        steps += 1
+        terms += summed
+        t, c = t_next, z
 
     return y.reshape(y0.shape), trunc, (steps, terms)

@@ -46,7 +46,6 @@ one term at a time, so the sum stops at the same term, and holds the same
 value, as a term-by-term loop.  Most series stop after 16 to 36 terms, so
 one or two blocks; two blocks end at the 48 matrices of an S-series'
 first build, so a series of up to 48 terms never grows it.
-`master_period` stays the direct evaluation.
 """
 
 from __future__ import annotations
@@ -58,8 +57,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .cohomology import SpaceModel, make_proj, make_twisted
-from .numerics import (BranchState, NumericsError, Prefix, branch_power,
-                       jet_mul, recip_gamma_jet)
+from .numerics import BranchState, NumericsError, Prefix, recip_gamma_jet
 from .quantum import (QuantumProduct, SSeries, quantum_mult_proj,
                       quantum_mult_twisted, sseries_proj, sseries_twisted)
 
@@ -91,36 +89,6 @@ def _rg_jet_coeffs(nu_half: complex, order: int) -> np.ndarray:
     jet = recip_gamma_jet(nu_half, order)
     jet.flags.writeable = False
     return jet
-
-
-def _log_pow_jet(branch: BranchState, nu: complex, order: int) -> np.ndarray:
-    """Jet of lam^{nu+w-1/2} in w: lam^{nu-1/2} * (log lam)^t / t!."""
-    out = np.zeros(order + 1, dtype=complex)
-    out[0] = branch_power(branch, nu - 0.5)
-    for t in range(1, order + 1):
-        out[t] = out[t - 1] * branch.log_value / t
-    return out
-
-
-def master_period(space: SpaceModel, level: int, branch: BranchState) -> np.ndarray:
-    """Master period matrix at the given integer level and branch of log,
-    evaluated directly from Gamma jets (the oracle for `_JetChain`)."""
-    depth = space.depth
-    order = depth - 1
-    size = space.size
-    theta = np.diag(space.theta)
-    acc = np.zeros((size, size), dtype=complex)
-    rho_pow = np.eye(size, dtype=complex)
-    for k in range(depth):
-        diag = np.zeros(size, dtype=complex)
-        for i in range(size):
-            nu = theta[i] - level - k
-            jet = jet_mul(_log_pow_jet(branch, nu, order),
-                          _rg_jet_coeffs(nu + 0.5, order))
-            diag[i] = jet[k]
-        acc = acc + rho_pow @ np.diag(diag)
-        rho_pow = space.rho @ rho_pow
-    return acc
 
 
 def _rescaled(row: np.ndarray, exp: int) -> tuple[np.ndarray, int]:

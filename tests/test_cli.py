@@ -299,6 +299,42 @@ def test_out_of_domain_flags_exit_64(argv, message, capsys):
     assert capsys.readouterr().err == "gamma-monodromy: error: %s\n" % message
 
 
+@pytest.mark.parametrize("argv", [
+    ["reflections", "--space", "twisted:3", "--Q", "nan"],
+    ["reflections", "--space", "twisted:3", "--Q", "inf"],
+    ["phi", "--space", "proj:1", "--q", "nan"],
+    ["phi", "--space", "proj:1", "--q", "inf"],
+    ["reflections", "--space", "proj:1", "--q", "nan"],
+    ["reflections", "--space", "proj:1", "--q", "inf"],
+    ["reflections", "--space", "proj:1", "--q", "1", "--q-arg", "nan"],
+    ["reflections", "--space", "proj:1", "--q", "1", "--q-arg", "inf"],
+])
+def test_non_finite_numbers_exit_64(argv, capsys):
+    # they died with a traceback and exit 1, or exit 2 from a numpy check
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "gamma-monodromy: error: not a finite number: %s\n" % argv[-1])
+
+
+def test_unwritable_out_exits_64(capsys):
+    assert cli.main(["reflections", "--space", "proj:1", "--q", "1",
+                     "--k", "0", "--out", "/nonexistent/x.json"]) \
+        == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("gamma-monodromy: error: ")
+    assert "/nonexistent/x.json" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_overflowing_q_is_a_numerical_failure(capsys):
+    # q = -Q^-2 at Q = 1e-300 overflows a double
+    assert cli.main(["reflections", "--space", "twisted:3",
+                     "--Q", "1e-300"]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("gamma-monodromy: numerical failure: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_console_script_usage_error():
     exe = shutil.which("gamma-monodromy")
     if exe is None:

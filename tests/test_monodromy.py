@@ -9,14 +9,14 @@ import pytest
 from gamma_monodromy import monodromy as md
 from gamma_monodromy.cohomology import (euler_char, line_bundle, make_proj,
                                         make_twisted, psi_map)
-from gamma_monodromy import numerics as nx
-from gamma_monodromy.numerics import (Arc, BranchState, NumericsError,
-                                      Segment, principal_branch,
-                                      validate_path)
+from gamma_monodromy.monodromy import Arc, Segment
+from gamma_monodromy.numerics import (BranchState, NumericsError,
+                                      principal_branch)
 from gamma_monodromy.periods import (SERIES_CAP, MatrixSolution,
                                      fundamental_solution)
 from gamma_monodromy.quantum import (quantum_mult_proj, quantum_mult_twisted,
                                      sseries_proj, sseries_twisted)
+from oracles import SIDES, continue_path, full_path
 
 TOL = 1e-10
 CAP = 120
@@ -41,14 +41,6 @@ def reflection_action(space, alpha, x):
     """x - (x|alpha) alpha."""
     return (np.asarray(x, complex)
             - md.intersection_pairing(space, x, alpha) * alpha)
-
-
-def full_path(loop):
-    """The whole closed loop as a path: out along the arc, in, once around
-    the circle, and back the same way."""
-    arc, way_in, circle = loop
-    return [arc, way_in, circle, Segment(way_in.end, way_in.start),
-            Arc(arc.center, arc.radius, arc.angle1, arc.angle0)]
 
 
 def reflection_matrix(space, alpha):
@@ -88,8 +80,10 @@ def test_gamma_loop_pieces_join_and_start_at_the_base():
                 assert abs(turn - 2.0 * math.pi) < 1e-12
                 assert abs(circle.end - circle.start) \
                     <= 1e-12 * abs(circle.start)
+                # the way back ends at the base
                 path = full_path(loop)
-                validate_path(path)
+                for a, b in zip(path, path[1:]):
+                    assert abs(a.end - b.start) <= 1e-12 * abs(base)
                 assert abs(path[-1].end - base) < 1e-12 * abs(base)
 
 
@@ -102,7 +96,9 @@ def test_gamma_loop_avoids_other_punctures():
     others = [u for j, u in enumerate(punctures) if j != k]
     ts = np.linspace(0.0, 1.0, 101)
     for piece in loop:
-        pts = np.array([piece.point(t) for t in ts])
+        pts = (piece.start + (piece.end - piece.start) * ts
+               if isinstance(piece, Segment)
+               else np.array([piece.point(t) for t in ts]))
         for u in others:
             assert np.min(np.abs(pts - u)) > 0.3
 
@@ -124,7 +120,7 @@ def test_contractible_loop_is_identity():
     branch = principal_branch(loop[0].start)
     i_base = fundamental_solution(space, prod, sser, -3, branch, TOL).value
     upper = space.theta - (-3 + 0.5) * np.eye(space.size)
-    i_cont = nx.ode_continue(prod.euler_mult, upper, loop, i_base)[0]
+    i_cont = continue_path(prod.euler_mult, upper, loop, i_base)[0]
     cmat = np.linalg.solve(i_base, i_cont)
     assert np.max(np.abs(cmat - np.eye(space.size))) < 1e-7
 
@@ -423,16 +419,17 @@ def test_monodromy_is_integral_in_exceptional_basis(proj_checks):
             assert np.max(np.abs(got - want)) < 1e-6
 
 
-def _continued_monodromy(space, product, sser, level, loop, tol):
+def _continued_monodromy(space, product, sser, level, loop, tol,
+                         sides=SIDES):
     """The oracle: C = I_base^-1 I_cont with the whole closed loop
     continued from the base point, the arcs, the way in, the small circle
-    and the way back."""
+    and the way back, each arc as its inscribed polygon of `sides` sides."""
     branch = principal_branch(loop.arc.start)
     i_base = fundamental_solution(space, product, sser, level, branch,
                                   tol).value
     upper = space.theta - (level + 0.5) * np.eye(space.size)
-    i_cont = nx.ode_continue(product.euler_mult, upper, full_path(loop),
-                             i_base)[0]
+    i_cont = continue_path(product.euler_mult, upper, full_path(loop),
+                           i_base, sides)[0]
     return np.linalg.solve(i_base, i_cont)
 
 
@@ -453,6 +450,20 @@ def test_local_solutions_agree_with_the_continued_turn(proj_checks):
             assert sv[1] <= 1e-10 * sv[0]
             diff = np.linalg.norm(out["monodromy"].matrix - oracle, np.inf)
             assert diff <= 1e-8 * np.linalg.norm(oracle, np.inf)
+
+
+def test_polygon_oracle_does_not_depend_on_its_sides():
+    # every loop of P^3 at q = 1: the continued monodromy with each arc as
+    # a 16-gon and as a 64-gon
+    n = 5
+    space, product, sser = _setup(n)
+    for k in range(n - 1):
+        loop = md.gamma_loop(n, 0.0, k)
+        coarse, fine = (_continued_monodromy(space, product, sser, -n, loop,
+                                             md.BASE_SERIES_TOL, sides)
+                        for sides in (16, 64))
+        assert np.linalg.norm(coarse - fine, np.inf) \
+            <= 1e-10 * np.linalg.norm(fine, np.inf)
 
 
 def _big_turn_closed_form(space):

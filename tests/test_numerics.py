@@ -16,7 +16,7 @@ from gamma_monodromy import numerics as nx
 from gamma_monodromy import periods as pd
 from gamma_monodromy.cohomology import make_proj
 from gamma_monodromy.quantum import quantum_mult_proj, sseries_proj
-from test_monodromy import full_path
+from oracles import branch_power, continue_path, full_path
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -369,15 +369,15 @@ def test_branch_state_consistency():
 
 
 def test_branch_power_principal():
-    assert abs(nx.branch_power(nx.principal_branch(1.0), 7.3) - 1.0) < 1e-14
+    assert abs(branch_power(nx.principal_branch(1.0), 7.3) - 1.0) < 1e-14
     b = nx.principal_branch(math.e)
-    assert abs(nx.branch_power(b, 2.0) - math.e ** 2) < 1e-13
+    assert abs(branch_power(b, 2.0) - math.e ** 2) < 1e-13
 
 
 def test_branch_power_after_winding():
     # one counterclockwise turn around 0: sqrt picks up a sign
     b = nx.principal_branch(1.0, winding=1)
-    assert abs(nx.branch_power(b, 0.5) + 1.0) < 1e-13
+    assert abs(branch_power(b, 0.5) + 1.0) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -386,36 +386,17 @@ def test_branch_power_after_winding():
 
 def unit_circle(start: complex = 1.0) -> list:
     a0 = cmath.phase(start)
-    return [nx.Arc(0.0, abs(start), a0, a0 + 2 * math.pi)]
-
-
-def test_validate_path_accepts_joined_pieces():
-    p = [nx.Segment(0.0, 1.0), nx.Segment(1.0, 1.0 + 1.0j)]
-    nx.validate_path(p)
-
-
-def test_validate_path_rejects_gap():
-    p = [nx.Segment(0.0, 1.0), nx.Segment(1.0 + 1e-6, 2.0)]
-    with pytest.raises(ValueError):
-        nx.validate_path(p)
+    return [md.Arc(0.0, abs(start), a0, a0 + 2 * math.pi)]
 
 
 def reverse_piece(p):
-    if isinstance(p, nx.Segment):
-        return nx.Segment(p.end, p.start)
-    return nx.Arc(p.center, p.radius, p.angle1, p.angle0)
+    if isinstance(p, md.Segment):
+        return md.Segment(p.end, p.start)
+    return md.Arc(p.center, p.radius, p.angle1, p.angle0)
 
 
 def reverse_path(path):
     return [reverse_piece(p) for p in reversed(path)]
-
-
-def test_reverse_path_endpoints():
-    p = [nx.Segment(1.0, 2.0), nx.Arc(0.0, 2.0, 0.0, math.pi / 2)]
-    r = reverse_path(p)
-    assert abs(r[0].start - p[-1].end) < 1e-15
-    assert abs(r[-1].end - p[0].start) < 1e-15
-    nx.validate_path(r)
 
 
 # ---------------------------------------------------------------------------
@@ -428,35 +409,44 @@ def scalar(a: complex, size: int = 1) -> np.ndarray:
 
 def test_ode_zero_rhs_identity():
     y0 = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    y1, _, _ = nx.ode_continue(scalar(0.0, 2), scalar(0.0, 2),
-                               unit_circle(), y0)
+    y1, _, _ = continue_path(scalar(0.0, 2), scalar(0.0, 2),
+                             unit_circle(), y0)
     assert np.max(np.abs(y1 - y0)) < 1e-12
+
+
+def test_ode_zero_length_segment_returns_y0():
+    y0 = np.array([[1.0 + 2.0j, 2.0], [3.0, 4.0 - 1e-300j]])
+    for z in (1.0, 2.5 - 0.5j):
+        y1, err, work = nx.ode_continue(np.diag([1.0, 2.0]),
+                                        np.array([[0.3, 1.0], [0.0, 0.7]]),
+                                        z, z, y0)
+        assert np.array_equal(y1, y0) and y1 is not y0
+        assert err == 0.0 and work == (0, 0)
 
 
 def test_ode_halfpower_monodromy():
     # lam y' = y/2
     y0 = np.array([1.0 + 0.0j])
-    y1, _, _ = nx.ode_continue(scalar(0.0), scalar(0.5), unit_circle(), y0)
+    y1, _, _ = continue_path(scalar(0.0), scalar(0.5), unit_circle(), y0)
     assert abs(y1[0] + 1.0) < 1e-9
 
 
 def test_ode_fullpower_monodromy_trivial():
     y0 = np.array([1.0 + 0.0j])
-    y1, _, _ = nx.ode_continue(scalar(0.0), scalar(1.0), unit_circle(), y0)
+    y1, _, _ = continue_path(scalar(0.0), scalar(1.0), unit_circle(), y0)
     assert abs(y1[0] - 1.0) < 1e-9
 
 
 def test_ode_composability():
-    # P then Q equals P||Q
+    # P then Q equals the straight segment from P's start to Q's end: the
+    # singular point 0 lies outside the triangle between them
     tol = 1e-10
     y0 = np.array([1.0 + 0.5j, -0.25j])
     upper = np.array([[0.0, 1.0], [-1.0, 0.0]])
     euler = scalar(0.0, 2)
-    p = [nx.Segment(1.0, 2.0 + 1.0j)]
-    qq = [nx.Segment(2.0 + 1.0j, 3.0 - 0.5j)]
-    ya, _, _ = nx.ode_continue(euler, upper, p, y0)
-    yb, _, _ = nx.ode_continue(euler, upper, qq, ya)
-    yc, _, _ = nx.ode_continue(euler, upper, p + qq, y0)
+    ya, _, _ = nx.ode_continue(euler, upper, 1.0, 2.0 + 1.0j, y0)
+    yb, _, _ = nx.ode_continue(euler, upper, 2.0 + 1.0j, 3.0 - 0.5j, ya)
+    yc, _, _ = nx.ode_continue(euler, upper, 1.0, 3.0 - 0.5j, y0)
     assert np.max(np.abs(yb - yc)) < 3 * tol
 
 
@@ -466,17 +456,17 @@ def test_ode_reversibility():
     y0 = np.array([0.3 + 1.0j, 0.8])
     upper = np.array([[0.0, 2.0], [1.0, 0.0]])
     euler = scalar(0.2j, 2)
-    p = [nx.Arc(0.0, 1.5, 0.0, math.pi), nx.Segment(-1.5, -2.5)]
-    y1, _, _ = nx.ode_continue(euler, upper, p, y0)
-    y2, _, _ = nx.ode_continue(euler, upper, reverse_path(p), y1)
+    p = [md.Arc(0.0, 1.5, 0.0, math.pi), md.Segment(-1.5, -2.5)]
+    y1, _, _ = continue_path(euler, upper, p, y0)
+    y2, _, _ = continue_path(euler, upper, reverse_path(p), y1)
     assert np.max(np.abs(y2 - y0)) < 3 * tol
 
 
 def test_ode_segment_into_singular_point_raises():
     y0 = np.array([1.0 + 0.0j])
-    path = [nx.Segment(0.5, 1.0)]  # runs straight into the singularity
+    # runs straight into the singularity
     with pytest.raises(nx.NumericsError):
-        nx.ode_continue(scalar(1.0), scalar(1.0), path, y0)
+        nx.ode_continue(scalar(1.0), scalar(1.0), 0.5, 1.0, y0)
 
 
 def test_ode_loop_around_one_of_two_singular_points():
@@ -485,10 +475,10 @@ def test_ode_loop_around_one_of_two_singular_points():
     # singular point, whose component comes back unchanged
     euler = np.diag([1.0, 1.5 + 0.25j])
     upper = np.diag([0.3, 0.7])
-    path = [nx.Segment(3.0, 1.3), nx.Arc(1.0, 0.3, 0.0, 2 * math.pi),
-            nx.Segment(1.3, 3.0)]
+    path = [md.Segment(3.0, 1.3), md.Arc(1.0, 0.3, 0.0, 2 * math.pi),
+            md.Segment(1.3, 3.0)]
     y0 = np.array([1.0 + 0.0j, 1.0 + 0.0j])
-    y1, err, _ = nx.ode_continue(euler, upper, path, y0)
+    y1, err, _ = continue_path(euler, upper, path, y0)
     assert abs(y1[0] - cmath.exp(2j * math.pi * 0.3)) < 1e-13
     assert abs(y1[1] - 1.0) < 1e-13
     assert 0.0 <= err < 1e-13
@@ -525,7 +515,7 @@ def _termwise(fn, args):
 
 
 def _assert_same_series(fn, args):
-    """fn(*args), ode_continue or _local_solutions, gives the same bits
+    """fn(*args), a continuation or _local_solutions, gives the same bits
     with sum_series and with the term-by-term oracle."""
     got = fn(*args)
     want = _termwise(fn, args)
@@ -614,44 +604,67 @@ def frobenius_calls():
 
 def test_ode_blocked_matches_termwise_small_systems():
     y0 = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    _assert_same_series(nx.ode_continue, (scalar(0.0, 2), scalar(0.0, 2),
-                                          unit_circle(), y0))
+    _assert_same_series(continue_path, (scalar(0.0, 2), scalar(0.0, 2),
+                                        unit_circle(), y0))
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    path = [nx.Segment(1.0, 2.0 + 1.0j), nx.Segment(2.0 + 1.0j, 3.0 - 0.5j)]
-    _assert_same_series(nx.ode_continue, (scalar(0.0, 2), rot, path,
-                                          np.array([1.0 + 0.5j, -0.25j])))
+    path = [md.Segment(1.0, 2.0 + 1.0j), md.Segment(2.0 + 1.0j, 3.0 - 0.5j)]
+    _assert_same_series(continue_path, (scalar(0.0, 2), rot, path,
+                                        np.array([1.0 + 0.5j, -0.25j])))
     swap = np.array([[0.0, 2.0], [1.0, 0.0]])
-    arc = [nx.Arc(0.0, 1.5, 0.0, math.pi), nx.Segment(-1.5, -2.5)]
-    _assert_same_series(nx.ode_continue, (scalar(0.2j, 2), swap, arc,
-                                          np.array([0.3 + 1.0j, 0.8])))
+    arc = [md.Arc(0.0, 1.5, 0.0, math.pi), md.Segment(-1.5, -2.5)]
+    _assert_same_series(continue_path, (scalar(0.2j, 2), swap, arc,
+                                        np.array([0.3 + 1.0j, 0.8])))
     euler = np.diag([1.0, 1.5 + 0.25j])
-    around = [nx.Segment(3.0, 1.3), nx.Arc(1.0, 0.3, 0.0, 2 * math.pi),
-              nx.Segment(1.3, 3.0)]
-    _assert_same_series(nx.ode_continue, (euler, np.diag([0.3, 0.7]), around,
-                                          np.ones((2, 3), dtype=complex)))
+    around = [md.Segment(3.0, 1.3), md.Arc(1.0, 0.3, 0.0, 2 * math.pi),
+              md.Segment(1.3, 3.0)]
+    _assert_same_series(continue_path, (euler, np.diag([0.3, 0.7]), around,
+                                        np.ones((2, 3), dtype=complex)))
 
 
 def test_ode_blocked_matches_termwise_1d():
-    y1 = _assert_same_series(nx.ode_continue,
+    y1 = _assert_same_series(continue_path,
                              (scalar(0.0), scalar(0.5), unit_circle(),
                               np.array([1.0 + 0.0j])))[0]
     assert y1.shape == (1,)
 
 
+def _stop_terms(fn, args):
+    """The index of the stopping term of every sum_series that fn(*args)
+    runs."""
+    stops = []
+    real = nx.sum_series
+
+    def record(*series):
+        out = real(*series)
+        stops.append(out[2])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nx, "sum_series", record)
+        fn(*args)
+    return stops
+
+
 @pytest.mark.parametrize("block", [1, 3, 8])
 def test_ode_blocked_matches_termwise_p3_loops(p3_loops, monkeypatch, block):
-    # the 144 steps stop on terms 9 to 29, so with blocks of 3 and 8 some
-    # stop on a block's first term, some inside a block, and some on a run
-    # of two small terms split across blocks
+    # the whole loops, each arc a 16-gon, take 202 steps, which stop on
+    # terms 7 to 28: with blocks of 3, 70 stop on a block's first term,
+    # after a small term that ends the block before, and 132 inside a
+    # block; with blocks of 8, 5 and 197
     monkeypatch.setattr(nx, "_TBLOCK", block)
-    steps = sum(_assert_same_series(nx.ode_continue, args[:4])[2][0]
+    steps = sum(_assert_same_series(continue_path, args[:4])[2][0]
                 for args in p3_loops)
-    assert steps == 144
+    assert steps == 202
+    if block > 1:
+        stops = [j for args in p3_loops
+                 for j in _stop_terms(continue_path, args[:4])]
+        first = sum(j % block == 0 for j in stops)
+        assert 0 < first < len(stops) == steps
 
 
 def test_ode_blocked_matches_termwise_twisted4(twisted4_loops):
     for args in twisted4_loops:
-        _assert_same_series(nx.ode_continue, args[:4])
+        _assert_same_series(continue_path, args[:4])
 
 
 @pytest.mark.parametrize("block", [1, 3, 8])
@@ -686,7 +699,8 @@ def test_ode_counts_repeat_and_match_monodromy(p3_loops):
                                   _outer_branch(loop, branch0),
                                   md.BASE_SERIES_TOL)
     i_outer = sol.value
-    counts = [nx.ode_continue(euler, upper, [loop.way_in], i_outer)[2]
+    counts = [nx.ode_continue(euler, upper, loop.way_in.start,
+                              loop.way_in.end, i_outer)[2]
               for _ in range(2)]
     steps, terms = counts[0]
     assert counts[1] == counts[0]
@@ -699,9 +713,9 @@ def test_ode_counts_repeat_and_match_monodromy(p3_loops):
     assert res.residuals["cond_outer"] == float(np.linalg.cond(i_outer))
     assert res.residuals["truncation"] == (sol.truncation_error
                                            / float(np.max(np.abs(i_outer))))
-    # the whole loop took 41 steps and 995 terms, the inward segment 2 and
-    # 48
-    whole_steps, whole_terms = nx.ode_continue(
+    # the whole loop, each arc a 16-gon, took 54 steps and 1042 terms,
+    # the inward segment 2 and 48
+    whole_steps, whole_terms = continue_path(
         euler, upper, full_path(loop), i_base)[2]
     assert 10 * steps < whole_steps and 10 * terms < whole_terms
 
@@ -712,7 +726,7 @@ def test_big_circle_arc_continuation_matches_series(p3_loops):
     # on the branch that monodromy_matrix takes there
     space, product, sser = _proj_model(5, P3_Q_LOG)
     for euler, upper, loop, i_base, branch0 in p3_loops[1:]:
-        y = nx.ode_continue(euler, upper, loop[:1], i_base)[0]
+        y = continue_path(euler, upper, loop[:1], i_base)[0]
         want = pd.fundamental_solution(space, product, sser, -5,
                                        _outer_branch(loop, branch0),
                                        md.BASE_SERIES_TOL).value
@@ -723,15 +737,15 @@ def test_ode_term_cap_raises(monkeypatch):
     monkeypatch.setattr(nx, "_TERM_CAP", 13)
     with pytest.raises(nx.NumericsError,
                        match="Taylor series did not converge"):
-        nx.ode_continue(scalar(0.0), scalar(0.5), unit_circle(),
-                        np.array([1.0 + 0.0j]))
+        continue_path(scalar(0.0), scalar(0.5), unit_circle(),
+                      np.array([1.0 + 0.0j]))
 
 
 @pytest.mark.parametrize("block", [3, 8])
 def test_ode_term_cap_boundary(monkeypatch, block):
     # one step, which stops on term index `summed`
     args = (scalar(0.0, 2), np.array([[0.0, 1.0], [-1.0, 0.0]]),
-            [nx.Segment(1.0, 1.0 + 0.4j)], np.array([1.0 + 0.5j, -0.25j]))
+            1.0, 1.0 + 0.4j, np.array([1.0 + 0.5j, -0.25j]))
     steps, summed = nx.ode_continue(*args)[2]
     assert steps == 1
     monkeypatch.setattr(nx, "_TBLOCK", block)

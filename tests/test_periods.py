@@ -12,10 +12,11 @@ from gamma_monodromy import periods as pd
 from gamma_monodromy import quantum as qm
 from gamma_monodromy.cohomology import (intersection_pairing, make_proj,
                                         make_twisted)
-from gamma_monodromy.numerics import (BranchState, branch_power, jet_mul,
-                                      log_gamma, principal_branch)
+from gamma_monodromy.numerics import (BranchState, jet_mul, log_gamma,
+                                      principal_branch)
 from gamma_monodromy.quantum import (quantum_mult_proj, sseries_proj,
                                      SSeries)
+from oracles import branch_power, log_pow_jet, master_period
 
 
 def _series(m, q, K=60):
@@ -44,7 +45,7 @@ def master_period_right(space, level, branch):
         diag = np.zeros(size, dtype=complex)
         for i in range(size):
             nu = theta[i] - level
-            jet = jet_mul(pd._log_pow_jet(branch, nu, order),
+            jet = jet_mul(log_pow_jet(branch, nu, order),
                           np.asarray(pd._rg_jet_coeffs(nu + 0.5, order)))
             diag[i] = jet[k]
         acc = acc + np.diag(diag) @ rho_pow
@@ -60,7 +61,7 @@ def test_master_period_diagonal_when_rho_vanishes():
     sp = _rho_free(make_proj(2))
     br = principal_branch(3.0 + 1.0j)
     level = 1
-    got = pd.master_period(sp, level, br)
+    got = master_period(sp, level, br)
     assert np.max(np.abs(got - np.diag(np.diag(got)))) == 0.0
     theta = np.diag(sp.theta)
     for i in range(sp.size):
@@ -74,7 +75,7 @@ def test_master_period_left_right_agree():
         for winding in (0, 1):
             br = principal_branch(2.5 - 1.2j, winding=winding)
             for level in (-4, 0, 3):
-                a = pd.master_period(sp, level, br)
+                a = master_period(sp, level, br)
                 b = master_period_right(sp, level, br)
                 scale = max(1.0, float(np.max(np.abs(a))))
                 assert np.max(np.abs(a - b)) < 1e-12 * scale
@@ -88,9 +89,9 @@ def test_master_period_ladder_by_finite_differences():
     hi = principal_branch(lam + h)
     mid = principal_branch(lam)
     for level in (-3, 0, 2):
-        fd = (pd.master_period(sp, level, hi)
-              - pd.master_period(sp, level, lo)) / (2 * h)
-        nxt = pd.master_period(sp, level + 1, mid)
+        fd = (master_period(sp, level, hi)
+              - master_period(sp, level, lo)) / (2 * h)
+        nxt = master_period(sp, level + 1, mid)
         scale = max(1.0, float(np.max(np.abs(nxt))))
         assert np.max(np.abs(fd - nxt)) < 1e-6 * scale
 
@@ -99,7 +100,7 @@ def test_master_period_finite_at_gamma_poles():
     # levels driving the Gamma argument to nonpositive integers stay finite
     sp = make_proj(1)
     br = principal_branch(4.0)
-    got = pd.master_period(sp, 2, br)
+    got = master_period(sp, 2, br)
     assert np.all(np.isfinite(got))
 
 
@@ -123,7 +124,7 @@ def _ladder_deviation(sp, levels=45):
             for first in range(0, levels, pd._BLOCK):
                 block = chain.masters(first, min(first + pd._BLOCK, levels))
                 for k, got in enumerate(block, first):
-                    want = pd.master_period(sp, start + k, br)
+                    want = master_period(sp, start + k, br)
                     dev = np.max(np.abs(got - want))
                     worst = max(worst, dev / np.max(np.abs(want)))
     return worst
@@ -248,11 +249,9 @@ def test_ladder_cache_hands_out_read_only_prefixes():
 # fundamental solution
 # ---------------------------------------------------------------------------
 
-def test_fundamental_solution_never_calls_master_period(monkeypatch):
-    def boom(*args, **kwargs):
-        raise AssertionError("master_period called")
-
-    monkeypatch.setattr(pd, "master_period", boom)
+def test_fundamental_solution_never_calls_master_period():
+    # the direct evaluation is a test oracle, out of the package's reach
+    assert not hasattr(pd, "master_period")
     m = 2
     sp = make_proj(m)
     prod = quantum_mult_proj(m, 1.0)
@@ -306,7 +305,7 @@ def _term_by_term(sp, sser, level, br, tol):
     small_run = 0
     recent = []
     for k in range(min(len(sser.mats), pd.SERIES_CAP + 1)):
-        term = (-1.0) ** k * sser.mats[k] @ pd.master_period(sp, level + k, br)
+        term = (-1.0) ** k * sser.mats[k] @ master_period(sp, level + k, br)
         acc = acc + term
         recent.append(float(np.max(np.abs(term))))
         scale = float(np.max(np.abs(acc)))
@@ -351,7 +350,7 @@ def test_fundamental_solution_reduces_to_master_at_q_zero():
     sser = _series(m, 0.0, K=20)
     br = principal_branch(2.0 + 0.5j)
     sol = pd.fundamental_solution(sp, prod, sser, -3, br, 1e-12)
-    want = pd.master_period(sp, -3, br)
+    want = master_period(sp, -3, br)
     assert np.max(np.abs(sol.value - want)) < 1e-10 * np.max(np.abs(want))
 
 
@@ -542,5 +541,5 @@ def test_twisted_period_reduces_to_master_with_identity_series(monkeypatch):
     br = principal_branch(9.0)
     beta = np.array([1.0, 0.0], dtype=complex)
     got = pd.twisted_period(n, Q, 3, beta, br, 1e-11)
-    want = pd.master_period(sp, -3, br) @ beta
+    want = master_period(sp, -3, br) @ beta
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
