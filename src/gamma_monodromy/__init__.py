@@ -3,7 +3,7 @@ cohomology, checked against the Gamma-class integral structure.
 
 Subpackage layout:
 
-- numerics:   jets, branch tracking, special functions, segment continuation
+- numerics:   jets, branch tracking, special functions, series summation
 - cohomology: graded ring models, Gamma class, Euler pairings
 - quantum:    small quantum products and calibration series
 - periods:    period vectors of the second structure connection

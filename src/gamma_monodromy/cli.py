@@ -15,10 +15,10 @@ Output is JSON (schema tag ``gamma-monodromy/1``) with complex numbers
 as [re, im] pairs; ``phi`` can emit CSV instead.  Payloads are
 deterministic for fixed inputs: grids and summation orders are fixed and
 wall-clock timings are kept out of the JSON.  Exit codes: 0 pass,
-1 tolerance breach, 2 numerical failure, 64 usage error.  A
-``reflections`` loop that fails numerically is reported as
-{"k", "error", "pass": false} beside the loops that did not, and the
-command exits 2.
+1 tolerance breach, 2 numerical failure, 64 usage error, an unwritable
+--out among them, before anything is computed.  A ``reflections`` loop
+that fails numerically is reported as {"k", "error", "pass": false}
+beside the loops that did not, and the command exits 2.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from functools import partial
@@ -355,6 +356,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _to_config(args)
+        if cfg.out:
+            # an unwritable path fails before any computation; only the
+            # payload creates the file
+            new = not os.path.exists(cfg.out)
+            open(cfg.out, "a").close()
+            if new:
+                os.remove(cfg.out)
         if args.command == "reflections":
             return cmd_reflections(cfg)
         if args.command == "phi":

@@ -3,20 +3,18 @@ vectors.
 
 A loop is a value, Loop(arc, way_in, circle): out from the base point
 lambda_0 = 2(n-1) q^{1/(n-1)} along a clockwise arc of the big circle,
-in along a radial segment toward the chosen singular point u_k, once
-counterclockwise around a small circle about it, and back the same way.
-Monodromy acts on the right: I_continued = I_base . C, so concatenating
-loops multiplies their matrices in path order.
+in along a radial segment to MEET u_k, once counterclockwise around the
+circle about the chosen singular point u_k that starts there, and back
+the same way.  Monodromy acts on the right: I_continued = I_base . C, so
+concatenating loops multiplies their matrices in path order.
 
-The big circle lies where the period series converges, so the series
-covers the arc: it is summed at the outer point on the branch the arc's
-angle psi reaches.  The ODE is continued only along the way in.  The
-circle and the way back are not walked: at a semisimple point the
-connection has a simple pole at u_k with rank-one residue, so its local
-solutions there are a Frobenius series in lambda - u_k, and the turn
+No ODE is continued.  The period series converges on the arc and the
+way in, so it is summed at the way in's end on the branch the arc's
+angle psi reaches.  At a semisimple point the connection has a simple
+pole at u_k with rank-one residue, so its local solutions are a
+Frobenius series in lambda - u_k, which converges there too.  The turn
 multiplies the one solution that is not holomorphic at u_k by
-exp(2 pi i r).  The reflection's direction is read off that solution at
-the circle's start.
+exp(2 pi i r), and the reflection's direction is read off that solution.
 """
 
 from __future__ import annotations
@@ -41,6 +39,11 @@ from . import numerics
 BASE_SERIES_TOL = 1e-12
 # bound on the "exponent" and "reflection" gates of a loop
 EIG_TOL = 1e-4
+# each loop's way in ends at MEET u_k, where both series converge: past
+# the period series' guard radius GUARD_FACTOR max|u| = 1.5 (n-1)|w|, and
+# MEET - 1 = 0.55 < 2 sin(pi/(n-1)) inside the local disc about u_k, whose
+# radius is 2 (n-1)|w| sin(pi/(n-1)), for every n <= 12
+MEET = 1.55
 
 
 class IllConditionedError(NumericsError):
@@ -97,20 +100,19 @@ class Loop(NamedTuple):
 
 
 def gamma_loop(n: int, q_log: complex, k: int) -> Loop:
-    """The loop around the k-th singular point, based at 2(n-1)q^{1/(n-1)}.
-
-    The small circle radius is (n-1)/2 capped at a fifth of the minimal
-    pairwise distance between singular points, so the loop can never link
-    two of them.
+    """The loop around the k-th singular point u_k, based at
+    2(n-1)q^{1/(n-1)}, whose way in ends at MEET u_k on the circle of
+    radius (MEET - 1)|u_k| about u_k.  ValueError where that circle reaches
+    another u_i, which is where the period series and the local series
+    about u_k stop overlapping: n >= 13.
     """
     if not 0 <= k <= n - 2:
         raise ValueError("loop index k out of range [0, n-2]")
+    if MEET - 1.0 >= 2.0 * math.sin(math.pi / (n - 1)):
+        raise ValueError("no overlap of the period series and the local "
+                         "series at n = %d" % n)
     lam0 = base_radius(n)
     phi = -2.0 * math.pi * k / (n - 1)
-    r = 0.5 * (lam0 - (n - 1))
-    if n > 2:
-        minpd = 2.0 * (n - 1) * math.sin(math.pi / (n - 1))
-        r = min(r, 0.2 * minpd)
     direction = cmath.exp(1j * phi)
     w = cmath.exp(complex(q_log) / (n - 1))
     # the loop at q = 1 times w: radii times |w|, angles plus arg w
@@ -118,8 +120,8 @@ def gamma_loop(n: int, q_log: complex, k: int) -> Loop:
     outer = lam0 * direction * w
     arc = (Arc(0.0 * w, lam0 * mag, 0.0 + rot, phi + rot) if k > 0
            else Arc(outer, 0.0, 0.0, 0.0))
-    circle = Arc((n - 1) * direction * w, r * mag, phi + rot,
-                 phi + 2.0 * math.pi + rot)
+    circle = Arc((n - 1) * direction * w, (MEET - 1.0) * (n - 1) * mag,
+                 phi + rot, phi + 2.0 * math.pi + rot)
     # the way in ends exactly where the circle starts, so I_in and the
     # local solutions are read at one point
     return Loop(arc, Segment(outer, circle.start), circle)
@@ -134,8 +136,8 @@ def _local_solutions(u: np.ndarray, ut: np.ndarray, k: int,
     With T_J = Z_J x^J, rows i != k obey T_{J+1} = x ((ut - J - rho) T_J)_i
     / ((u_k - u_i)(J + 1 + rho)), rho the column's exponent, and row k is
     sum_{i != k} ut_ki (T_{J+1})_i / (J + 1 + rho - r).  The series converges
-    out to the nearest other u_i; numerics.sum_series sums it, as it does a
-    Taylor step of ode_continue, and returns sum_J T_J, the stopping term
+    out to the nearest other u_i, so ValueError when |x| reaches that far;
+    numerics.sum_series sums it and returns sum_J T_J, the stopping term
     relative to its column, and the terms summed.
     """
     r = complex(ut[k, k])
@@ -168,7 +170,7 @@ def _local_solutions(u: np.ndarray, ut: np.ndarray, k: int,
 def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
                      sseries: SSeries, level: int, loop: Loop,
                      tol: float) -> MonodromyResult:
-    """Monodromy C of the period matrix around the loop, I_cont = I_outer C,
+    """Monodromy C of the period matrix around the loop, I_cont = I_in C,
     read off the local solutions at the singular point the loop circles.
 
     The matrix acts on cohomology coefficient vectors: the columns of the
@@ -178,40 +180,38 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     reflection operator, whose components grow with the class degree), so
     residual checks against it must be scale-relative.
 
-    The arc is not continued: the period series converges on it, so it
-    only moves the branch of log lambda, by i psi with psi = angle1 -
-    angle0.  The series is summed at the start of way_in on that branch
-    (I_outer), and way_in is continued to the circle's start
-    lambda_in (I_in).  There, with E = V diag(u) V^-1 and Ũ = V^-1 U V,
-    the local solutions x^r V Z(x) e_k (r = Ũ_kk, x = lambda - u_k) and
-    V Z(x) e_i, i != k, are summed as a Frobenius series (Dubrovin, LNM
-    1620; Coddington-Levinson, ch. 4).  The turn multiplies the first by
-    exp(i turn r) and fixes the others, so with H = V Z(x_in) it changes
-    I_in by (exp(i turn r) - 1) vec (e_k^T H^-1 I_in), vec = I_in^-1 H e_k.
-    C is the reflection I - 2 vec (vec|.)/(vec|vec) in that direction, and
-    ``direction`` carries vec over its 2-norm.  In the class basis C is
-    the same matrix wherever along the loop it is read.
+    No ODE is continued.  The period series converges on the arc and the
+    way in, so they only move the branch of log lambda, by i psi with
+    psi = angle1 - angle0 of the arc: the series is summed at the way in's
+    end lambda_in on that branch (I_in).  There, with E = V diag(u) V^-1
+    and Ũ = V^-1 U V, the local solutions x^r V Z(x) e_k (r = Ũ_kk,
+    x = lambda - u_k) and V Z(x) e_i, i != k, are summed as a Frobenius
+    series (Dubrovin, LNM 1620; Coddington-Levinson, ch. 4).  The turn
+    multiplies the first by exp(i turn r) and fixes the others, so with
+    H = V Z(x_in) it changes I_in by (exp(i turn r) - 1) vec (e_k^T H^-1
+    I_in), vec = I_in^-1 H e_k.  C is the reflection I - 2 vec (vec|.) /
+    (vec|vec) in that direction, and ``direction`` carries vec over its
+    2-norm.  In the class basis C is the same matrix wherever along the
+    loop it is read.
 
     tol sets the period series (BASE_SERIES_TOL in the suite and the CLI).
     The series at the base point is summed in every case and raises
     IllConditionedError when its condition number exceeds 1e8.
     The circle must close and enclose exactly one eigenvalue u_k of E,
     else ValueError.  residuals: "solve" (defect of I_in vec = H e_k over
-    max|H e_k|), "continuation" (first omitted Taylor terms of the way in,
-    relative to their columns), "frobenius" (first omitted term of the
-    local series, relative to its column), "truncation" (the last terms of
-    the series at the outer point over max|I_outer|); "cond" and
-    "cond_outer", the 2-norm condition numbers of I_base and I_outer,
-    which are not relative; the two gates reflection_vector reads:
-    "exponent", |exp(2 pi i r) + 1|, and "reflection", the max distance
-    of C from the measured change over the max of the latter.  counters:
-    "taylor_steps" and "taylor_terms", the continuation's work, and
-    "frobenius_terms".
+    max|H e_k|), "frobenius" (first omitted term of the local series,
+    relative to its column), "truncation" (the last terms of the series at
+    lambda_in over max|I_in|); "cond" and "cond_in", the 2-norm condition
+    numbers of I_base and I_in, which are not relative; the two gates
+    reflection_vector reads: "exponent", |exp(2 pi i r) + 1|, and
+    "reflection", the max distance of C from the measured change over the
+    max of the latter.  counters: "series_terms", the terms of the series
+    at lambda_in, and "frobenius_terms".
     """
     arc, way_in, circle = loop
-    branch = principal_branch(arc.start)
-    sol = fundamental_solution(space, product, sseries, level, branch, tol)
-    cond = float(np.linalg.cond(sol.value))
+    base = principal_branch(arc.start)
+    cond = float(np.linalg.cond(fundamental_solution(
+        space, product, sseries, level, base, tol).value))
     if cond > 1e8:
         raise IllConditionedError("period matrix condition number %g" % cond)
     if circle.angle1 == circle.angle0 or abs(circle.end - circle.start) \
@@ -223,16 +223,11 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
         raise ValueError("the circle encloses %d eigenvalues of E, not one"
                          % len(inside))
     k = int(inside[0])
-    psi = arc.angle1 - arc.angle0
-    if psi:
-        branch = BranchState(way_in.start, numerics._resync_log(
-            arc.end, branch.log_value + 1j * psi))
-        sol = fundamental_solution(space, product, sseries, level, branch,
-                                   tol)
-    i_outer = sol.value
+    branch = BranchState(way_in.end, numerics._resync_log(
+        way_in.end, base.log_value + 1j * (arc.angle1 - arc.angle0)))
+    sol = fundamental_solution(space, product, sseries, level, branch, tol)
+    i_in = sol.value
     upper = space.theta - (level + 0.5) * np.eye(space.size)
-    i_in, cont_err, (steps, terms) = numerics.ode_continue(
-        product.euler_mult, upper, way_in.start, way_in.end, i_outer)
     ut = np.linalg.solve(vmat, upper @ vmat)
     zsum, frob_err, frob_terms = _local_solutions(u, ut, k,
                                                   circle.start - u[k])
@@ -252,18 +247,16 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     cmat = np.eye(space.size) - (2.0 / c2) * np.outer(vec, row)
     residuals = {
         "solve": solve_res,
-        "continuation": cont_err,
         "frobenius": frob_err,
-        "truncation": sol.truncation_error / float(np.max(np.abs(i_outer))),
+        "truncation": sol.truncation_error / float(np.max(np.abs(i_in))),
         "cond": cond,
-        "cond_outer": float(np.linalg.cond(i_outer)) if psi else cond,
+        "cond_in": float(np.linalg.cond(i_in)),
         "exponent": abs(cmath.exp(2j * math.pi * ut[k, k]) + 1.0),
         "reflection": float(np.max(np.abs(cmat - measured))
                             / np.max(np.abs(measured))),
     }
     return MonodromyResult(matrix=cmat, direction=vec, residuals=residuals,
-                           counters={"taylor_steps": steps,
-                                     "taylor_terms": terms,
+                           counters={"series_terms": sol.terms,
                                      "frobenius_terms": frob_terms})
 
 

@@ -1,9 +1,8 @@
 """Low-level numerics: truncated jets, complex special functions, branch
 states of log(lambda), ``sum_series``, the one summation of the local
-series of the connection (the Taylor steps of ``ode_continue``, which
-continues along one straight segment, and the Frobenius series of
-``monodromy``), and ``Prefix``, the growth rule of the tables built only
-as deep as read (calibration series, Gamma-jet ladder).
+series of the connection (the Frobenius series of ``monodromy``), and
+``Prefix``, the growth rule of the tables built only as deep as read
+(calibration series, Gamma-jet ladder).
 
 A truncated jet sum_k c[k] w^k is the complex coefficient array c itself,
 of length order + 1 <= 13; jet_mul, jet_recip and jet_exp do the
@@ -444,10 +443,9 @@ def _resync_log(point: complex, log_val: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# local series of (lambda - E) Y' = U Y, and continuation by Taylor steps
+# local series of (lambda - E) Y' = U Y
 # ---------------------------------------------------------------------------
 
-_SING_EPS = 1e-12
 _TERM_CAP = 200
 _TBLOCK = 8           # series terms formed per batch
 
@@ -463,7 +461,9 @@ def sum_series(first: np.ndarray, step, message: str
     column scales taken per block, and the stopping rule reads them one by
     one, so the result is that of a term-by-term sum.  Returns the value,
     the stopping term over its column's scale, and the terms summed after
-    T_0; NumericsError(message) when _TERM_CAP terms do not stop it.
+    T_0; NumericsError(message) when _TERM_CAP terms do not stop it.  The
+    package sums one series with it, the Frobenius series about a singular
+    point that ``monodromy`` reads each loop's reflection from.
     """
     eps = np.finfo(float).eps
     # row 0 is the running sum, rows 1.. the block's terms
@@ -486,54 +486,3 @@ def sum_series(first: np.ndarray, step, message: str
                 return block[i].copy(), rel, start + i
         buf[0] = block[-1]
     raise NumericsError(message)
-
-
-def ode_continue(euler: np.ndarray, upper: np.ndarray, start: complex,
-                 end: complex, y0: np.ndarray) -> tuple:
-    """Continue a solution of (lambda - E) dY/dlambda = U Y along the
-    straight segment from start to end.
-
-    E (euler) and U (upper) are constant square matrices; y0 is a vector
-    or a matrix of columns.  Around a node c the Taylor coefficients obey
-    Y_{j+1} = (c - E)^{-1} (U - j) Y_j / (j+1), summed by ``sum_series``.
-    The series converges on the disk reaching the nearest eigenvalue of E,
-    the only singular points of the connection, and each step h moves at
-    most half that distance, so the terms decay at least like 2^-j up to a
-    polynomial factor.
-
-    Returns the continued solution, the continuation error estimate (the
-    sum over steps of the first omitted term relative to its column's
-    scale) and the work done, (steps, terms): Taylor steps, and terms
-    summed into their values; start == end returns y0 with work (0, 0).
-    Raises NumericsError when a node comes within 1e-12 * max(1, |lambda|)
-    of an eigenvalue of E, or when a step's series does not stop in
-    _TERM_CAP terms.
-    """
-    y0 = np.asarray(y0, dtype=complex)
-    y = y0.reshape(len(y0), -1).copy()
-    sing = np.linalg.eigvals(euler)
-    eye = np.eye(len(euler))
-    trunc, steps, terms = 0.0, 0, 0
-    plen = abs(end - start)
-    t = 0.0 if plen else 1.0
-    c = start
-    while t < 1.0:
-        reach = float(np.min(np.abs(c - sing)))
-        if reach < _SING_EPS * max(1.0, abs(c)):
-            raise NumericsError(
-                "continuation node %r on a singular point" % c)
-        t_next = min(1.0, t + 0.5 * reach / plen)
-        z = end if t_next == 1.0 else start + (end - start) * t_next
-        h = z - c
-        resolvent = np.linalg.inv(c * eye - euler)
-
-        def step(j, term):
-            return (h / (j + 1)) * (resolvent @ (upper @ term - j * term))
-        y, rel, summed = sum_series(
-            y, step, "Taylor series did not converge at lambda=%r" % c)
-        trunc += rel
-        steps += 1
-        terms += summed
-        t, c = t_next, z
-
-    return y.reshape(y0.shape), trunc, (steps, terms)

@@ -1,7 +1,9 @@
 """Oracles the tests compare the package against, kept out of the package
 because nothing in it calls them: complex powers on a branch of log, the
-master period evaluated directly from Gamma jets, and continuation along
-paths of several pieces, each arc replaced by an inscribed polygon."""
+master period evaluated directly from Gamma jets, continuation of the
+connection by Taylor steps along a straight segment, and continuation
+along paths of several pieces, each arc replaced by an inscribed
+polygon."""
 
 import cmath
 
@@ -13,6 +15,9 @@ from gamma_monodromy import periods as pd
 
 # sides of the polygon that stands in for an arc
 SIDES = 16
+# a continuation node this close to a singular point, relative to
+# max(1, |lambda|), raises
+_SING_EPS = 1e-12
 
 
 def branch_power(b: nx.BranchState, s: complex) -> complex:
@@ -51,6 +56,57 @@ def master_period(space, level: int, branch: nx.BranchState) -> np.ndarray:
     return acc
 
 
+def ode_continue(euler: np.ndarray, upper: np.ndarray, start: complex,
+                 end: complex, y0: np.ndarray) -> tuple:
+    """Continue a solution of (lambda - E) dY/dlambda = U Y along the
+    straight segment from start to end.
+
+    E (euler) and U (upper) are constant square matrices; y0 is a vector
+    or a matrix of columns.  Around a node c the Taylor coefficients obey
+    Y_{j+1} = (c - E)^{-1} (U - j) Y_j / (j+1), summed by
+    ``numerics.sum_series``.  The series converges on the disk reaching
+    the nearest eigenvalue of E, the only singular points of the
+    connection, and each step h moves at most half that distance, so the
+    terms decay at least like 2^-j up to a polynomial factor.
+
+    Returns the continued solution, the continuation error estimate (the
+    sum over steps of the first omitted term relative to its column's
+    scale) and the work done, (steps, terms): Taylor steps, and terms
+    summed into their values; start == end returns y0 with work (0, 0).
+    Raises NumericsError when a node comes within _SING_EPS * max(1,
+    |lambda|) of an eigenvalue of E, or when a step's series does not
+    stop in numerics._TERM_CAP terms.
+    """
+    y0 = np.asarray(y0, dtype=complex)
+    y = y0.reshape(len(y0), -1).copy()
+    sing = np.linalg.eigvals(euler)
+    eye = np.eye(len(euler))
+    trunc, steps, terms = 0.0, 0, 0
+    plen = abs(end - start)
+    t = 0.0 if plen else 1.0
+    c = start
+    while t < 1.0:
+        reach = float(np.min(np.abs(c - sing)))
+        if reach < _SING_EPS * max(1.0, abs(c)):
+            raise nx.NumericsError(
+                "continuation node %r on a singular point" % c)
+        t_next = min(1.0, t + 0.5 * reach / plen)
+        z = end if t_next == 1.0 else start + (end - start) * t_next
+        h = z - c
+        resolvent = np.linalg.inv(c * eye - euler)
+
+        def step(j, term):
+            return (h / (j + 1)) * (resolvent @ (upper @ term - j * term))
+        y, rel, summed = nx.sum_series(
+            y, step, "Taylor series did not converge at lambda=%r" % c)
+        trunc += rel
+        steps += 1
+        terms += summed
+        t, c = t_next, z
+
+    return y.reshape(y0.shape), trunc, (steps, terms)
+
+
 def full_path(loop: md.Loop) -> list:
     """The whole closed loop as a path: out along the arc, in, once around
     the circle, and back the same way."""
@@ -69,7 +125,7 @@ def vertices(piece, sides: int = SIDES) -> list:
 
 def continue_path(euler: np.ndarray, upper: np.ndarray, path: list,
                   y0: np.ndarray, sides: int = SIDES):
-    """numerics.ode_continue chained over the vertex pairs of path, a list
+    """ode_continue chained over the vertex pairs of path, a list
     of Segment and Arc pieces, each piece from its own start.  Valid where
     no singular point lies between an arc and its polygon: continuation
     depends only on the path's homotopy class.  Returns the value, the
@@ -78,7 +134,7 @@ def continue_path(euler: np.ndarray, upper: np.ndarray, path: list,
     for piece in path:
         pts = vertices(piece, sides)
         for a, b in zip(pts, pts[1:]):
-            y, e, (s, t) = nx.ode_continue(euler, upper, a, b, y)
+            y, e, (s, t) = ode_continue(euler, upper, a, b, y)
             err += e
             steps += s
             terms += t

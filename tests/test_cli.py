@@ -177,9 +177,8 @@ def test_proj_entries_carry_the_loop_counters(tmp_path):
                      "--out", str(out)]) == cli.EXIT_OK
     for entry in json.loads(out.read_text())["results"]:
         counters = entry["counters"]
-        assert set(counters) == {"taylor_steps", "taylor_terms",
-                                 "frobenius_terms"}
-        assert counters["taylor_steps"] > 0
+        assert set(counters) == {"series_terms", "frobenius_terms"}
+        assert counters["series_terms"] > 0
         assert counters["frobenius_terms"] > 0
 
 
@@ -326,6 +325,45 @@ def test_unwritable_out_exits_64(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("computed before --out was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite"],
+    ["reflections", "--space", "proj:2", "--q", "1"],
+    ["phi", "--space", "proj:1", "--q", "1"],
+])
+def test_unwritable_out_exits_before_any_computation(argv, monkeypatch,
+                                                     capsys):
+    from gamma_monodromy import mirror, suite
+    monkeypatch.setattr(suite, "run_suite", _never)
+    monkeypatch.setattr(cli, "proj_reflection_check", _never)
+    monkeypatch.setattr(mirror, "zero_region_scan", _never)
+    assert cli.main(argv + ["--out", "/nonexistent/x.json"]) \
+        == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gamma-monodromy: error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_numerical_failure_leaves_out_as_it_was(tmp_path, monkeypatch):
+    # exit 2 with no payload: a new path stays absent, an old file keeps
+    # its bytes
+    from gamma_monodromy import suite
+
+    def blowup(only=None):
+        raise NumericsError("synthetic blowup")
+
+    monkeypatch.setattr(suite, "run_suite", blowup)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("{}\n")
+    for out in (new, old):
+        assert cli.main(["suite", "--out", str(out)]) == cli.EXIT_NUMERIC
+    assert not new.exists() and old.read_text() == "{}\n"
+
+
 def test_overflowing_q_is_a_numerical_failure(capsys):
     # q = -Q^-2 at Q = 1e-300 overflows a double
     assert cli.main(["reflections", "--space", "twisted:3",
@@ -365,17 +403,23 @@ def test_cli_import_leaves_mirror_and_suite_unloaded():
 @pytest.mark.parametrize("argv, code", [
     (["--space", "proj:3", "--q", "1"], cli.EXIT_OK),
     (["--space", "twisted:4", "--Q", "1.3"], cli.EXIT_OK),
-    # read off the local solutions, k = 6 is 2.6e-5 from a reflection and
-    # 3.5e-5 from its candidate, against 1e-4 for both
+    # read where the two series meet, the loops are at most 4.1e-9 from a
+    # reflection (k = 5) and 1.9e-6 from their candidates (k = 6), against
+    # 1e-4 for both
     (["--space", "proj:6", "--q", "1"], cli.EXIT_OK),
-    # from k = 4 the measured change is 2.1e-4 and more from a reflection:
-    # the solve against I_in has cond 1e11 and more there (ROADMAP item 1)
-    (["--space", "proj:7", "--q", "1"], cli.EXIT_NUMERIC),
+    # k = 8 fails numerically: its direction comes out isotropic, and k = 6
+    # and 7 are 2.3e-3 and 1.3e-2 from their candidates
+    (["--space", "proj:8", "--q", "1"], cli.EXIT_NUMERIC),
+    # every loop is a reflection, but k = 7 is 5.5e-4 from its candidate
+    (["--space", "proj:7", "--q", "1"], cli.EXIT_FAIL),
+    # its reflection gate reads 2.5e-8 against 1e-4
+    (["--space", "proj:6", "--q", "0.3"], cli.EXIT_OK),
 ])
 def test_reflections_exit_codes(argv, code, capsys):
     assert cli.main(["reflections"] + argv) == code
     if code == cli.EXIT_NUMERIC:
-        assert "not a reflection" in capsys.readouterr().err
+        assert "k = 8: anti-invariant direction is isotropic" \
+            in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

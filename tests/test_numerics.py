@@ -16,7 +16,7 @@ from gamma_monodromy import numerics as nx
 from gamma_monodromy import periods as pd
 from gamma_monodromy.cohomology import make_proj
 from gamma_monodromy.quantum import quantum_mult_proj, sseries_proj
-from oracles import branch_power, continue_path, full_path
+from oracles import branch_power, continue_path, full_path, ode_continue
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -417,9 +417,9 @@ def test_ode_zero_rhs_identity():
 def test_ode_zero_length_segment_returns_y0():
     y0 = np.array([[1.0 + 2.0j, 2.0], [3.0, 4.0 - 1e-300j]])
     for z in (1.0, 2.5 - 0.5j):
-        y1, err, work = nx.ode_continue(np.diag([1.0, 2.0]),
-                                        np.array([[0.3, 1.0], [0.0, 0.7]]),
-                                        z, z, y0)
+        y1, err, work = ode_continue(np.diag([1.0, 2.0]),
+                                     np.array([[0.3, 1.0], [0.0, 0.7]]),
+                                     z, z, y0)
         assert np.array_equal(y1, y0) and y1 is not y0
         assert err == 0.0 and work == (0, 0)
 
@@ -444,9 +444,9 @@ def test_ode_composability():
     y0 = np.array([1.0 + 0.5j, -0.25j])
     upper = np.array([[0.0, 1.0], [-1.0, 0.0]])
     euler = scalar(0.0, 2)
-    ya, _, _ = nx.ode_continue(euler, upper, 1.0, 2.0 + 1.0j, y0)
-    yb, _, _ = nx.ode_continue(euler, upper, 2.0 + 1.0j, 3.0 - 0.5j, ya)
-    yc, _, _ = nx.ode_continue(euler, upper, 1.0, 3.0 - 0.5j, y0)
+    ya, _, _ = ode_continue(euler, upper, 1.0, 2.0 + 1.0j, y0)
+    yb, _, _ = ode_continue(euler, upper, 2.0 + 1.0j, 3.0 - 0.5j, ya)
+    yc, _, _ = ode_continue(euler, upper, 1.0, 3.0 - 0.5j, y0)
     assert np.max(np.abs(yb - yc)) < 3 * tol
 
 
@@ -466,7 +466,7 @@ def test_ode_segment_into_singular_point_raises():
     y0 = np.array([1.0 + 0.0j])
     # runs straight into the singularity
     with pytest.raises(nx.NumericsError):
-        nx.ode_continue(scalar(1.0), scalar(1.0), 0.5, 1.0, y0)
+        ode_continue(scalar(1.0), scalar(1.0), 0.5, 1.0, y0)
 
 
 def test_ode_loop_around_one_of_two_singular_points():
@@ -647,14 +647,14 @@ def _stop_terms(fn, args):
 
 @pytest.mark.parametrize("block", [1, 3, 8])
 def test_ode_blocked_matches_termwise_p3_loops(p3_loops, monkeypatch, block):
-    # the whole loops, each arc a 16-gon, take 202 steps, which stop on
-    # terms 7 to 28: with blocks of 3, 70 stop on a block's first term,
-    # after a small term that ends the block before, and 132 inside a
-    # block; with blocks of 8, 5 and 197
+    # the whole loops, each arc a 16-gon, take 190 steps, which stop on
+    # terms 7 to 28: with blocks of 3, 49 stop on a block's first term,
+    # after a small term that ends the block before, and 141 inside a
+    # block; with blocks of 8, 5 and 185
     monkeypatch.setattr(nx, "_TBLOCK", block)
     steps = sum(_assert_same_series(continue_path, args[:4])[2][0]
                 for args in p3_loops)
-    assert steps == 202
+    assert steps == 190
     if block > 1:
         stops = [j for args in p3_loops
                  for j in _stop_terms(continue_path, args[:4])]
@@ -670,13 +670,14 @@ def test_ode_blocked_matches_termwise_twisted4(twisted4_loops):
 @pytest.mark.parametrize("block", [1, 3, 8])
 def test_frobenius_blocked_matches_termwise(frobenius_calls, monkeypatch,
                                             block):
-    # the seven series stop on term 16: inside a block of 3, and on the
-    # first term of the third block of 8, after a small term that ends the
-    # second
+    # the four series of P^3 stop on term 24, on the first term of a block
+    # of 3 and of 8, after a small term that ends the block before; the
+    # three of the twisted n = 4 model on term 21, the first term of a block
+    # of 3, and inside the third block of 8
     monkeypatch.setattr(nx, "_TBLOCK", block)
     terms = [_assert_same_series(md._local_solutions, args)[2]
              for args in frobenius_calls]
-    assert terms == [16] * 7
+    assert terms == [24] * 4 + [21] * 3
 
 
 def _outer_branch(loop, branch0):
@@ -689,32 +690,36 @@ def _outer_branch(loop, branch0):
 
 
 def test_ode_counts_repeat_and_match_monodromy(p3_loops):
-    # a k > 0 loop continues only its way in from the period series at the
-    # outer point; the big-circle arcs, the small circle and the way back
-    # are not walked
+    # a k > 0 loop continues nothing: monodromy_matrix sums the period
+    # series at the way in's end, where continuing the way in from the
+    # series at the outer point lands, and counts that series' terms
     loop = md.gamma_loop(5, P3_Q_LOG, 2)
     euler, upper, _, i_base, branch0 = p3_loops[2]
     space, product, sser = _proj_model(5, P3_Q_LOG)
-    sol = pd.fundamental_solution(space, product, sser, -5,
-                                  _outer_branch(loop, branch0),
-                                  md.BASE_SERIES_TOL)
-    i_outer = sol.value
-    counts = [nx.ode_continue(euler, upper, loop.way_in.start,
-                              loop.way_in.end, i_outer)[2]
-              for _ in range(2)]
-    steps, terms = counts[0]
-    assert counts[1] == counts[0]
+    outer = _outer_branch(loop, branch0)
+    i_outer = pd.fundamental_solution(space, product, sser, -5, outer,
+                                      md.BASE_SERIES_TOL).value
+    runs = [ode_continue(euler, upper, loop.way_in.start, loop.way_in.end,
+                         i_outer) for _ in range(2)]
+    steps, terms = runs[0][2]
+    assert runs[1][2] == runs[0][2]
     assert steps > 0 and 2 * steps <= terms < nx._TERM_CAP * steps
+    sol = pd.fundamental_solution(
+        space, product, sser, -5,
+        nx.BranchState(loop.way_in.end, nx._resync_log(loop.way_in.end,
+                                                       outer.log_value)),
+        md.BASE_SERIES_TOL)
+    i_in = sol.value
+    assert np.max(np.abs(runs[0][0] - i_in)) < 1e-11 * np.max(np.abs(i_in))
     res = md.monodromy_matrix(space, product, sser, -5, loop,
                               md.BASE_SERIES_TOL)
-    assert res.counters["taylor_steps"] == steps
-    assert res.counters["taylor_terms"] == terms
+    assert res.counters["series_terms"] == sol.terms
     assert 0 < res.counters["frobenius_terms"] < nx._TERM_CAP
-    assert res.residuals["cond_outer"] == float(np.linalg.cond(i_outer))
+    assert res.residuals["cond_in"] == float(np.linalg.cond(i_in))
     assert res.residuals["truncation"] == (sol.truncation_error
-                                           / float(np.max(np.abs(i_outer))))
-    # the whole loop, each arc a 16-gon, took 54 steps and 1042 terms,
-    # the inward segment 2 and 48
+                                           / float(np.max(np.abs(i_in))))
+    # the whole loop, each arc a 16-gon, takes 51 steps and 1015 terms,
+    # the inward segment 1 and 24
     whole_steps, whole_terms = continue_path(
         euler, upper, full_path(loop), i_base)[2]
     assert 10 * steps < whole_steps and 10 * terms < whole_terms
@@ -746,10 +751,10 @@ def test_ode_term_cap_boundary(monkeypatch, block):
     # one step, which stops on term index `summed`
     args = (scalar(0.0, 2), np.array([[0.0, 1.0], [-1.0, 0.0]]),
             1.0, 1.0 + 0.4j, np.array([1.0 + 0.5j, -0.25j]))
-    steps, summed = nx.ode_continue(*args)[2]
+    steps, summed = ode_continue(*args)[2]
     assert steps == 1
     monkeypatch.setattr(nx, "_TBLOCK", block)
-    _assert_term_cap_boundary(monkeypatch, nx.ode_continue, args,
+    _assert_term_cap_boundary(monkeypatch, ode_continue, args,
                               summed + 1, "Taylor series did not converge")
 
 
