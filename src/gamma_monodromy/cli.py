@@ -182,6 +182,7 @@ def cmd_reflections(cfg: RunConfig) -> int:
                         math.log(cfg.q[0]) + 1j * math.pi * cfg.q[1])
         check = partial(proj_reflection_check, n, q, m=cfg.m)
         entry = _proj_entry
+        where = "q = %g e^(%g pi i)" % tuple(cfg.q)
         payload["level"] = -(cfg.m if cfg.m is not None else n)
     else:
         n = par
@@ -190,6 +191,8 @@ def cmd_reflections(cfg: RunConfig) -> int:
             raise UsageError("twisted spaces require real positive --Q")
         check = partial(twisted_reflection_check, n, Q, m=cfg.m)
         entry = _twisted_entry
+        where = "Q = %g (q = -Q^-%d needs |log Q| < 709/%d)" % (
+            cfg.Q[0], n - 1, n - 1)
     if cfg.k is not None and not 0 <= cfg.k <= n - 2:
         raise UsageError("k %d outside [0, %d]" % (cfg.k, n - 2))
     # the level -m periods carry 1/Gamma(theta + m + 1/2), which vanishes
@@ -205,12 +208,15 @@ def cmd_reflections(cfg: RunConfig) -> int:
     results = payload["results"] = []
     for k in ks:
         try:
-            results.append(entry(check(k), tol))
-        except NumericsError as exc:
+            with np.errstate(over="raise", invalid="raise"):
+                results.append(entry(check(k), tol))
+        except (NumericsError, FloatingPointError, OverflowError) as exc:
             # the other loops are still reported; the exit code says 2
+            text = str(exc) if isinstance(exc, NumericsError) \
+                else "%s at %s" % (exc, where)
             print("gamma-monodromy: numerical failure at k = %d: %s"
-                  % (k, exc), file=sys.stderr)
-            results.append({"k": k, "error": str(exc), "pass": False})
+                  % (k, text), file=sys.stderr)
+            results.append({"k": k, "error": text, "pass": False})
     payload["pass"] = all(r["pass"] for r in results)
     _emit(payload, cfg.out)
     if any("error" in r for r in results):

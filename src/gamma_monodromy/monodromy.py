@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -90,8 +91,8 @@ class Arc(NamedTuple):
 
 
 class Loop(NamedTuple):
-    """The loop gamma_k: out along arc, about 0 from the base point (a
-    point at k = 0), in along way_in, once counterclockwise around circle
+    """The loop gamma_k: out along arc, about 0 from the base point (of no
+    length at k = 0), in along way_in, once counterclockwise around circle
     about u_k, and back the same way, which is implied."""
 
     arc: Arc
@@ -117,9 +118,9 @@ def gamma_loop(n: int, q_log: complex, k: int) -> Loop:
     w = cmath.exp(complex(q_log) / (n - 1))
     # the loop at q = 1 times w: radii times |w|, angles plus arg w
     rot, mag = cmath.phase(w), abs(w)
-    outer = lam0 * direction * w
-    arc = (Arc(0.0 * w, lam0 * mag, 0.0 + rot, phi + rot) if k > 0
-           else Arc(outer, 0.0, 0.0, 0.0))
+    # every arc starts at one base point, bit for bit (k = 0: no length)
+    arc = Arc(0.0 * w, lam0 * mag, 0.0 + rot, phi + rot)
+    outer = lam0 * direction * w if k > 0 else arc.start
     circle = Arc((n - 1) * direction * w, (MEET - 1.0) * (n - 1) * mag,
                  phi + rot, phi + 2.0 * math.pi + rot)
     # the way in ends exactly where the circle starts, so I_in and the
@@ -167,6 +168,18 @@ def _local_solutions(u: np.ndarray, ut: np.ndarray, k: int,
         first, step, "local series did not converge at x=%r" % x)
 
 
+@lru_cache(maxsize=64)
+def _base_period(space: SpaceModel, product: QuantumProduct,
+                 sseries: SSeries, level: int, base: complex,
+                 tol: float) -> tuple[np.ndarray, float]:
+    """I at the principal branch of base, read-only, and its 2-norm
+    condition number: summed once for every loop and big circle there."""
+    value = fundamental_solution(space, product, sseries, level,
+                                 principal_branch(base), tol).value
+    value.flags.writeable = False
+    return value, float(np.linalg.cond(value))
+
+
 def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
                      sseries: SSeries, level: int, loop: Loop,
                      tol: float) -> MonodromyResult:
@@ -195,8 +208,10 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     loop it is read.
 
     tol sets the period series (BASE_SERIES_TOL in the suite and the CLI).
-    The series at the base point is summed in every case and raises
-    IllConditionedError when its condition number exceeds 1e8.
+    The series at the base point is summed once per (space, product,
+    sseries, level, base point, tol) and shared by every loop and big
+    circle there; IllConditionedError when its condition number exceeds
+    1e8.
     The circle must close and enclose exactly one eigenvalue u_k of E,
     else ValueError.  residuals: "solve" (defect of I_in vec = H e_k over
     max|H e_k|), "frobenius" (first omitted term of the local series,
@@ -210,14 +225,13 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     """
     arc, way_in, circle = loop
     base = principal_branch(arc.start)
-    cond = float(np.linalg.cond(fundamental_solution(
-        space, product, sseries, level, base, tol).value))
+    cond = _base_period(space, product, sseries, level, base.base, tol)[1]
     if cond > 1e8:
         raise IllConditionedError("period matrix condition number %g" % cond)
     if circle.angle1 == circle.angle0 or abs(circle.end - circle.start) \
             > 1e-12 * max(1.0, abs(circle.start)):
         raise ValueError("the loop's circle must close")
-    u, vmat = np.linalg.eig(product.euler_mult)
+    u, vmat = product.eig
     inside = np.flatnonzero(np.abs(u - circle.center) < circle.radius)
     if len(inside) != 1:
         raise ValueError("the circle encloses %d eigenvalues of E, not one"
@@ -311,7 +325,7 @@ def big_circle_matrix(space: SpaceModel, product: QuantumProduct,
     """
     b0 = principal_branch(base)
     b1 = BranchState(b0.base, b0.log_value + 2j * math.pi)
-    i0 = fundamental_solution(space, product, sseries, level, b0, tol).value
+    i0 = _base_period(space, product, sseries, level, b0.base, tol)[0]
     i1 = fundamental_solution(space, product, sseries, level, b1, tol).value
     return np.linalg.solve(i0, i1)
 

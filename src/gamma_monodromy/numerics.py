@@ -109,8 +109,9 @@ class Prefix:
             depth = 48
             while depth < count:
                 depth *= 2
+            # a build that raises leaves the table as it was
+            self.value = self.build(min(depth, self.limit))
             self.built = min(depth, self.limit)
-            self.value = self.build(self.built)
         return self.value
 
 

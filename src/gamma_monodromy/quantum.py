@@ -36,12 +36,18 @@ from .cohomology import SpaceModel, make_proj, make_twisted, make_blproj
 from .numerics import Prefix, jet_mul
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QuantumProduct:
+    """A product as a value: frozen, hashed by identity, its arrays
+    read-only, so that the caches below and in `monodromy` can share it."""
+
     space: SpaceModel
     param: complex                  # q for proj, Q for twisted
     gen_mult: np.ndarray            # generator product: p* or e*
     euler_mult: np.ndarray          # E*: (m+1) p* on proj, -(n-1) e* twisted
+
+    def __post_init__(self):
+        self.gen_mult.flags.writeable = self.euler_mult.flags.writeable = False
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.euler_mult)
@@ -51,7 +57,15 @@ class QuantumProduct:
         """Largest |eigenvalue| of E*, computed once per product."""
         return float(np.max(np.abs(self.eigenvalues())))
 
+    @cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u, V) with E* = V diag(u) V^-1, read-only, once per product."""
+        u, vmat = np.linalg.eig(self.euler_mult)
+        u.flags.writeable = vmat.flags.writeable = False
+        return u, vmat
 
+
+@lru_cache(maxsize=64)
 def quantum_mult_proj(m: int, q: complex) -> QuantumProduct:
     """Small quantum product on H*(P^m): p * p^m = q * 1."""
     space = make_proj(m)
@@ -63,6 +77,7 @@ def quantum_mult_proj(m: int, q: complex) -> QuantumProduct:
     return QuantumProduct(space, complex(q), mat, (m + 1) * mat)
 
 
+@lru_cache(maxsize=64)
 def quantum_mult_twisted(n: int, Q: complex) -> QuantumProduct:
     """Twisted product on the exceptional state space: e * e^{n-1} =
     (-1)^n Q^{-(n-1)} e."""

@@ -365,12 +365,41 @@ def test_numerical_failure_leaves_out_as_it_was(tmp_path, monkeypatch):
 
 
 def test_overflowing_q_is_a_numerical_failure(capsys):
-    # q = -Q^-2 at Q = 1e-300 overflows a double
+    # q = -Q^-2 at Q = 1e-300 overflows a double: a failure at every loop
+    # that names Q and the bound on it
     assert cli.main(["reflections", "--space", "twisted:3",
                      "--Q", "1e-300"]) == cli.EXIT_NUMERIC
-    err = capsys.readouterr().err
-    assert err.startswith("gamma-monodromy: numerical failure: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["gamma-monodromy: numerical failure at k = %d: math "
+                     "range error at Q = 1e-300 (q = -Q^-2 needs |log Q| < "
+                     "709/2)" % k for k in range(2)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--space", "proj:1", "--q", "1e300"],
+    ["--space", "proj:1", "--q", "1e-30"],
+    ["--space", "twisted:3", "--Q", "1e300"],
+    ["--space", "twisted:3", "--Q", "1e-150"],
+    ["--space", "twisted:3", "--Q", "1e-300"],
+])
+def test_extreme_q_fails_at_every_loop_and_keeps_the_payload(argv, tmp_path):
+    # in a fresh interpreter, where numpy would warn on stderr
+    out = tmp_path / "out.json"
+    proc = subprocess.run([sys.executable, "-m", "gamma_monodromy.cli",
+                           "reflections", *argv, "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_NUMERIC
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("gamma-monodromy: numerical failure at k = "
+                               "%d: " % k) for k, line in enumerate(lines))
+    flag = argv[2][2:] + " = " + argv[3].replace("e", "e+").replace("+-", "-")
+    assert all(flag in line for line in lines)
+    assert "RuntimeWarning" not in proc.stderr
+    payload = json.loads(out.read_text())
+    assert payload["pass"] is False
+    assert [r["k"] for r in payload["results"]] == [0, 1]
+    assert all("error" in r for r in payload["results"])
 
 
 def test_console_script_usage_error():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from gamma_monodromy import monodromy as md
-from gamma_monodromy.cohomology import (euler_char, line_bundle, make_proj,
+from gamma_monodromy.cohomology import (euler_char, gamma_class,
+                                        line_bundle, make_blproj, make_proj,
                                         make_twisted, psi_map)
 from gamma_monodromy.monodromy import Arc, Segment
 from gamma_monodromy.numerics import (BranchState, NumericsError,
@@ -85,6 +86,18 @@ def test_gamma_loop_pieces_join_and_start_at_the_base():
                 for a, b in zip(path, path[1:]):
                     assert abs(a.end - b.start) <= 1e-12 * abs(base)
                 assert abs(path[-1].end - base) < 1e-12 * abs(base)
+
+
+def test_every_loop_starts_at_one_base_point():
+    # bit for bit, so the loops of one (space, q, level) share one base
+    # period, and a composite of loops is based at one point
+    for n in range(3, 13):
+        for q_log in (0.0, 0.7j, math.log(0.55) - 0.8j * math.pi,
+                      1j * math.pi - (n - 1) * math.log(1.6)):
+            starts = {md.gamma_loop(n, q_log, k).arc.start
+                      for k in range(n - 1)}
+            assert len(starts) == 1
+            assert md.gamma_loop(n, q_log, 0).way_in.start in starts
 
 
 def test_gamma_loop_avoids_other_punctures():
@@ -377,8 +390,55 @@ def test_ill_conditioned_period_matrix_raises(monkeypatch):
 
     monkeypatch.setattr(md, "fundamental_solution", fake)
     loop = md.gamma_loop(3, 0.0, 0)
-    with pytest.raises(md.IllConditionedError):
-        md.monodromy_matrix(space, prod, sser, -3, loop, TOL)
+    # the base period is cached: sum it through the fake, and leave no
+    # fake value behind for later tests
+    md._base_period.cache_clear()
+    try:
+        with pytest.raises(md.IllConditionedError):
+            md.monodromy_matrix(space, prod, sser, -3, loop, TOL)
+    finally:
+        md._base_period.cache_clear()
+
+
+def test_caches_hand_out_read_only_arrays():
+    space, prod, sser = _setup(4, 0.3 + 0.4j)
+    assert prod is _setup(4, 0.3 + 0.4j)[1]
+    loop = md.gamma_loop(4, 0.3 + 0.4j, 1)
+    md.monodromy_matrix(space, prod, sser, -4, loop, TOL)
+    value, cond = md._base_period(space, prod, sser, -4, loop.arc.start, TOL)
+    twisted = quantum_mult_twisted(4, 1.3)
+    arrays = [prod.gen_mult, prod.euler_mult, *prod.eig, value,
+              twisted.gen_mult, twisted.euler_mult, *twisted.eig,
+              gamma_class(space), gamma_class(make_blproj(4))]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert gamma_class(space) is gamma_class(space)
+    assert prod.eig is prod.eig and cond > 1.0
+
+
+def test_loops_and_big_circle_share_one_base_period(monkeypatch):
+    # proj:3 at a complex q: one series at each loop's lambda_in, one at
+    # the base point for all of them and the big circle's start, and one
+    # a turn of log lambda later
+    calls = []
+
+    def spy(*args):
+        calls.append(args[4])
+        return fundamental_solution(*args)
+
+    monkeypatch.setattr(md, "fundamental_solution", spy)
+    md._base_period.cache_clear()
+    q_log = math.log(0.7) + 0.35j * math.pi
+    space, prod, sser = _setup(5, q_log)
+    for k in range(4):
+        md.monodromy_matrix(space, prod, sser, -5, md.gamma_loop(5, q_log, k),
+                            TOL)
+    base = md.gamma_loop(5, q_log, 0).arc.start
+    md.big_circle_matrix(space, prod, sser, -5, base, TOL)
+    assert len(calls) == 4 + 1 + 1
+    assert sum(br.base == base for br in calls) == 2
 
 
 def test_proj_reflection_check_complex_branch():
