@@ -134,12 +134,15 @@ def _local_solutions(u: np.ndarray, ut: np.ndarray, k: int,
 
     Column k is x^-r times the solution with exponent r = ut_kk, the others
     the holomorphic solutions, which start in the kernel of row k of ut.
-    With T_J = Z_J x^J, rows i != k obey T_{J+1} = x ((ut - J - rho) T_J)_i
-    / ((u_k - u_i)(J + 1 + rho)), rho the column's exponent, and row k is
-    sum_{i != k} ut_ki (T_{J+1})_i / (J + 1 + rho - r).  The series converges
-    out to the nearest other u_i, so ValueError when |x| reaches that far;
-    numerics.sum_series sums it and returns sum_J T_J, the stopping term
-    relative to its column, and the terms summed.
+    With T_J = Z_J x^J, a column of exponent rho steps by a matrix,
+    T_{J+1} = B_J(rho) T_J: with g_i = u_k - u_i (g_k := 1) and row_k = row
+    k of ut without its diagonal entry, A_J(rho) = x diag(1/(g_i (J + 1 +
+    rho))) (ut - (J + rho) I) with row k zeroed, and B_J(rho) = A_J(rho) +
+    e_k (row_k A_J(rho)) / (J + 1 + rho - r).  rho is 0 in every column but
+    k, where it is r; the B_J are built numerics._TBLOCK at a time.  The
+    series converges out to the nearest other u_i, so ValueError when |x|
+    reaches that far; numerics.sum_series sums it and returns sum_J T_J,
+    the stopping term relative to its column, and the terms summed.
     """
     r = complex(ut[k, k])
     if abs(r - round(r.real)) < 1e-9:
@@ -152,17 +155,25 @@ def _local_solutions(u: np.ndarray, ut: np.ndarray, k: int,
     gaps[k] = 1.0           # row k is set from the others
     row_k = ut[k].copy()
     row_k[k] = 0.0
-    rho = np.zeros(len(u), dtype=complex)
-    rho[k] = r
     first = np.eye(len(u), dtype=complex)
     first[k] = -row_k / r
     first[k, k] = 1.0
+    rho = np.array([[0.0], [r]])        # exponents: columns != k, column k
+    blocks = []
 
     def step(j, term):
-        term = x * (ut @ term - (j + rho) * term) \
-            / np.outer(gaps, j + 1 + rho)
-        term[k] = row_k @ term / (j + 1 + rho - r)
-        return term
+        # sum_series steps j = 0, 1, 2, ..: build B_j(0) and B_j(r) for
+        # the next _TBLOCK terms at once, (2, _TBLOCK, size, size)
+        if j % numerics._TBLOCK == 0:
+            s = j + np.arange(numerics._TBLOCK) + rho
+            mats = (ut - s[..., None, None] * np.eye(len(u))) \
+                * (x / np.multiply.outer(s + 1.0, gaps))[..., None]
+            mats[..., k, :] = (row_k @ mats) / (s + 1.0 - r)[..., None]
+            blocks[:] = zip(mats[0], mats[1])
+        b0, br = blocks[j % numerics._TBLOCK]
+        out = b0 @ term
+        out[:, k] = br @ term[:, k]
+        return out
 
     return numerics.sum_series(
         first, step, "local series did not converge at x=%r" % x)
