@@ -17,8 +17,9 @@ deterministic for fixed inputs: grids and summation orders are fixed and
 wall-clock timings are kept out of the JSON.  Exit codes: 0 pass,
 1 tolerance breach, 2 numerical failure, 64 usage error, an unwritable
 --out among them, before anything is computed.  A ``reflections`` loop
-that fails numerically is reported as {"k", "error", "pass": false}
-beside the loops that did not, and the command exits 2.
+that fails numerically, floating-point overflow and invalid values among
+it, is reported as {"k", "error", "pass": false} beside the loops that
+did not, and the command exits 2.
 """
 
 from __future__ import annotations
@@ -191,8 +192,7 @@ def cmd_reflections(cfg: RunConfig) -> int:
             raise UsageError("twisted spaces require real positive --Q")
         check = partial(twisted_reflection_check, n, Q, m=cfg.m)
         entry = _twisted_entry
-        where = "Q = %g (q = -Q^-%d needs |log Q| < 709/%d)" % (
-            cfg.Q[0], n - 1, n - 1)
+        where = "Q = %g (|log Q| must be below 709/%d)" % (cfg.Q[0], n - 1)
     if cfg.k is not None and not 0 <= cfg.k <= n - 2:
         raise UsageError("k %d outside [0, %d]" % (cfg.k, n - 2))
     # the level -m periods carry 1/Gamma(theta + m + 1/2), which vanishes

@@ -242,8 +242,7 @@ def _tangent_roots(space: SpaceModel) -> list[tuple[np.ndarray, int]]:
 
 @functools.lru_cache(maxsize=None)
 def gamma_class(space: SpaceModel) -> np.ndarray:
-    """Product of Gamma(1 + root) over the Chern roots of the tangent class,
-    once per space and read-only."""
+    """Product of Gamma(1 + root) over the tangent roots, read-only."""
     log_vec = np.zeros(space.size, dtype=complex)
     for root, mult in _tangent_roots(space):
         log_vec = log_vec + mult * ring_series(space, LOG_GAMMA_1P, root)

@@ -134,15 +134,13 @@ def _local_solutions(u: np.ndarray, ut: np.ndarray, k: int,
 
     Column k is x^-r times the solution with exponent r = ut_kk, the others
     the holomorphic solutions, which start in the kernel of row k of ut.
-    With T_J = Z_J x^J, a column of exponent rho steps by a matrix,
-    T_{J+1} = B_J(rho) T_J: with g_i = u_k - u_i (g_k := 1) and row_k = row
-    k of ut without its diagonal entry, A_J(rho) = x diag(1/(g_i (J + 1 +
-    rho))) (ut - (J + rho) I) with row k zeroed, and B_J(rho) = A_J(rho) +
-    e_k (row_k A_J(rho)) / (J + 1 + rho - r).  rho is 0 in every column but
-    k, where it is r; the B_J are built numerics._TBLOCK at a time.  The
-    series converges out to the nearest other u_i, so ValueError when |x|
-    reaches that far; numerics.sum_series sums it and returns sum_J T_J,
-    the stopping term relative to its column, and the terms summed.
+    With T_J = Z_J x^J, a column of exponent rho (r in column k, else 0)
+    steps as T_{J+1} = B_J T_J, B_J = A_J + e_k row_k A_J / (J + 1 + rho - r):
+    A_J = x diag(1/(g_i (J + 1 + rho))) (ut - J - rho) with row k zeroed,
+    g_i = u_k - u_i, and row_k is row k of ut without ut_kk.  The series
+    converges out to the nearest other u_i, so ValueError when |x| reaches
+    that far; numerics.sum_series sums it and returns sum_J T_J, the
+    stopping term relative to its column, and the terms summed.
     """
     r = complex(ut[k, k])
     if abs(r - round(r.real)) < 1e-9:
@@ -162,8 +160,7 @@ def _local_solutions(u: np.ndarray, ut: np.ndarray, k: int,
     blocks = []
 
     def step(j, term):
-        # sum_series steps j = 0, 1, 2, ..: build B_j(0) and B_j(r) for
-        # the next _TBLOCK terms at once, (2, _TBLOCK, size, size)
+        # sum_series steps j = 0, 1, ..: B_j(0), B_j(r) for _TBLOCK j at once
         if j % numerics._TBLOCK == 0:
             s = j + np.arange(numerics._TBLOCK) + rho
             mats = (ut - s[..., None, None] * np.eye(len(u))) \
@@ -183,8 +180,7 @@ def _local_solutions(u: np.ndarray, ut: np.ndarray, k: int,
 def _base_period(space: SpaceModel, product: QuantumProduct,
                  sseries: SSeries, level: int, base: complex,
                  tol: float) -> tuple[np.ndarray, float]:
-    """I at the principal branch of base, read-only, and its 2-norm
-    condition number: summed once for every loop and big circle there."""
+    """I at base's principal branch, read-only, and its 2-norm cond."""
     value = fundamental_solution(space, product, sseries, level,
                                  principal_branch(base), tol).value
     value.flags.writeable = False
@@ -204,35 +200,31 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     reflection operator, whose components grow with the class degree), so
     residual checks against it must be scale-relative.
 
-    No ODE is continued.  The period series converges on the arc and the
-    way in, so they only move the branch of log lambda, by i psi with
-    psi = angle1 - angle0 of the arc: the series is summed at the way in's
-    end lambda_in on that branch (I_in).  There, with E = V diag(u) V^-1
-    and Ũ = V^-1 U V, the local solutions x^r V Z(x) e_k (r = Ũ_kk,
-    x = lambda - u_k) and V Z(x) e_i, i != k, are summed as a Frobenius
-    series (Dubrovin, LNM 1620; Coddington-Levinson, ch. 4).  The turn
-    multiplies the first by exp(i turn r) and fixes the others, so with
-    H = V Z(x_in) it changes I_in by (exp(i turn r) - 1) vec (e_k^T H^-1
-    I_in), vec = I_in^-1 H e_k.  C is the reflection I - 2 vec (vec|.) /
-    (vec|vec) in that direction, and ``direction`` carries vec over its
-    2-norm.  In the class basis C is the same matrix wherever along the
-    loop it is read.
+    No ODE is continued.  The arc and the way in only move the branch of
+    log lambda, by i (angle1 - angle0) of the arc, so the period series is
+    summed at the way in's end lambda_in on that branch (I_in).  There, with
+    E = V diag(u) V^-1 (product.eig) and Ũ = V^-1 U V, the local solutions
+    x^r V Z(x) e_k (r = Ũ_kk, x = lambda - u_k) and V Z(x) e_i, i != k, are
+    a Frobenius series (Dubrovin, LNM 1620; Coddington-Levinson, ch. 4).
+    The turn multiplies the first by exp(i turn r) and fixes the others, so
+    with H = V Z(x_in) it changes I_in by (exp(i turn r) - 1) vec (e_k^T
+    H^-1 I_in), vec = I_in^-1 H e_k.  C is the reflection I - 2 vec (vec|.)
+    / (vec|vec) in that direction, and ``direction`` carries vec over its
+    2-norm; in the class basis C is the same wherever it is read.
 
     tol sets the period series (BASE_SERIES_TOL in the suite and the CLI).
-    The series at the base point is summed once per (space, product,
-    sseries, level, base point, tol) and shared by every loop and big
-    circle there; IllConditionedError when its condition number exceeds
-    1e8.
-    The circle must close and enclose exactly one eigenvalue u_k of E,
-    else ValueError.  residuals: "solve" (defect of I_in vec = H e_k over
-    max|H e_k|), "frobenius" (first omitted term of the local series,
-    relative to its column), "truncation" (the last terms of the series at
-    lambda_in over max|I_in|); "cond" and "cond_in", the 2-norm condition
-    numbers of I_base and I_in, which are not relative; the two gates
-    reflection_vector reads: "exponent", |exp(2 pi i r) + 1|, and
-    "reflection", the max distance of C from the measured change over the
-    max of the latter.  counters: "series_terms", the terms of the series
-    at lambda_in, and "frobenius_terms".
+    The base-point series, summed once for every loop and big circle of one
+    (space, product, sseries, level, base, tol), raises IllConditionedError
+    when its condition number exceeds 1e8.  The circle must close and
+    enclose exactly one eigenvalue u_k of E, else ValueError.  residuals:
+    "solve" (defect of I_in vec = H e_k over max|H e_k|), "frobenius" (first
+    omitted term of the local series, relative to its column), "truncation"
+    (the last terms of the series at lambda_in over max|I_in|); "cond" and
+    "cond_in", the 2-norm condition numbers of I_base and I_in, which are
+    not relative; the two gates reflection_vector reads: "exponent",
+    |exp(2 pi i r) + 1|, and "reflection", the max distance of C from the
+    measured change over the max of the latter.  counters: "series_terms",
+    the terms of the series at lambda_in, and "frobenius_terms".
     """
     arc, way_in, circle = loop
     base = principal_branch(arc.start)
@@ -351,8 +343,7 @@ def proj_reflection_check(n: int, q: BranchState, k: int,
     -1) says which of the two it is.
     """
     q.check()
-    if m is None:
-        m = n
+    m = n if m is None else m
     space = make_proj(n - 2)
     product = quantum_mult_proj(n - 2, q.base)
     sser = sseries_proj(n - 2, q.base, SERIES_CAP)
@@ -390,8 +381,7 @@ def twisted_reflection_check(n: int, Q: float, k: int, m: int | None = None,
     if not (qc.imag == 0.0 and qc.real > 0.0):
         raise ValueError("Q must be real and positive")
     Q = qc.real
-    if m is None:
-        m = n
+    m = n if m is None else m
     q_log = 1j * math.pi - (n - 1) * math.log(Q)
     q = cmath.exp(q_log)
     proj = make_proj(n - 2)
@@ -418,8 +408,7 @@ def twisted_reflection_check(n: int, Q: float, k: int, m: int | None = None,
     fit_res = float(np.max(np.abs(be - t * ce)) / np.max(np.abs(ce)))
     dev = min(abs(t - 1.0), abs(t + 1.0))
 
-    oe = exceptional_sheaf(0)
-    psi_oe = psi_map(bl, oe, (0.0, (n - 1) * math.log(Q)))
+    psi_oe = psi_map(bl, exceptional_sheaf(0), (0.0, (n - 1) * math.log(Q)))
     pairing_check = euler_pairing(bl, psi_oe, psi_oe)
 
     return {

@@ -94,7 +94,7 @@ class Prefix:
     first read builds 48 entries; a read past the built ones builds again
     to the first of 96, 192, .. that covers it, never past `limit`.  Each
     build replaces `value` whole, so an array handed out earlier never
-    changes.
+    changes, and a build that raises changes nothing.
     """
 
     def __init__(self, build, limit: int):
@@ -109,7 +109,6 @@ class Prefix:
             depth = 48
             while depth < count:
                 depth *= 2
-            # a build that raises leaves the table as it was
             self.value = self.build(min(depth, self.limit))
             self.built = min(depth, self.limit)
         return self.value

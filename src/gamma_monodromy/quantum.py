@@ -38,8 +38,7 @@ from .numerics import Prefix, jet_mul
 
 @dataclass(frozen=True, eq=False)
 class QuantumProduct:
-    """A product as a value: frozen, hashed by identity, its arrays
-    read-only, so that the caches below and in `monodromy` can share it."""
+    """A product as a value, frozen, hashed by identity and read-only."""
 
     space: SpaceModel
     param: complex                  # q for proj, Q for twisted
@@ -69,10 +68,7 @@ class QuantumProduct:
 def quantum_mult_proj(m: int, q: complex) -> QuantumProduct:
     """Small quantum product on H*(P^m): p * p^m = q * 1."""
     space = make_proj(m)
-    size = m + 1
-    mat = np.zeros((size, size), dtype=complex)
-    for i in range(m):
-        mat[i + 1, i] = 1.0
+    mat = np.eye(m + 1, k=-1, dtype=complex)
     mat[0, m] = complex(q)
     return QuantumProduct(space, complex(q), mat, (m + 1) * mat)
 
@@ -82,21 +78,15 @@ def quantum_mult_twisted(n: int, Q: complex) -> QuantumProduct:
     """Twisted product on the exceptional state space: e * e^{n-1} =
     (-1)^n Q^{-(n-1)} e."""
     space = make_twisted(n)
-    size = n - 1
-    mat = np.zeros((size, size), dtype=complex)
-    for a in range(size - 1):
-        mat[a + 1, a] = 1.0
-    mat[0, size - 1] = (-1.0) ** n * complex(Q) ** (-(n - 1))
+    mat = np.eye(n - 1, k=-1, dtype=complex)
+    mat[0, -1] = (-1.0) ** n * complex(Q) ** (-(n - 1))
     return QuantumProduct(space, complex(Q), mat, -(n - 1) * mat)
 
 
 def epsilon_matrix(n: int) -> np.ndarray:
     """The constant matrix with Q^Delta (e*) Q^{-Delta} = Q^{-1} epsilon."""
-    size = n - 1
-    eps = np.zeros((size, size), dtype=complex)
-    for a in range(size - 1):
-        eps[a + 1, a] = 1.0
-    eps[0, size - 1] = (-1.0) ** n
+    eps = np.eye(n - 1, k=-1, dtype=complex)
+    eps[0, -1] = (-1.0) ** n
     return eps
 
 

@@ -1,9 +1,9 @@
 """Oracles the tests compare the package against, kept out of the package
 because nothing in it calls them: complex powers on a branch of log, the
 master period evaluated directly from Gamma jets, continuation of the
-connection by Taylor steps along a straight segment, and continuation
+connection by Taylor steps along a straight segment, continuation
 along paths of several pieces, each arc replaced by an inscribed
-polygon."""
+polygon, and the local Frobenius series stepped entry by entry."""
 
 import cmath
 
@@ -105,6 +105,31 @@ def ode_continue(euler: np.ndarray, upper: np.ndarray, start: complex,
         t, c = t_next, z
 
     return y.reshape(y0.shape), trunc, (steps, terms)
+
+
+def local_solutions(u: np.ndarray, ut: np.ndarray, k: int,
+                    x: complex) -> tuple[np.ndarray, float, int]:
+    """monodromy._local_solutions with each term formed entry by entry from
+    the recurrence, rows i != k then row k, in place of its per-term
+    matrices."""
+    r = complex(ut[k, k])
+    gaps = u[k] - u
+    gaps[k] = 1.0
+    row_k = ut[k].copy()
+    row_k[k] = 0.0
+    rho = np.zeros(len(u), dtype=complex)
+    rho[k] = r
+    first = np.eye(len(u), dtype=complex)
+    first[k] = -row_k / r
+    first[k, k] = 1.0
+
+    def step(j, term):
+        term = x * (ut @ term - (j + rho) * term) \
+            / np.outer(gaps, j + 1 + rho)
+        term[k] = row_k @ term / (j + 1 + rho - r)
+        return term
+
+    return nx.sum_series(first, step, "local series did not converge")
 
 
 def full_path(loop: md.Loop) -> list:

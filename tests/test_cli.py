@@ -371,7 +371,7 @@ def test_overflowing_q_is_a_numerical_failure(capsys):
                      "--Q", "1e-300"]) == cli.EXIT_NUMERIC
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["gamma-monodromy: numerical failure at k = %d: math "
-                     "range error at Q = 1e-300 (q = -Q^-2 needs |log Q| < "
+                     "range error at Q = 1e-300 (|log Q| must be below "
                      "709/2)" % k for k in range(2)]
 
 

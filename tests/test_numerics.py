@@ -16,7 +16,8 @@ from gamma_monodromy import numerics as nx
 from gamma_monodromy import periods as pd
 from gamma_monodromy.cohomology import make_proj
 from gamma_monodromy.quantum import quantum_mult_proj, sseries_proj
-from oracles import branch_power, continue_path, full_path, ode_continue
+from oracles import (branch_power, continue_path, full_path, local_solutions,
+                     ode_continue)
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -355,6 +356,22 @@ def test_prefix_growth_rule():
     assert len(nx.Prefix(build, 30).read(1)) == 30 and counts[-1] == 30
 
 
+def test_prefix_build_that_raises_changes_nothing():
+    # a cached S-series whose deeper build overflows (under the CLI's
+    # errstate) must not later hand out its shorter table as the deeper one
+    def build(count):
+        if count > 48:
+            raise FloatingPointError("overflow")
+        return np.arange(count, dtype=float)
+
+    table = nx.Prefix(build, 201)
+    first = table.read(10)
+    for _ in range(2):
+        with pytest.raises(FloatingPointError):
+            table.read(60)
+    assert table.built == 48 and table.read(48) is first
+
+
 # ---------------------------------------------------------------------------
 # branch states and powers
 # ---------------------------------------------------------------------------
@@ -678,6 +695,19 @@ def test_frobenius_blocked_matches_termwise(frobenius_calls, monkeypatch,
     terms = [_assert_same_series(md._local_solutions, args)[2]
              for args in frobenius_calls]
     assert terms == [24] * 4 + [21] * 3
+
+
+def test_frobenius_matrix_steps_match_the_entrywise_recurrence(
+        frobenius_calls):
+    # stepping by the matrices B_J reorders the recurrence's rounding only:
+    # the same stopping term, and every column within 64 eps of its scale,
+    # on P^3, the twisted n = 4 model and P^8
+    eps = np.finfo(float).eps
+    for args in frobenius_calls + _frobenius_calls(10, 0.3j, -10):
+        got, want = md._local_solutions(*args), local_solutions(*args)
+        assert got[2] == want[2]
+        scale = np.max(np.abs(want[0]), axis=0)
+        assert np.max(np.abs(got[0] - want[0]) / scale) < 64 * eps
 
 
 def _outer_branch(loop, branch0):
