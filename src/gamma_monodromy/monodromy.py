@@ -181,8 +181,9 @@ def _base_period(space: SpaceModel, product: QuantumProduct,
                  sseries: SSeries, level: int, base: complex,
                  tol: float) -> tuple[np.ndarray, float]:
     """I at base's principal branch, read-only, and its 2-norm cond."""
+    # a copy, so that the cache keeps no block of the series' terms alive
     value = fundamental_solution(space, product, sseries, level,
-                                 principal_branch(base), tol).value
+                                 principal_branch(base), tol).value.copy()
     value.flags.writeable = False
     return value, float(np.linalg.cond(value))
 
