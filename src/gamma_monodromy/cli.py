@@ -17,9 +17,9 @@ deterministic for fixed inputs: grids and summation orders are fixed and
 wall-clock timings are kept out of the JSON.  Exit codes: 0 pass,
 1 tolerance breach, 2 numerical failure, 64 usage error, an unwritable
 --out among them, before anything is computed.  A ``reflections`` loop
-that fails numerically, floating-point overflow and invalid values among
-it, is reported as {"k", "error", "pass": false} beside the loops that
-did not, and the command exits 2.
+that fails numerically (floating-point overflow and invalid values
+included) is reported as {"k", "error", "pass": false} beside the loops
+that did not, and the command exits 2.
 """
 
 from __future__ import annotations
