@@ -31,7 +31,7 @@ from .cohomology import (SpaceModel, euler_pairing, exceptional_sheaf,
                          intersection_pairing, line_bundle, make_blproj,
                          make_proj, psi_map)
 from .numerics import BranchState, NumericsError, principal_branch
-from .periods import SERIES_CAP, fundamental_solution
+from .periods import GUARD_FACTOR, SERIES_CAP, fundamental_solution
 from .quantum import (QuantumProduct, SSeries, quantum_mult_proj,
                       sseries_proj)
 from . import numerics
@@ -177,15 +177,11 @@ def _local_solutions(u: np.ndarray, ut: np.ndarray, k: int,
 
 
 @lru_cache(maxsize=64)
-def _base_period(space: SpaceModel, product: QuantumProduct,
-                 sseries: SSeries, level: int, base: complex,
-                 tol: float) -> tuple[np.ndarray, float]:
-    """I at base's principal branch, read-only, and its 2-norm cond."""
-    # a copy, so that the cache keeps no block of the series' terms alive
-    value = fundamental_solution(space, product, sseries, level,
-                                 principal_branch(base), tol).value.copy()
-    value.flags.writeable = False
-    return value, float(np.linalg.cond(value))
+def _base_cond(space: SpaceModel, product: QuantumProduct, sseries: SSeries,
+               level: int, base: complex, tol: float) -> float:
+    """The 2-norm cond of I at base's principal branch."""
+    return float(np.linalg.cond(fundamental_solution(
+        space, product, sseries, level, principal_branch(base), tol).value))
 
 
 def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
@@ -214,8 +210,8 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     2-norm; in the class basis C is the same wherever it is read.
 
     tol sets the period series (BASE_SERIES_TOL in the suite and the CLI).
-    The base-point series, summed once for every loop and big circle of one
-    (space, product, sseries, level, base, tol), raises IllConditionedError
+    The base-point series, summed once for every loop of one (space,
+    product, sseries, level, base, tol), raises IllConditionedError
     when its condition number exceeds 1e8.  The circle must close and
     enclose exactly one eigenvalue u_k of E, else ValueError.  residuals:
     "solve" (defect of I_in vec = H e_k over max|H e_k|), "frobenius" (first
@@ -229,7 +225,7 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     """
     arc, way_in, circle = loop
     base = principal_branch(arc.start)
-    cond = _base_period(space, product, sseries, level, base.base, tol)[1]
+    cond = _base_cond(space, product, sseries, level, base.base, tol)
     if cond > 1e8:
         raise IllConditionedError("period matrix condition number %g" % cond)
     if circle.angle1 == circle.angle0 or abs(circle.end - circle.start) \
@@ -260,15 +256,17 @@ def monodromy_matrix(space: SpaceModel, product: QuantumProduct,
     row = np.array([intersection_pairing(space, vec, e)
                     for e in np.eye(space.size)])
     c2 = complex(row @ vec)
+    cond_in = float(np.linalg.cond(i_in))
     if abs(c2) < 1e-12:
-        raise NumericsError("anti-invariant direction is isotropic")
+        raise NumericsError("anti-invariant direction is isotropic (cond of "
+                            "I at lambda_in %.1e)" % cond_in)
     cmat = np.eye(space.size) - (2.0 / c2) * np.outer(vec, row)
     residuals = {
         "solve": solve_res,
         "frobenius": frob_err,
         "truncation": sol.truncation_error / float(np.max(np.abs(i_in))),
         "cond": cond,
-        "cond_in": float(np.linalg.cond(i_in)),
+        "cond_in": cond_in,
         "exponent": abs(cmath.exp(2j * math.pi * ut[k, k]) + 1.0),
         "reflection": float(np.max(np.abs(cmat - measured))
                             / np.max(np.abs(measured))),
@@ -322,16 +320,18 @@ def reflection_vector(result: MonodromyResult, space: SpaceModel,
 def big_circle_matrix(space: SpaceModel, product: QuantumProduct,
                       sseries: SSeries, level: int, base: complex,
                       tol: float) -> np.ndarray:
-    """Monodromy of one full counterclockwise turn of the big circle.
-
-    No continuation is needed: the period series converges on the whole
-    circle, so the turn only shifts the branch of log lambda by 2 pi i.
+    """Monodromy of one full counterclockwise turn of the big circle: the
+    exact monodromy at infinity T = -exp(2 pi i theta) exp(2 pi i rho), with
+    exp(2 pi i theta) = (-1)^dim as theta_i = dim/2 mod 1, free of q, level
+    and base (Dubrovin, LNM 1620).  ValueError for a base inside the guard
+    radius.  sseries, level and tol are not read; perfbench/workloads.py
+    passes them positionally.
     """
-    b0 = principal_branch(base)
-    b1 = BranchState(b0.base, b0.log_value + 2j * math.pi)
-    i0 = _base_period(space, product, sseries, level, b0.base, tol)[0]
-    i1 = fundamental_solution(space, product, sseries, level, b1, tol).value
-    return np.linalg.solve(i0, i1)
+    limit = GUARD_FACTOR * product.radius
+    if abs(base) <= limit:
+        raise ValueError("base point inside the guarded radius: |lambda|=%g "
+                         "<= %g" % (abs(base), limit))
+    return -(-1.0) ** space.dim * (space.exp_pi_i_rho @ space.exp_pi_i_rho)
 
 
 def proj_reflection_check(n: int, q: BranchState, k: int,

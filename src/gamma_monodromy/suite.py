@@ -17,9 +17,8 @@ import numpy as np
 from . import mirror, vanishing
 from .cohomology import (euler_char, euler_pairing, intersection_pairing,
                          line_bundle, make_proj, make_twisted, psi_map)
-from .monodromy import (BASE_SERIES_TOL, base_radius, big_circle_matrix,
-                        gamma_loop, monodromy_matrix, proj_reflection_check,
-                        twisted_reflection_check)
+from .monodromy import (base_radius, big_circle_matrix,
+                        proj_reflection_check, twisted_reflection_check)
 from .numerics import principal_branch
 from .periods import (SERIES_CAP, connection_rhs, fundamental_solution,
                       twisted_projective_match)
@@ -356,9 +355,9 @@ def criterion_composite() -> dict:
     With the right-action convention C(gamma then delta) = C_gamma C_delta
     the counterclockwise circle decomposes with the k = n-2 loop first and
     the k = 0 loop last, i.e. the matrix product C_{n-2} ... C_1 C_0.
-    Each C_k is the reflection monodromy_matrix builds from its loop's
+    Each C_k is the reflection proj_reflection_check builds from its loop's
     direction, not a continued turn, so the product checks every alpha
-    together against T, the big-circle turn of the period series.
+    together against T, the exact monodromy at infinity.
     """
     tol = 1e-5
     worst = 0.0
@@ -369,9 +368,8 @@ def criterion_composite() -> dict:
                                 SERIES_TOL)
         prod_desc = np.eye(space.size, dtype=complex)
         for k in reversed(range(n - 1)):
-            prod_desc = prod_desc @ monodromy_matrix(
-                space, product, sser, -n, gamma_loop(n, 0.0, k),
-                BASE_SERIES_TOL).matrix
+            prod_desc = prod_desc @ proj_reflection_check(
+                n, principal_branch(1.0), k)["monodromy"].matrix
         res = float(np.max(np.abs(prod_desc - big)))
         per_n[n] = res
         worst = max(worst, res)

@@ -1,9 +1,11 @@
 """Command line contract: exit codes, payload schema, determinism."""
 
+import importlib
 import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,6 +414,17 @@ def test_console_script_usage_error():
     assert "error" in proc.stderr
 
 
+def test_console_script_target_usage_error(capsys):
+    # the [project.scripts] target, run without installing the script
+    tomllib = pytest.importorskip("tomllib")    # Python 3.11+
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["gamma-monodromy"]
+    module, name = target.split(":")
+    main = getattr(importlib.import_module(module), name)
+    assert main(["reflections", "--space", "nope"]) == cli.EXIT_USAGE
+    assert "error" in capsys.readouterr().err
+
+
 def test_module_entry_point_matches():
     proc = subprocess.run([sys.executable, "-m", "gamma_monodromy.cli",
                            "phi", "--space", "proj:1", "--q", "-2"],
@@ -447,8 +460,10 @@ def test_cli_import_leaves_mirror_and_suite_unloaded():
 def test_reflections_exit_codes(argv, code, capsys):
     assert cli.main(["reflections"] + argv) == code
     if code == cli.EXIT_NUMERIC:
-        assert "k = 8: anti-invariant direction is isotropic" \
-            in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "k = 8: anti-invariant direction is isotropic" in err
+        # the cause: I at lambda_in is singular to working precision
+        assert "(cond of I at lambda_in 1.5e+18)" in err
 
 
 @pytest.mark.parametrize("argv", [

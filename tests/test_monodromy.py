@@ -392,12 +392,12 @@ def test_ill_conditioned_period_matrix_raises(monkeypatch):
     loop = md.gamma_loop(3, 0.0, 0)
     # the base period is cached: sum it through the fake, and leave no
     # fake value behind for later tests
-    md._base_period.cache_clear()
+    md._base_cond.cache_clear()
     try:
         with pytest.raises(md.IllConditionedError):
             md.monodromy_matrix(space, prod, sser, -3, loop, TOL)
     finally:
-        md._base_period.cache_clear()
+        md._base_cond.cache_clear()
 
 
 def test_caches_hand_out_read_only_arrays():
@@ -405,9 +405,9 @@ def test_caches_hand_out_read_only_arrays():
     assert prod is _setup(4, 0.3 + 0.4j)[1]
     loop = md.gamma_loop(4, 0.3 + 0.4j, 1)
     md.monodromy_matrix(space, prod, sser, -4, loop, TOL)
-    value, cond = md._base_period(space, prod, sser, -4, loop.arc.start, TOL)
+    cond = md._base_cond(space, prod, sser, -4, loop.arc.start, TOL)
     twisted = quantum_mult_twisted(4, 1.3)
-    arrays = [prod.gen_mult, prod.euler_mult, *prod.eig, value,
+    arrays = [prod.gen_mult, prod.euler_mult, *prod.eig,
               twisted.gen_mult, twisted.euler_mult, *twisted.eig,
               gamma_class(space), gamma_class(make_blproj(4))]
     for arr in arrays:
@@ -418,10 +418,9 @@ def test_caches_hand_out_read_only_arrays():
     assert prod.eig is prod.eig and cond > 1.0
 
 
-def test_loops_and_big_circle_share_one_base_period(monkeypatch):
-    # proj:3 at a complex q: one series at each loop's lambda_in, one at
-    # the base point for all of them and the big circle's start, and one
-    # a turn of log lambda later
+def test_loops_share_one_base_period_and_big_circle_sums_none(monkeypatch):
+    # proj:3 at a complex q: one series at each loop's lambda_in and one at
+    # the base point for all of them; the big circle is in closed form
     calls = []
 
     def spy(*args):
@@ -429,7 +428,7 @@ def test_loops_and_big_circle_share_one_base_period(monkeypatch):
         return fundamental_solution(*args)
 
     monkeypatch.setattr(md, "fundamental_solution", spy)
-    md._base_period.cache_clear()
+    md._base_cond.cache_clear()
     q_log = math.log(0.7) + 0.35j * math.pi
     space, prod, sser = _setup(5, q_log)
     for k in range(4):
@@ -437,8 +436,8 @@ def test_loops_and_big_circle_share_one_base_period(monkeypatch):
                             TOL)
     base = md.gamma_loop(5, q_log, 0).arc.start
     md.big_circle_matrix(space, prod, sser, -5, base, TOL)
-    assert len(calls) == 4 + 1 + 1
-    assert sum(br.base == base for br in calls) == 2
+    assert len(calls) == 4 + 1
+    assert sum(br.base == base for br in calls) == 1
 
 
 def test_proj_reflection_check_complex_branch():
@@ -554,12 +553,35 @@ def _big_turn_closed_form(space):
         space.exp_pi_i_rho @ space.exp_pi_i_rho)
 
 
+def _series_turn(space, product, sser, level, base):
+    """I(lambda_0)^-1 I(lambda_0 e^{2 pi i}): the period series summed at
+    base and a turn of log lambda later."""
+    b0 = principal_branch(base)
+    b1 = BranchState(b0.base, b0.log_value + 2j * math.pi)
+    i0, i1 = (fundamental_solution(space, product, sser, level, br,
+                                   md.BASE_SERIES_TOL).value
+              for br in (b0, b1))
+    return np.linalg.solve(i0, i1)
+
+
 def _assert_big_turn(space, product, sser, n, base):
+    """The series turn at base matches the closed form, and big_circle_matrix
+    returns the closed form there and at a second base; ValueError on the
+    guard radius."""
     want = _big_turn_closed_form(space)
+    scale = np.max(np.abs(want))
+    other = 1.6 * product.radius * cmath.exp(2.0j)
     for level in (-n, -n + 1):
-        got = md.big_circle_matrix(space, product, sser, level, base,
-                                   md.BASE_SERIES_TOL)
-        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+        series = _series_turn(space, product, sser, level, base)
+        assert np.max(np.abs(series - want)) <= 1e-11 * scale
+        for at in (base, other):
+            got = md.big_circle_matrix(space, product, sser, level, at,
+                                       md.BASE_SERIES_TOL)
+            # exp(2 pi i theta) is (-1)^dim only to rounding: 9.8e-16
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale
+    with pytest.raises(ValueError, match="guarded radius"):
+        md.big_circle_matrix(space, product, sser, -n,
+                             1.5 * product.radius, md.BASE_SERIES_TOL)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
