@@ -48,14 +48,12 @@ class SpaceModel:
     delta: np.ndarray | None = None
     _unit: int | None = field(default=0, repr=False)
     # set by __post_init__: theta = diag(dim/2 - deg), the smallest D with
-    # rho^D = 0, rho^0 .. rho^(D-1), the factors of euler_pairing and the
-    # key (diag theta, D) of the period ladder
+    # rho^D = 0, rho^0 .. rho^(D-1) and the factors of euler_pairing
     theta: np.ndarray = field(init=False, repr=False)
     depth: int = field(init=False)
     rho_powers: np.ndarray = field(init=False, repr=False)
     exp_pi_i_theta: np.ndarray = field(init=False, repr=False)
     exp_pi_i_rho: np.ndarray = field(init=False, repr=False)
-    ladder_key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         put = functools.partial(object.__setattr__, self)
@@ -70,8 +68,6 @@ class SpaceModel:
             pows.append(self.rho @ pows[-1])
         put("depth", len(pows) - 1)
         put("rho_powers", np.array(pows[:-1]))
-        put("ladder_key", (tuple(np.diag(self.theta).real.tolist()),
-                           self.depth))
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False

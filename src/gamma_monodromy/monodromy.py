@@ -359,6 +359,23 @@ def proj_reflection_check(n: int, q: BranchState, k: int,
             "residual": min(d_plus, d_minus), "monodromy": result}
 
 
+@lru_cache(maxsize=256)
+def _exceptional_image(n: int, Q: float, j: int) -> np.ndarray:
+    """Psi(O_E(j)) on the blowup of P^n at real Q > 0, read-only."""
+    image = psi_map(make_blproj(n), exceptional_sheaf(j),
+                    (0.0, (n - 1) * math.log(Q)))
+    image.flags.writeable = False
+    return image
+
+
+@lru_cache(maxsize=64)
+def _exceptional_pairing(n: int, Q: float) -> complex:
+    """<Psi(O_E), Psi(O_E)> on the blowup of P^n at real Q > 0: the same on
+    every loop."""
+    image = _exceptional_image(n, Q, 0)
+    return euler_pairing(make_blproj(n), image, image)
+
+
 def twisted_reflection_check(n: int, Q: float, k: int, m: int | None = None,
                              tol: float = BASE_SERIES_TOL) -> dict:
     """Compare the reflection vector around the k-th twisted singular point
@@ -402,15 +419,12 @@ def twisted_reflection_check(n: int, Q: float, k: int, m: int | None = None,
     c2 = intersection_pairing(bl, beta_dir, beta_dir)
     beta = _orient(beta_dir * cmath.sqrt(2.0 / c2))
 
-    cand = psi_map(bl, exceptional_sheaf(-k + 1), (0.0, (n - 1) * math.log(Q)))
+    cand = _exceptional_image(n, Q, -k + 1)
     emask = np.array([lbl.startswith("e") for lbl in bl.basis])
     ce, be = cand[emask], beta[emask]
     t = complex(np.vdot(ce, be) / np.vdot(ce, ce))
     fit_res = float(np.max(np.abs(be - t * ce)) / np.max(np.abs(ce)))
     dev = min(abs(t - 1.0), abs(t + 1.0))
-
-    psi_oe = psi_map(bl, exceptional_sheaf(0), (0.0, (n - 1) * math.log(Q)))
-    pairing_check = euler_pairing(bl, psi_oe, psi_oe)
 
     return {
         "n": n, "Q": Q, "k": k, "m": m,
@@ -419,6 +433,6 @@ def twisted_reflection_check(n: int, Q: float, k: int, m: int | None = None,
         "fit_residual": fit_res,
         "beta": beta,
         "candidate": cand,
-        "exceptional_pairing": pairing_check,
+        "exceptional_pairing": _exceptional_pairing(n, Q),
         "monodromy": result,
     }

@@ -97,6 +97,8 @@ class Prefix:
     changes, and a build that raises changes nothing.
     """
 
+    FIRST = 48                    # entries of the first build
+
     def __init__(self, build, limit: int):
         self.build = build
         self.limit = limit
@@ -106,7 +108,7 @@ class Prefix:
     def read(self, count: int):
         """value, built to at least min(count, limit) entries."""
         if self.value is None or self.built < min(count, self.limit):
-            depth = 48
+            depth = self.FIRST
             while depth < count:
                 depth *= 2
             self.value = self.build(min(depth, self.limit))

@@ -2,11 +2,11 @@
 
 The master period at integer level ell is the matrix-valued function
 
-    M_ell(lambda) = sum_k rho^k diag_i( jet_k of lam^{nu+w-1/2}/Gamma(nu+w+1/2)
-                                        at nu = theta_i - ell - k )
+    M_ell(lambda) = sum_j rho^j diag_i( jet_j of lam^{nu+w-1/2}/Gamma(nu+w+1/2)
+                                        at nu = theta_i - ell - j )
 
 a finite sum because rho is nilpotent.  Differentiation in lambda shifts
-ell up by one exactly, so the level ladder costs nothing numerically.
+ell up by one exactly.
 
 The full period matrix is the convergent series
 
@@ -14,38 +14,38 @@ The full period matrix is the convergent series
 
 whose columns solve dY/dlam = (lam - E*)^{-1} (theta - ell - 1/2) Y.
 
-`fundamental_solution` does not rebuild M_{ell+k} from Gamma at every term.
-The jet of g(nu, w) = lam^{nu+w-1/2}/Gamma(nu+w+1/2) splits as
+`fundamental_solution` sums it on models in shift form, the proj and
+twisted ones: theta_c = theta_0 - c, and rho is nonzero only at (c + 1, c),
+so rho^j only at (c + j, c).  Entry (a, c) of M_{ell+k} is then
 
-    g(nu, w) = lam^{nu-1/2} * (E R(nu))(w),   E_d = (log lam)^d / d!,
+    rho^{a-c}[a, c] * g(a + k, a - c),   g(s, .) = lam^{x0-1-s} (R_s * E),
 
-a jet product, where R(nu) is the jet of 1/Gamma(nu + 1/2 + w): real,
-because theta is real, and free of lambda.  Term k reads M_{ell+k} =
-sum_j rho^j diag_i(G[k + j, i, j]) from the jet chain G[t, i] of g at
-nu = theta_i - ell - t, and the R of that chain is a ladder cached per
-(theta, ell, D), D the nilpotency depth of rho.  Its first D rows come
-from Gamma jets, every deeper row from the row above by the exact
-linear-jet recurrence
+a jet product with E_e = (log lam)^e / e!, where R_s is the jet of
+1/Gamma(x0 - s + w) and x0 = theta_0 - ell + 1/2.  So every master of the
+series reads one 1-D chain R_0, R_1, .., real and free of lambda.  The
+chain is cached per (x0, D), D the nilpotency depth of rho, and the number
+of rows a model can read.  `recip_gamma_jet` gives R_0; every later R_s
+comes from the one before by the exact linear-jet recurrence
 
-    1/Gamma(x - 1 + w) = (x - 1 + w) / Gamma(x + w),
+    1/Gamma(x - 1 + w) = (x - 1 + w) / Gamma(x + w).
 
-vectorised over i.  Rows grow like |x|!, so each is kept as a float64
-mantissa times a power of two whose exponent joins the power of lambda.
-The ladder stores the diagonals R[k + j, i, j - e] that M_{ell+k} reads,
-as a `numerics.Prefix` of at most SERIES_CAP + 1 diagonals: 48 first, then
-doubling when a block needs more, each build replacing the read-only
-arrays whole.  A call supplies only the D numbers E and the powers of
-lambda: one exponential and one contraction per block.
+Rows grow like |x|!, so each is kept as a float64 mantissa times a power
+of two whose exponent joins the power of lambda; a row moves into its
+exponent once a running bound on it passes 2^512.  The chain is a
+`numerics.Prefix` of read-only arrays: 48 rows first, then doubling when a
+block reads further.
 
-The terms are formed _BLOCK = 24 at a time: one einsum of the diagonals
-against the cached powers of rho gives the block's masters, one batched
-matmul against S_k and the alternating sign give its terms, and a
-cumulative sum seeded with the running total gives its partial sums.  The
-stopping rule then reads the block's term norms and partial-sum scales
-one term at a time, so the sum stops at the same term, and holds the same
-value, as a term-by-term loop.  Most series stop after 16 to 36 terms, so
-one or two blocks; two blocks end at the 48 matrices of an S-series'
-first build, so a series of up to 48 terms never grows it.
+The terms are formed a block at a time.  A block takes one exponential
+over s for the powers of lambda, one (s, D) @ (D, D) product with the jet
+E, one gather of its masters with the sign folded in exactly as
+(-1)^k = (-1)^s (-1)^a, one batched matmul against S_k, a cumulative sum
+seeded with the running total for its partial sums, and one |.|-max pass
+over the terms and the partial sums together.  The stopping rule then
+reads the norms one term at a time, so the sum stops at the same term,
+and holds the same value, as a term-by-term loop, whatever the blocks'
+lengths.  The first block is sized from tol and the rate radius/|lambda|
+at which the terms fall, up to the first build of the S-series and of the
+chain, so most series take one block; each later one takes _BLOCK terms.
 """
 
 from __future__ import annotations
@@ -65,8 +65,9 @@ SERIES_CAP = 200
 CONVERGED_RUN = 3
 MIN_TERMS = 8
 GUARD_FACTOR = 1.5
-_BLOCK = 24          # period-series terms formed per batch
-_ROW_EXP = 512       # a ladder row past 2^_ROW_EXP moves into its exponent
+_BLOCK = 24          # period-series terms in each block after the first
+_LEAD = 4            # terms the first block adds to its estimate
+_ROW_EXP = 512       # a chain row past 2^_ROW_EXP moves into its exponent
 
 
 class ConvergenceError(NumericsError):
@@ -83,92 +84,102 @@ class MatrixSolution:
     terms: int             # series terms summed
 
 
-@lru_cache(maxsize=4096)
-def _rg_jet_coeffs(nu_half: complex, order: int) -> np.ndarray:
-    """Jet of 1/Gamma at nu_half, read-only because the cache shares it."""
-    jet = recip_gamma_jet(nu_half, order)
-    jet.flags.writeable = False
-    return jet
+def _chain_rows(x0: float, depth: int, count: int) -> tuple:
+    """The chain's first count rows as read-only arrays (rows, nu, shift):
 
+        rows[s] = (-1)^s R_s / 2^exps[s],   nu[s] = x0 - 1 - s,
+        shift[s] = exps[s] * log 2,
 
-def _rescaled(row: np.ndarray, exp: int) -> tuple[np.ndarray, int]:
-    """row * 2^exp as a mantissa below 1 and an exponent, once row passes
-    2^_ROW_EXP; otherwise as it stands."""
-    top = int(np.frexp(np.max(np.abs(row)))[1])
-    if top > _ROW_EXP:
-        return np.ldexp(row, -top), exp + top
-    return row, exp
-
-
-def _ladder_arrays(key: tuple, level: int, count: int) -> tuple:
-    """The lambda-free jets of the chain at one (theta, depth) and level,
-    over count diagonals k, as read-only arrays
-
-        rd[k, i, j, e] = R[k + j, i, j - e]   (0 where e > j),
-        nu_half[k, i, j] = theta_i - level - k - j - 1/2,
-        shift[k, 0, j] = exps[k + j] * log 2,
-
-    so that G[k + j, i, j] = exp(nu_half log lam + shift) * (rd @ E).  Row
-    t of the ladder is the jet R[t, i] of 1/Gamma(x + w) at x = theta_i -
-    level - t + 1/2, kept as 2^exps[t] * rows[t]."""
-    theta, depth = key
-    order = depth - 1
-    nu = np.array(theta) - level                 # nu of row 0
-    rows, exps = [], []
-    for t in range(count + depth - 1):
-        if t < depth:
-            row, exp = np.array([_rg_jet_coeffs(v - t + 0.5, order).real
-                                 for v in nu]), 0
-        else:
-            # 1/Gamma(x - 1 + w) = (x - 1 + w) / Gamma(x + w), x - 1 of row t
-            row = (nu - t + 0.5)[:, None] * rows[-1]
-            row[:, 1:] += rows[-1][:, :-1]
-            exp = exps[-1]
-        row, exp = _rescaled(row, exp)
-        rows.append(row)
-        exps.append(exp)
-    diag = np.arange(count)[:, None] + np.arange(depth)          # k + j
-    lag = np.subtract.outer(np.arange(depth), np.arange(depth))
-    lag[lag < 0] = depth                         # the zero column below
-    rows = np.array(rows)
-    padded = np.concatenate([rows, np.zeros(rows.shape[:2] + (1,))], axis=2)
-    rd = padded[diag[:, None, :, None], np.arange(len(nu))[:, None, None],
-                lag]
-    nu_half = nu[:, None] - diag[:, None, :] - 0.5
-    shift = (np.array(exps)[diag] * math.log(2.0))[:, None, :]
-    for arr in (rd, nu_half, shift):
+    R_s the jet of 1/Gamma(x0 - s + w) to order depth - 1, so that
+    g(s, .) = exp(nu[s] log lam + shift[s]) (rows[s] * E) up to the sign."""
+    rows = np.empty((count, depth))
+    rows[0] = recip_gamma_jet(x0, depth - 1).real
+    exps = np.zeros(count)
+    exp = 0
+    bound = float(np.max(np.abs(rows[0])))     # >= max |rows[s]|
+    for s in range(count):
+        if s:
+            # 1/Gamma(x - 1 + w) = (x - 1 + w) / Gamma(x + w), x - 1 of row s
+            np.multiply(rows[s - 1], x0 - s, out=rows[s])
+            rows[s, 1:] += rows[s - 1, :-1]
+            bound *= abs(x0 - s) + 1.0
+        if bound > 2.0 ** (_ROW_EXP - 1):
+            top = int(np.frexp(np.max(np.abs(rows[s])))[1])
+            if top > _ROW_EXP:
+                rows[s] = np.ldexp(rows[s], -top)
+                exp += top
+            bound = float(np.max(np.abs(rows[s])))
+        exps[s] = exp
+    rows[1::2] *= -1.0
+    nu = x0 - 1.0 - np.arange(count)
+    shift = exps * math.log(2.0)
+    for arr in (rows, nu, shift):
         arr.flags.writeable = False
-    return rd, nu_half, shift
+    return rows, nu, shift
 
 
 @lru_cache(maxsize=64)
-def _ladder(key: tuple, level: int) -> Prefix:
-    """The ladder of a model's `ladder_key`, (diag theta, depth), at level:
-    (rd, nu_half, shift) of `_ladder_arrays`, built as deep as read."""
-    return Prefix(partial(_ladder_arrays, key, level), SERIES_CAP + 1)
+def _chain(x0: float, depth: int, length: int) -> Prefix:
+    """The chain at (x0, depth), (rows, nu, shift) of `_chain_rows`, built
+    as deep as read up to length rows."""
+    return Prefix(partial(_chain_rows, x0, depth), length)
 
 
-class _JetChain:
-    """The masters M_{level+k} at one branch of log lambda: the cached
-    ladder of (theta, level, depth) times the jet E of lam^w and the powers
-    of lambda."""
+@lru_cache(maxsize=64)
+def _shift_form(space: SpaceModel) -> tuple:
+    """(theta_0, coef, gather, toeplitz) of a model in shift form, read-only:
+    entry (a, c) of the signed master (-1)^k M_{ell+k} is coef[a, c] times
+    the entry of h[s] = (-1)^s g(s, .) at flat index gather[k, a, c], that
+    is h[k + a, a - c], for k up to SERIES_CAP; and E[toeplitz], E with a
+    zero appended, is the matrix of the jet product with E.  Raises
+    ValueError for any other model."""
+    size, depth = space.size, space.depth
+    theta = np.diag(space.theta)
+    a, c = np.indices((size, size))
+    if (np.any(theta != theta[0] - np.arange(size))
+            or np.any(space.rho[a != c + 1] != 0)):
+        raise ValueError("period series needs theta_c = theta_0 - c and rho "
+                         "only at (c + 1, c); %s:%d is not in that form"
+                         % (space.kind, space.param))
+    lag = np.clip(a - c, 0, depth - 1)
+    coef = np.where(a - c == lag,
+                    (-1.0) ** a * space.rho_powers[lag, a, c], 0.0)
+    gather = (depth * (np.arange(SERIES_CAP + 1)[:, None, None] + a)
+              + lag).astype(np.int32)
+    f, e = np.indices((depth, depth))
+    toeplitz = np.where(e >= f, e - f, depth)
+    for arr in (coef, gather, toeplitz):
+        arr.flags.writeable = False
+    return theta[0].real, coef, gather, toeplitz
 
-    def __init__(self, space: SpaceModel, level: int, branch: BranchState):
-        self.rho_powers = space.rho_powers
-        self.ladder = _ladder(space.ladder_key, level)
-        self.log_lam = branch.log_value
-        jet = [1.0 + 0.0j]
-        for d in range(1, space.depth):
-            jet.append(jet[-1] * branch.log_value / d)
-        self.log_jet = np.array(jet)             # E_d = (log lam)^d / d!
 
-    def masters(self, start: int, stop: int) -> np.ndarray:
-        """M_{level+k} for k = start .. stop-1, as one (stop - start, size,
-        size) array: M = sum_j rho^j diag_i(G[k + j, i, j])."""
-        rd, nu_half, shift = self.ladder.read(stop)
-        diag = np.exp(nu_half[start:stop] * self.log_lam + shift[start:stop])
-        diag *= rd[start:stop] @ self.log_jet
-        return np.einsum("jac,kcj->kac", self.rho_powers, diag)
+def _signed_masters(space: SpaceModel, level: int, branch: BranchState,
+                    start: int, stop: int) -> np.ndarray:
+    """(-1)^k M_{level+k} at the point and branch of `branch` for k = start
+    .. stop-1, as one (stop - start, size, size) array read off the chain."""
+    theta0, coef, gather, toeplitz = _shift_form(space)
+    size, depth = space.size, space.depth
+    rows, nu, shift = _chain(theta0 - level + 0.5, depth,
+                             SERIES_CAP + size).read(stop + size - 1)
+    jet = [1.0 + 0.0j]
+    for d in range(1, depth):
+        jet.append(jet[-1] * branch.log_value / d)     # (log lam)^d / d!
+    s = slice(start, stop + size - 1)
+    h = rows[s] @ np.array(jet + [0.0])[toeplitz]
+    h *= np.exp(nu[s] * branch.log_value + shift[s])[:, None]
+    return np.take(h, gather[:stop - start]) * coef
+
+
+def _first_block(tol: float, rate: float, size: int) -> int:
+    """Terms in the first block: where rate^k falls below tol, plus _LEAD,
+    or _BLOCK when tol or rate gives no estimate; never so many that the
+    block reads past the first build of the S-series or of the chain, which
+    a series that stops early would not need."""
+    if not (0.0 < tol < 1.0 and 0.0 < rate < 1.0):
+        return _BLOCK
+    guess = max(math.ceil(math.log(tol) / math.log(rate)) + _LEAD,
+                MIN_TERMS + CONVERGED_RUN)
+    return min(guess, Prefix.FIRST - size + 1)
 
 
 def fundamental_solution(space: SpaceModel, product: QuantumProduct,
@@ -176,12 +187,12 @@ def fundamental_solution(space: SpaceModel, product: QuantumProduct,
                          tol: float) -> MatrixSolution:
     """Sum the period series at the point and branch carried by `branch`.
 
-    Requires |lambda| > 1.5 * (largest eigenvalue of E*).  Stops once three
-    consecutive terms fall below tol * ||partial sum||; raises if the terms
-    available (the S-series length, at most SERIES_CAP + 1) do not get
-    there.  The terms are formed _BLOCK at a time from one jet chain, each
-    block reading only the S-matrices it needs, and the stopping rule reads
-    them one by one.
+    Requires |lambda| > 1.5 * (largest eigenvalue of E*) and a model in
+    shift form (ValueError otherwise).  Stops once three consecutive terms
+    fall below tol * ||partial sum||; raises if the terms available (the
+    S-series length, at most SERIES_CAP + 1) do not get there.  The terms
+    are formed in blocks from one jet chain, each block reading only the
+    S-matrices it needs, and the stopping rule reads them one by one.
     """
     lam_abs = abs(branch.base)
     if lam_abs <= GUARD_FACTOR * product.radius:
@@ -189,30 +200,33 @@ def fundamental_solution(space: SpaceModel, product: QuantumProduct,
             "base point inside the guarded radius: |lambda|=%g <= %g"
             % (lam_abs, GUARD_FACTOR * product.radius))
     n_terms = min(sseries.order + 1, SERIES_CAP + 1)
-    chain = _JetChain(space, level, branch)
-    acc = np.zeros((space.size, space.size), dtype=complex)
+    size = space.size
+    acc = np.zeros((size, size), dtype=complex)
     small_run = 0
     recent: list[float] = []
-    for start in range(0, n_terms, _BLOCK):
-        stop = min(start + _BLOCK, n_terms)
-        terms = sseries.head(stop)[start:] @ chain.masters(start, stop)
-        terms[1 - start % 2::2] *= -1.0
-        tnorms = np.max(np.abs(terms), axis=(1, 2)).tolist()
-        terms[0] += acc
-        partial = np.cumsum(terms, axis=0, out=terms)
-        scales = np.max(np.abs(partial), axis=(1, 2)).tolist()
-        acc = partial[-1]
+    rate = product.radius / lam_abs
+    start, stop = 0, min(_first_block(tol, rate, size), n_terms)
+    while start < n_terms:
+        masters = _signed_masters(space, level, branch, start, stop)
+        both = np.empty((2, stop - start, size, size), dtype=complex)
+        np.matmul(sseries.head(stop)[start:], masters, out=both[0])
+        both[1] = both[0]
+        both[1, 0] += acc
+        np.cumsum(both[1], axis=0, out=both[1])
+        tnorms, scales = np.max(np.abs(both), axis=(2, 3)).tolist()
+        acc = both[1, -1]
         for k, tnorm, scale in zip(range(start, stop), tnorms, scales):
             recent.append(tnorm)
             if k >= MIN_TERMS and scale > 0 and tnorm < tol * scale:
                 small_run += 1
                 if small_run >= CONVERGED_RUN:
                     est = sum(recent[-CONVERGED_RUN:])
-                    return MatrixSolution(space, level, partial[k - start],
+                    return MatrixSolution(space, level, both[1, k - start],
                                           branch, max(est, 1e-14 * scale),
                                           k + 1)
             else:
                 small_run = 0
+        start, stop = stop, min(stop + _BLOCK, n_terms)
     raise ConvergenceError(
         "period series did not converge in %d terms at |lambda|=%g"
         % (n_terms, lam_abs))

@@ -6,12 +6,12 @@ along paths of several pieces, each arc replaced by an inscribed
 polygon, and the local Frobenius series stepped entry by entry."""
 
 import cmath
+import functools
 
 import numpy as np
 
 from gamma_monodromy import monodromy as md
 from gamma_monodromy import numerics as nx
-from gamma_monodromy import periods as pd
 
 # sides of the polygon that stands in for an arc
 SIDES = 16
@@ -35,9 +35,19 @@ def log_pow_jet(branch: nx.BranchState, nu: complex,
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def recip_gamma_jet(z: complex, order: int) -> np.ndarray:
+    """numerics.recip_gamma_jet, cached and read-only: the oracles ask for
+    the same few centres many times."""
+    jet = nx.recip_gamma_jet(z, order)
+    jet.flags.writeable = False
+    return jet
+
+
 def master_period(space, level: int, branch: nx.BranchState) -> np.ndarray:
     """Master period matrix at the given integer level and branch of log,
-    evaluated directly from Gamma jets (the oracle for `_JetChain`)."""
+    evaluated directly from Gamma jets (the oracle for the period series'
+    jet chain)."""
     depth = space.depth
     order = depth - 1
     size = space.size
@@ -49,7 +59,7 @@ def master_period(space, level: int, branch: nx.BranchState) -> np.ndarray:
         for i in range(size):
             nu = theta[i] - level - k
             jet = nx.jet_mul(log_pow_jet(branch, nu, order),
-                             pd._rg_jet_coeffs(nu + 0.5, order))
+                             recip_gamma_jet(nu + 0.5, order))
             diag[i] = jet[k]
         acc = acc + rho_pow @ np.diag(diag)
         rho_pow = space.rho @ rho_pow

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from gamma_monodromy import monodromy as md
-from gamma_monodromy.cohomology import (euler_char, gamma_class,
+from gamma_monodromy.cohomology import (euler_char, euler_pairing,
+                                        exceptional_sheaf, gamma_class,
                                         line_bundle, make_blproj, make_proj,
                                         make_twisted, psi_map)
 from gamma_monodromy.monodromy import Arc, Segment
@@ -634,6 +635,35 @@ def test_twisted_reflection_constant_is_sign():
     assert out["constant_deviation"] < 1e-4
     assert out["fit_residual"] < 1e-6
     assert abs(out["exceptional_pairing"] - 1.0) < 1e-10
+
+
+def test_twisted_check_forms_one_exceptional_image_per_q(monkeypatch):
+    # Psi(O_E) and its Euler pairing do not depend on the loop: one image
+    # of each O_E(j) per (n, Q) across every k, O_E(0) serving both the
+    # k = 1 candidate and the pairing, with the bits of a direct build
+    md._exceptional_image.cache_clear()
+    md._exceptional_pairing.cache_clear()
+    seen = []
+    real = md.psi_map
+
+    def spy(space, kcl, q_log):
+        seen.append((space.param, kcl, q_log))
+        return real(space, kcl, q_log)
+
+    monkeypatch.setattr(md, "psi_map", spy)
+    for n, Q in ((3, 1.0), (4, 0.6)):
+        q_log = (0.0, (n - 1) * math.log(Q))
+        bl = make_blproj(n)
+        for _ in range(2):
+            for k in range(n - 1):
+                out = md.twisted_reflection_check(n, Q, k)
+                want = real(bl, exceptional_sheaf(-k + 1), q_log)
+                assert out["candidate"].tobytes() == want.tobytes()
+                assert not out["candidate"].flags.writeable
+        oe = real(bl, exceptional_sheaf(0), q_log)
+        assert out["exceptional_pairing"] == euler_pairing(bl, oe, oe)
+        assert seen.count((n, exceptional_sheaf(0), q_log)) == 1
+    assert len(seen) == len(set(seen)) == 2 + 3
 
 
 def test_twisted_reflection_check_rejects_bad_q():

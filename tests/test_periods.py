@@ -10,13 +10,14 @@ import pytest
 
 from gamma_monodromy import periods as pd
 from gamma_monodromy import quantum as qm
-from gamma_monodromy.cohomology import (intersection_pairing, make_proj,
-                                        make_twisted)
+from gamma_monodromy.cohomology import (intersection_pairing, make_blproj,
+                                        make_proj, make_twisted)
 from gamma_monodromy.numerics import (BranchState, jet_mul, log_gamma,
                                       principal_branch)
 from gamma_monodromy.quantum import (quantum_mult_proj, sseries_proj,
                                      SSeries)
-from oracles import branch_power, log_pow_jet, master_period
+from oracles import (branch_power, log_pow_jet, master_period,
+                     recip_gamma_jet)
 
 
 def _series(m, q, K=60):
@@ -46,7 +47,7 @@ def master_period_right(space, level, branch):
         for i in range(size):
             nu = theta[i] - level
             jet = jet_mul(log_pow_jet(branch, nu, order),
-                          np.asarray(pd._rg_jet_coeffs(nu + 0.5, order)))
+                          recip_gamma_jet(nu + 0.5, order))
             diag[i] = jet[k]
         acc = acc + np.diag(diag) @ rho_pow
         rho_pow = space.rho @ rho_pow
@@ -105,24 +106,37 @@ def test_master_period_finite_at_gamma_poles():
 
 
 # ---------------------------------------------------------------------------
-# level ladder
+# the jet chain
 # ---------------------------------------------------------------------------
 
 LADDER_LAMS = (2.0 + 0.5j, -7.3 + 1.0j, 15.0 - 20.0j, 0.6 + 0.1j, 40.0 + 3.0j)
 
 
+def _masters(sp, level, br, start, stop):
+    """M_{level+k} for k = start .. stop-1, read off the jet chain with the
+    series' sign (-1)^k taken back out."""
+    signs = (-1.0) ** np.arange(start, stop)
+    return signs[:, None, None] * pd._signed_masters(sp, level, br, start,
+                                                     stop)
+
+
+def _x0(sp, level):
+    """The top centre theta_0 - level + 1/2 of the chain at level."""
+    return float(np.diag(sp.theta)[0].real) - level + 0.5
+
+
 def _ladder_deviation(sp, levels=45):
     """Worst |chain master - master_period| / max|M_ell| over consecutive
     levels from -(size + 2), three windings and LADDER_LAMS, with the
-    masters read from the jet chain in blocks as the series reads them."""
+    masters read off the jet chain _BLOCK at a time."""
     worst = 0.0
     start = -(sp.size + 2)
     for lam in LADDER_LAMS:
         for winding in (-1, 0, 1):
             br = principal_branch(lam, winding=winding)
-            chain = pd._JetChain(sp, start, br)
             for first in range(0, levels, pd._BLOCK):
-                block = chain.masters(first, min(first + pd._BLOCK, levels))
+                block = _masters(sp, start, br, first,
+                                 min(first + pd._BLOCK, levels))
                 for k, got in enumerate(block, first):
                     want = master_period(sp, start + k, br)
                     dev = np.max(np.abs(got - want))
@@ -135,7 +149,10 @@ def _ladder_deviation(sp, levels=45):
                          ids=lambda sp: "%s:%d" % (sp.kind, sp.param))
 def test_level_ladder_matches_master_period(sp):
     # odd proj:m and odd twisted:n have half-integer theta, so the
-    # levels cross the poles of Gamma(nu + w + 1/2)
+    # levels cross the poles of Gamma(nu + w + 1/2).  The worst reading
+    # is 5.2e-13 (proj:6, lam = 2 + 0.5i, level -5): the chain has one
+    # Gamma jet, at its top centre, and the recurrence down from there
+    # cancels in the high jet coefficients
     assert _ladder_deviation(sp) < 1e-12
 
 
@@ -147,8 +164,9 @@ def test_level_ladder_depth_one():
     assert _ladder_deviation(sp, levels=12) < 1e-12
 
 
-# diagonals on both sides of the ladder's builds of 48, 96, 192 and 201,
-# and (170, 200) rows moved into their exponent past 2^512
+# diagonals on both sides of the chain's builds of 48, 96, 192 and
+# SERIES_CAP + size rows, and (170, 200) rows moved into their exponent
+# past 2^512
 DEEP_DIAGONALS = (0, 47, 48, 95, 96, 170, 200)
 
 
@@ -192,55 +210,62 @@ def _mp_masters(sp, level, br, ks):
                          ids=lambda sp: "%s:%d" % (sp.kind, sp.param))
 def test_deep_ladder_rows_match_mpmath(sp):
     # rounding nu log(lam), up to about 2e3 at k = 200, costs about
-    # 2e3 * 2^-53 = 2e-13 relative; the worst reading is 1.6e-13 (proj:6,
-    # lam = 40 + 3i, k = 95), and 1152 of the 1260 masters are compared
+    # 2e3 * 2^-53 = 2e-13 relative; the worst reading is 3.9e-13 (proj:6,
+    # lam = 40 + 3i, k = 96), and 1152 of the 1260 masters are compared
     pytest.importorskip("mpmath")
-    pd._ladder.cache_clear()
+    pd._chain.cache_clear()
     start = -(sp.size + 2)
     worst = 0.0
     for lam in LADDER_LAMS:
         for winding in (-1, 0, 1):
             br = principal_branch(lam, winding=winding)
-            chain = pd._JetChain(sp, start, br)
             for k, want in _mp_masters(sp, start, br, DEEP_DIAGONALS).items():
-                got = chain.masters(k, k + 1)[0]
+                got = _masters(sp, start, br, k, k + 1)[0]
                 dev = np.max(np.abs(got - want)) / np.max(np.abs(want))
                 worst = max(worst, dev)
-    assert len(chain.ladder.value[0]) == pd.SERIES_CAP + 1
+    chain = pd._chain(_x0(sp, start), sp.depth, pd.SERIES_CAP + sp.size)
+    rows, _, shift = chain.value
+    assert len(rows) == chain.built == pd.SERIES_CAP + sp.size
+    # the deepest rows moved into their exponent past 2^512
+    assert shift[-1] > 0
     assert worst < 1e-12
 
 
-def test_ladder_cache_hands_out_read_only_prefixes():
+def test_chain_cache_hands_out_read_only_prefixes():
     sp = make_proj(3)
-    pd._ladder.cache_clear()
+    pd._chain.cache_clear()
     br = principal_branch(5.0 - 2.0j, winding=1)
-    before = pd._JetChain(sp, -5, br)
-    first = before.masters(0, pd._BLOCK)
-    ladder = before.ladder
-    arrays = ladder.value
-    size = len(arrays[0])
-    assert size == ladder.built == 48
-    # another call grows the shared ladder to 192 and then 201 diagonals
-    other = pd._JetChain(sp, -5, principal_branch(9.0))
-    other.masters(pd.SERIES_CAP - 3, pd.SERIES_CAP + 1)
-    assert other.ladder is ladder
-    grown = ladder.value
-    assert len(grown[0]) == ladder.built == pd.SERIES_CAP + 1
+    first = pd._signed_masters(sp, -5, br, 0, pd._BLOCK)
+    x0 = _x0(sp, -5)
+    assert pd._chain.cache_info().currsize == 1
+    chain = pd._chain(x0, sp.depth, pd.SERIES_CAP + sp.size)
+    arrays = chain.value
+    assert len(arrays[0]) == chain.built == 48
+    middle = pd._signed_masters(sp, -5, br, 40, 50)
+    assert chain.built == 96
+    # another point grows the shared chain to 192 and then SERIES_CAP +
+    # size rows
+    pd._signed_masters(sp, -5, principal_branch(9.0), pd.SERIES_CAP - 3,
+                       pd.SERIES_CAP + 1)
+    assert pd._chain.cache_info().currsize == 1
+    grown = chain.value
+    assert len(grown[0]) == chain.built == pd.SERIES_CAP + sp.size
     # rows past 2^512 moved into their exponent
-    assert grown[2][-1, 0, -1] > 0
+    assert grown[2][-1] > 0
     for old, new in zip(arrays, grown):
         assert not old.flags.writeable and not new.flags.writeable
         assert old.tobytes() == new[:len(old)].tobytes()
     with pytest.raises(ValueError):
-        grown[0][0, 0, 0, 0] = 1.0
-    after = pd._JetChain(sp, -5, br)
-    for chain in (before, after):
-        assert chain.masters(0, pd._BLOCK).tobytes() == first.tobytes()
-    assert (before.masters(size - 4, size + 4).tobytes()
-            == after.masters(size - 4, size + 4).tobytes())
+        grown[0][0, 0] = 1.0
+    for arr in pd._shift_form(sp)[1:]:
+        assert not arr.flags.writeable
+    assert pd._signed_masters(sp, -5, br, 0, pd._BLOCK).tobytes() \
+        == first.tobytes()
+    assert pd._signed_masters(sp, -5, br, 40, 50).tobytes() \
+        == middle.tobytes()
     # a fresh build to any depth has the bits of the grown prefix
-    for count in (1, 48, 100):
-        fresh = pd._ladder_arrays(sp.ladder_key, -5, count)
+    for count in (1, 48, 100, pd.SERIES_CAP + sp.size):
+        fresh = pd._chain_rows(x0, sp.depth, count)
         for arr, new in zip(fresh, grown):
             assert arr.tobytes() == new[:count].tobytes()
 
@@ -321,9 +346,10 @@ def _term_by_term(sp, sser, level, br, tol):
 
 def test_blocked_sum_matches_term_by_term_reference():
     # at lambda = 6.5 these tolerances stop the series after 12 .. 35
-    # terms, each near the middle of its window of about 0.4 decades:
-    # the stopping term falls on every position in a block, in the first
-    # block and in the second
+    # terms, each near the middle of its window of about 0.4 decades: the
+    # stopping term takes every value mod _BLOCK.  They all stop in the
+    # sized first block; test_fundamental_solution_same_bits_whatever_
+    # first_block moves the block boundaries
     m = 2
     sp = make_proj(m)
     prod = quantum_mult_proj(m, 1.0)
@@ -379,6 +405,83 @@ def test_fundamental_solution_nonconvergence_error():
         pd.fundamental_solution(sp, prod, deep, -3,
                                 principal_branch(6.0), 0.0)
     assert deep.mats.shape == (101, sp.size, sp.size)
+
+
+def test_first_block_estimate_cap_and_fallback():
+    assert pd._first_block(1e-11, 1.0 / 3.0, 3) == 24 + pd._LEAD
+    assert pd._first_block(0.9, 0.5, 3) == pd.MIN_TERMS + pd.CONVERGED_RUN
+    # the estimate, 67 terms, would read past the first 48 matrices of the
+    # S-series and rows of the chain
+    assert pd._first_block(1e-12, 1.0 / 1.55, 4) == 45
+    for tol, rate in ((0.0, 0.5), (-1.0, 0.5), (1e-11, 0.0), (1.0, 0.5),
+                      (math.inf, 0.5), (math.nan, 0.5), (1e-11, math.nan)):
+        assert pd._first_block(tol, rate, 3) == pd._BLOCK
+    m = 2
+    sp = make_proj(m)
+    prod = quantum_mult_proj(m, 1.0)
+    with pytest.raises(pd.ConvergenceError, match="in 31 terms"):
+        pd.fundamental_solution(sp, prod, _series(m, 1.0, K=30), -3,
+                                principal_branch(6.0), -1.0)
+    assert pd.fundamental_solution(sp, prod, _series(m, 1.0), -3,
+                                   principal_branch(6.0), math.inf).terms \
+        == pd.MIN_TERMS + pd.CONVERGED_RUN
+
+
+def _first_block_cases():
+    """(space, product, sseries, level, branch, tol) of series that stop
+    after 12 to 80 terms, on proj and twisted models."""
+    cases = []
+    sp, prod = make_proj(2), quantum_mult_proj(2, 1.0)
+    sser = _series(2, 1.0, K=200)
+    for exponent in (5.0, 8.25, 11.0, 14.75):
+        cases.append((sp, prod, sser, -3, principal_branch(6.5),
+                      10.0 ** -exponent))
+    for kind, arg in (("proj", 5), ("twisted", 4), ("twisted", 7)):
+        if kind == "proj":
+            sp, prod = make_proj(arg), quantum_mult_proj(arg, 1.0)
+            sser = qm.sseries_proj(arg, prod.param, pd.SERIES_CAP)
+        else:
+            sp, prod = make_twisted(arg), qm.quantum_mult_twisted(arg, 1.3)
+            sser = qm.sseries_twisted(arg, prod.param, pd.SERIES_CAP)
+        for lam, tol in ((1.01 * pd.GUARD_FACTOR * prod.radius, 1e-20),
+                         (2.7j * prod.radius, 1e-11)):
+            cases.append((sp, prod, sser, -arg, principal_branch(lam), tol))
+    return cases
+
+
+@pytest.mark.parametrize("first", [1, 9, 13, 24, 48, 80])
+def test_fundamental_solution_same_bits_whatever_first_block(monkeypatch,
+                                                             first):
+    cases = _first_block_cases()
+    want = [pd.fundamental_solution(*case) for case in cases]
+    assert min(w.terms for w in want) == 12
+    assert max(w.terms for w in want) > 70
+    monkeypatch.setattr(pd, "_first_block", lambda tol, rate, size: first)
+    for case, sol in zip(cases, want):
+        got = pd.fundamental_solution(*case)
+        assert got.terms == sol.terms
+        assert got.value.tobytes() == sol.value.tobytes()
+        assert got.truncation_error == sol.truncation_error
+
+
+def _reversed(sp):
+    """A fresh copy of a model with its basis in reverse order."""
+    return dataclasses.replace(
+        sp, basis=sp.basis[::-1], degrees=sp.degrees[::-1],
+        cup=sp.cup[::-1, ::-1, ::-1], pairing=sp.pairing[::-1, ::-1],
+        rho=sp.rho[::-1, ::-1])
+
+
+@pytest.mark.parametrize("model", [_reversed(make_proj(2)),
+                                   _reversed(make_twisted(5)),
+                                   make_blproj(3)],
+                         ids=["proj:2 reversed", "twisted:5 reversed",
+                              "blproj:3"])
+def test_fundamental_solution_rejects_models_outside_shift_form(model):
+    prod = quantum_mult_proj(2, 1.0)
+    with pytest.raises(ValueError, match="not in that form"):
+        pd.fundamental_solution(model, prod, _series(2, 1.0), -3,
+                                principal_branch(8.0), 1e-11)
 
 
 @pytest.mark.parametrize("kind, arg", [("proj", m) for m in range(1, 6)]
