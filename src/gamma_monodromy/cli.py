@@ -239,25 +239,31 @@ def cmd_phi(cfg: RunConfig) -> int:
     m = cfg.m if cfg.m is not None else n
     if m < 1:
         raise UsageError("phi requires --m >= 1")
-    u = mirror.u_of_q(n, q)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            u = mirror.u_of_q(n, q)
 
-    scan = mirror.zero_region_scan(n, q, m, npts=20, tol=tol)
-    lams = u * np.linspace(1.5, 4.0, 10)
-    mb_cfg = mirror.make_mb_config(n, q, m, float(lams[-1]),
-                                   min(tol, 1e-7))
-    mb = mirror.phi_mb_batch(n, q, m, lams, mb_cfg)
-    # the d-th residue falls like (u/lambda)^((n-1) d): enough terms for a
-    # 2^-54 relative tail at the smallest lambda, and no deeper poles,
-    # whose 1/Gamma factor overflows on odd m
-    terms = math.ceil(54 * math.log(2)
-                      / ((n - 1) * math.log(lams[0] / u))) + 1
-    ser = mirror.phi_residue_series(n, q, m, lams, terms)
-    rows = [[float(lv), float(sv.real), float(mv.real),
-             float(abs(sv - mv))]
-            for lv, sv, mv in zip(lams, ser, mb)]
-    max_diff = max(r[3] for r in rows)
-    fit = mirror.local_exponent_fit(n, q, m)
-    exp_dev = abs(fit["slope"] - (m - 0.5))
+            scan = mirror.zero_region_scan(n, q, m, npts=20, tol=tol)
+            lams = u * np.linspace(1.5, 4.0, 10)
+            mb_cfg = mirror.make_mb_config(n, q, m, float(lams[-1]),
+                                           min(tol, 1e-7))
+            mb = mirror.phi_mb_batch(n, q, m, lams, mb_cfg)
+            # the d-th residue falls like (u/lambda)^((n-1) d): enough
+            # terms for a 2^-54 relative tail at the smallest lambda, and
+            # no deeper poles, whose 1/Gamma factor overflows on odd m
+            terms = math.ceil(54 * math.log(2)
+                              / ((n - 1) * math.log(lams[0] / u))) + 1
+            ser = mirror.phi_residue_series(n, q, m, lams, terms)
+            rows = [[float(lv), float(sv.real), float(mv.real),
+                     float(abs(sv - mv))]
+                    for lv, sv, mv in zip(lams, ser, mb)]
+            max_diff = max(r[3] for r in rows)
+            fit = mirror.local_exponent_fit(n, q, m)
+            exp_dev = abs(fit["slope"] - (m - 0.5))
+    except (FloatingPointError, OverflowError) as exc:
+        print("gamma-monodromy: numerical failure: %s at q = %g" % (exc, q),
+              file=sys.stderr)
+        return EXIT_NUMERIC
 
     ok = (scan["max_abs"] < max(tol, 1e-6)
           and max_diff < max(tol, 1e-6) and exp_dev < 0.02)

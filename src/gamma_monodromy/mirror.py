@@ -444,7 +444,9 @@ def _residue_table(n: int, q: float, m: int, terms: int) -> tuple:
     factors: w Gamma(-d+w) = w Gamma(-d+1+w) / (w - d), so the unit jet of
     (w Gamma(-d+w))^{n-1} picks up (1 - w/d)^{-(n-1)}; and with
     c_d = c - (n-1) d, 1/Gamma(c_d + w) is (c_d + w) .. (c_d + n-2 + w)
-    times 1/Gamma(c_{d-1} + w), one shift-add per factor.
+    times 1/Gamma(c_{d-1} + w), one shift-add per factor.  The 1/Gamma
+    chain starts from ``recip_gamma_jet(c, n-1)`` over its first nonzero
+    coefficient, whether c is an integer or not.
     """
     size = n
     c = _c_exp(n, m)
@@ -457,16 +459,9 @@ def _residue_table(n: int, q: float, m: int, terms: int) -> tuple:
     log_gam = (n - 1) * np.array(LOG_GAMMA_1P[:size], dtype=complex)
     log_gam[1] -= logq
     gam = jet_exp(log_gam)
-    if round(c) <= 0 and abs(c - round(c)) < 1e-9:
-        recip = recip_gamma_jet(c, size - 1)
-        recip = recip / recip[np.flatnonzero(recip)[0]]
-    else:
-        # exp of the log jet without its constant: unit-leading, and the
-        # rounding of log Gamma(c) does not enter the d = 0 residue, which
-        # cancels several hundred-fold
-        lg = log_gamma_jet(c, size - 1)
-        lg[0] = 0.0
-        recip = jet_exp(-lg)
+    # real at real c, and a real division makes the leading 1 exact
+    recip = recip_gamma_jet(c, size - 1).real
+    recip = recip / recip[np.flatnonzero(recip)[0]]
     scale = (n - 1.0) ** powers
     gams = np.empty((terms, size), dtype=complex)
     recips = np.empty((terms, size), dtype=complex)

@@ -2,16 +2,17 @@
 states of log(lambda), ``sum_series``, the one summation of the local
 series of the connection (the Frobenius series of ``monodromy``), and
 ``Prefix``, the growth rule of the tables built only as deep as read
-(calibration series, Gamma-jet ladder).
+(calibration series, the period series' chain of 1/Gamma jets).
 
 A truncated jet sum_k c[k] w^k is the complex coefficient array c itself,
 of length order + 1 <= 13; jet_mul, jet_recip and jet_exp do the
-arithmetic.  log Gamma (mod 2 pi i) is ``log_gamma_array`` for arrays in
-the right half-plane: Stirling's series, the Taylor series about 1, and
-an upward shift; ``log_gamma`` is its form for one number, with the
-reflection formula for Re z <= 0.  polygamma is an upward recurrence
-followed by the Stirling series; on the negative real axis the reflection
-formula first moves the argument to the right half-plane.
+arithmetic.  log Gamma (mod 2 pi i) and polygamma are for Re z > 0 only.
+``log_gamma_array`` is log Gamma for arrays: Stirling's series, the
+Taylor series about 1, and an upward shift; ``log_gamma`` is its form for
+one number.  polygamma is an upward recurrence followed by the Stirling
+series.  The jet of the entire 1/Gamma at any center is one path: linear
+factors shift the center to Re z >= 5.5, where the exp of the log Gamma
+jet is taken.
 
 Everything is plain double precision.  Downstream tolerances are 1e-10 or
 looser, so well-conditioned 1e-13 kernels are enough; no arbitrary
@@ -31,9 +32,6 @@ TWO_PI = 2.0 * math.pi
 
 MAX_JET_ORDER = 12
 
-# for detecting arguments that sit exactly on a pole of Gamma
-_POLE_EPS = 1e-9
-
 # Bernoulli numbers B_2 .. B_20, and the Stirling-series coefficients
 # B_2j (2j+k-1)! / (2j)! of z^-(2j+k) in (-1)^(k+1) psi^(k)(z), k <= 12
 _BERNOULLI_2J = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
@@ -43,24 +41,6 @@ _STIRLING = tuple(
           for j, b in enumerate(_BERNOULLI_2J, start=1))
     for k in range(MAX_JET_ORDER + 1))
 
-
-def _cot_derivative_polys() -> tuple:
-    """Integer coefficients, lowest degree first, of P_k with
-    cot^(k)(x) = P_k(cot x), k <= 12: P_0(c) = c and
-    P_{k+1}(c) = -(1 + c^2) P_k'(c).  Every coefficient of P_k has the sign
-    (-1)^k, so Horner's rule at real c does not cancel."""
-    polys = [(0, 1)]
-    for _ in range(MAX_JET_ORDER):
-        deriv = [j * a for j, a in enumerate(polys[-1])][1:]
-        nxt = [0] * (len(deriv) + 2)
-        for j, a in enumerate(deriv):
-            nxt[j] -= a
-            nxt[j + 2] -= a
-        polys.append(tuple(nxt))
-    return tuple(polys)
-
-
-_COT_POLYS = _cot_derivative_polys()
 
 # log Gamma: Stirling's series B_2j / (2j (2j-1)) w^(1-2j), j <= 8, where
 # Re w > 7 or |Im w| > 7 (the first omitted term is below 1e-15 there);
@@ -80,10 +60,6 @@ _LG_TAYLOR_REACH = tuple((2.0 ** -54 * (k + 1)) ** (1.0 / (k + 1))
 
 class NumericsError(Exception):
     pass
-
-
-class PoleError(NumericsError):
-    """Evaluation requested at a pole of the function."""
 
 
 class Prefix:
@@ -158,14 +134,6 @@ def jet_exp(a: np.ndarray) -> np.ndarray:
 # special functions
 # ---------------------------------------------------------------------------
 
-def _is_nonpositive_integer(z: complex, eps: float = _POLE_EPS) -> bool:
-    z = complex(z)
-    if abs(z.imag) > eps:
-        return False
-    r = round(z.real)
-    return r <= 0 and abs(z.real - r) <= eps
-
-
 def _taylor_depth(radius: float) -> int:
     """Terms of the Taylor series about 1 needed out to radius."""
     depth = 1
@@ -198,23 +166,15 @@ def _stirling_tail(r):
 
 
 def log_gamma(z: complex) -> complex:
-    """log Gamma(z) mod 2 pi i for complex z off the poles, which raise
-    PoleError; every caller exponentiates it.
+    """log Gamma(z) mod 2 pi i for complex z with Re z > 0, ValueError
+    elsewhere; every caller exponentiates it.
 
-    For Re z <= 0 the reflection formula
-    log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z); within
-    _LG_TAYLOR_RADIUS of 2 the Taylor series about 1 plus log1p, so that
-    Gamma(2) = 1 exactly; elsewhere ``log_gamma_array``.
+    Within _LG_TAYLOR_RADIUS of 2 the Taylor series about 1 plus log1p, so
+    that Gamma(2) = 1 exactly; elsewhere ``log_gamma_array``.
     """
     z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise PoleError("log_gamma pole at %r" % z)
-    if z.real <= 0.0:
-        # sin(pi z) = (-1)^k sin(pi (z - k)), z - k exact
-        k = round(z.real)
-        sin_r = cmath.sin(math.pi * (z - k))
-        return (math.log(math.pi) - cmath.log(-sin_r if k % 2 else sin_r)
-                - log_gamma(1.0 - z))
+    if not z.real > 0.0:
+        raise ValueError("log_gamma needs Re z > 0")
     e = z - 2.0
     if abs(e) <= _LG_TAYLOR_RADIUS:
         return complex(_log_gamma1p(e, _taylor_depth(abs(e))) + np.log1p(e))
@@ -306,14 +266,8 @@ def log_gamma_array(z: np.ndarray) -> np.ndarray:
 
 
 def polygamma(k: int, z: complex) -> complex:
-    """psi^(k)(z) for complex z, k <= 12.
-
-    On the negative real axis the reflection formula
-    psi^(k)(z) = (-1)^k psi^(k)(1-z) - pi^(k+1) cot^(k)(pi z) moves z to
-    1 - z > 1 in one step; cot^(k) is P_k(cot) of ``_COT_POLYS`` at
-    cot(pi r), r = z - round(z) exact, and cot(pi r) is exactly 0 at a
-    half-integer.  Off the real axis P_k cancels near cot = -+i, so there
-    z keeps the upward shift below.
+    """psi^(k)(z) for complex z with Re z > 0, k <= 12; ValueError
+    elsewhere.
 
     z is shifted upward with psi^(k)(z) = psi^(k)(z+1) + (-1)^(k+1) k!/z^(k+1)
     until Re z >= 18 + 1.5k, where the Stirling series
@@ -322,31 +276,16 @@ def polygamma(k: int, z: complex) -> complex:
                     + sum_j B_2j (2j+k-1)!/((2j)! z^(2j+k))]
 
     (with -log z in place of (k-1)!/z^k at k = 0) is summed to j = 10.
-    The shift terms are added by math.fsum: left of the origin the terms
-    at z+j and near -(z+j) nearly cancel, and psi^(k) can sit many orders
-    below its largest term.
+    The shift terms are added by math.fsum, so their sum is correctly
+    rounded whatever their number: off the real axis the phases
+    -(k+1) arg(z+j) of the terms spread over up to (k+1) pi/2, and the
+    terms partly cancel.
     """
     if not 0 <= k <= MAX_JET_ORDER:
         raise ValueError("polygamma order out of range")
     z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise PoleError("polygamma pole at %r" % z)
-    if z.imag == 0.0 and z.real < 0.0:
-        r = z.real - round(z.real)
-        if abs(r) <= 0.25:
-            cot = math.cos(math.pi * r) / math.sin(math.pi * r)
-        else:
-            cot = math.copysign(math.tan(math.pi * (0.5 - abs(r))), r)
-        poly = 0.0
-        for a in reversed(_COT_POLYS[k]):
-            poly = poly * cot + a
-        return ((-1) ** k * _polygamma_shifted(k, 1.0 - z)
-                - math.pi ** (k + 1) * poly)
-    return _polygamma_shifted(k, z)
-
-
-def _polygamma_shifted(k: int, z: complex) -> complex:
-    """The upward shift and Stirling series of ``polygamma``."""
+    if not z.real > 0.0:
+        raise ValueError("polygamma needs Re z > 0")
     shift = []
     while z.real < 18.0 + 1.5 * k:
         shift.append(z ** -(k + 1))
@@ -375,7 +314,8 @@ LOG_GAMMA_1P = _log_gamma1p_coeffs()
 
 
 def log_gamma_jet(z: complex, order: int) -> np.ndarray:
-    """Jet of log Gamma(z + w); z must avoid nonpositive integers."""
+    """Jet of log Gamma(z + w) at complex z with Re z > 0: ``log_gamma``
+    and ``polygamma``, ValueError elsewhere."""
     if order > MAX_JET_ORDER:
         raise ValueError("jet order above %d" % MAX_JET_ORDER)
     c = np.zeros(order + 1, dtype=complex)
@@ -388,28 +328,28 @@ def log_gamma_jet(z: complex, order: int) -> np.ndarray:
 
 
 def recip_gamma_jet(z: complex, order: int) -> np.ndarray:
-    """Jet of the entire function 1/Gamma at center z.
+    """Jet of the entire function 1/Gamma at any complex center z.
 
-    At a nonpositive integer center the logarithmic expansion breaks down,
-    so the pole is peeled off with 1/Gamma(z+w) = (z+w)...(z+s-1+w) *
-    1/Gamma(z+s+w) and only the shifted regular factor goes through exp.
+    With s = max(0, ceil(5.5 - Re z)) linear factors (DLMF 5.5.1),
+
+        1/Gamma(z + w) = (z + w) .. (z + s - 1 + w) / Gamma(z + s + w),
+
+    the log Gamma jet is only taken at Re(z + s) >= 5.5, where its
+    coefficients are small and its exp is well conditioned; near the
+    origin they are not.  Each factor is one shift-add, the one nearest
+    z + s first; at a nonpositive integer z one factor's constant is
+    exactly 0, so a pole of Gamma needs no case of its own.
     """
     if order > MAX_JET_ORDER:
         raise ValueError("jet order above %d" % MAX_JET_ORDER)
     z = complex(z)
-    if _is_nonpositive_integer(z):
-        shift = 1 - round(z.real)
-        # the linear factor z + j + w
-        lin = np.zeros(order + 1, dtype=complex)
-        if order >= 1:
-            lin[1] = 1.0
-        lin[0] = z
-        acc = lin.copy()
-        for j in range(1, shift):
-            lin[0] = z + j
-            acc = jet_mul(acc, lin)
-        return jet_mul(acc, recip_gamma_jet(z + shift, order))
-    return jet_exp(-log_gamma_jet(z, order))
+    shift = max(0, math.ceil(5.5 - z.real))
+    acc = jet_exp(-log_gamma_jet(z + shift, order))
+    for j in range(shift - 1, -1, -1):
+        # times (z + j + w)
+        acc[1:] = (z + j) * acc[1:] + acc[:-1]
+        acc[0] *= z + j
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,23 @@ def test_extreme_q_fails_at_every_loop_and_keeps_the_payload(argv, tmp_path):
     assert all("error" in r for r in payload["results"])
 
 
+@pytest.mark.parametrize("q", ["1e-300", "1e300"])
+def test_phi_extreme_q_is_a_numerical_failure(q):
+    # in a fresh interpreter, where numpy would warn on stderr: overflow
+    # and invalid values stop the command with one line that names q
+    proc = subprocess.run([sys.executable, "-m", "gamma_monodromy.cli",
+                           "phi", "--space", "proj:2", "--q", q],
+                          capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_NUMERIC
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("gamma-monodromy: numerical failure: ")
+    assert lines[0].endswith(" at q = %s" % q.replace("e3", "e+3"))
+    assert "RuntimeWarning" not in proc.stderr
+    assert "nan" not in proc.stderr
+
+
 def test_console_script_usage_error():
     exe = shutil.which("gamma-monodromy")
     if exe is None:

@@ -13,8 +13,7 @@ import pytest
 import scipy.special
 
 from gamma_monodromy import mirror as mr
-from gamma_monodromy.numerics import (NumericsError, jet_exp, jet_mul,
-                                      jet_recip, log_gamma_jet,
+from gamma_monodromy.numerics import (NumericsError, jet_mul, jet_recip,
                                       recip_gamma_jet)
 
 J3 = {0.5: 0.4782844214521623, 1.0: 0.22778774549906688,
@@ -177,9 +176,8 @@ def test_residue_series_domain_guards():
 
 def residue_table_per_pole(n, q, m, terms):
     """(exponent, log_scale, p) of ``mr._residue_table`` built pole by pole
-    from Gamma jets at each centre: 1/Gamma at -d peeled d times, its
-    reciprocal and power, and 1/Gamma at c - (n-1) d from log Gamma
-    jets."""
+    from the 1/Gamma jets of ``recip_gamma_jet`` at each centre: at -d,
+    for its reciprocal and power, and at c - (n-1) d."""
     order = n + 1
     c = mr._c_exp(n, m)
     logq = math.log(q)
@@ -197,20 +195,10 @@ def residue_table_per_pole(n, q, m, terms):
         prod = gamma_reg.copy()
         for _ in range(n - 2):
             prod = jet_mul(prod, gamma_reg)
-        center = c - (n - 1) * d
-        rounded = round(center)
-        if abs(center - rounded) < 1e-9 and rounded <= 0:
-            gjet = recip_gamma_jet(rounded, order) * scale
-            nz = int(np.flatnonzero(np.abs(gjet) > 0.0)[0])
-            s0 = gjet[nz]
-            gjet = gjet / s0
-            log_scale += np.log(complex(s0))
-        else:
-            lg = log_gamma_jet(center, order)
-            lg0 = lg.copy()
-            lg0[0] = 0.0
-            gjet = jet_exp(-lg0) * scale
-            log_scale -= lg[0]
+        gjet = recip_gamma_jet(c - (n - 1) * d, order) * scale
+        s0 = gjet[np.flatnonzero(gjet)[0]]
+        gjet = gjet / s0
+        log_scale += np.log(complex(s0))
         prod = jet_mul(prod, jet_mul(qjet, gjet))
         if d == 0:
             idx = n - 1
@@ -236,19 +224,26 @@ def _series_terms(table, lam):
 
 
 def test_residue_table_recurrence_matches_per_pole_jets():
-    # every term within 1e-13 of the largest, where the series is summed
-    for n in (3, 4):
-        for m in range(n, n + 4):
-            for q in (0.5, 1.0, 2.0):
-                table = mr._residue_table(n, q, m, 60)
-                oracle = residue_table_per_pole(n, q, m, 60)
-                assert np.array_equal(table[0], oracle[0])
-                for ratio in (1.05, 1.5, 4.0):
-                    lam = ratio * mr.u_of_q(n, q)
-                    got = _series_terms(table, lam)
-                    want = _series_terms(oracle, lam)
-                    assert (np.max(np.abs(got - want))
-                            <= 1e-13 * np.max(np.abs(want)))
+    # every term within 1e-13 of the largest, where the series is summed.
+    # c = m + 1/2 - n/2 runs from 2 up to 5.5, and below zero at an integer
+    # (n, m) = (5, 1), c = -1, and a half-integer (6, 1), c = -1.5, where
+    # the table starts from a zero of 1/Gamma or left of the origin.  The
+    # per-pole jets are plain doubles and |1/Gamma| overflows past about
+    # -168, so the deepest centre c - (n-1)(terms-1) stays above -160.
+    cases = ([(3, m, 60) for m in range(3, 7)]
+             + [(4, m, 55) for m in range(4, 8)]
+             + [(5, 1, 30), (6, 1, 30)])
+    for n, m, terms in cases:
+        for q in (0.5, 1.0, 2.0):
+            table = mr._residue_table(n, q, m, terms)
+            oracle = residue_table_per_pole(n, q, m, terms)
+            assert np.array_equal(table[0], oracle[0])
+            for ratio in (1.05, 1.5, 4.0):
+                lam = ratio * mr.u_of_q(n, q)
+                got = _series_terms(table, lam)
+                want = _series_terms(oracle, lam)
+                assert (np.max(np.abs(got - want))
+                        <= 1e-13 * np.max(np.abs(want)))
 
 
 def test_contour_value_does_not_depend_on_the_batch():

@@ -36,10 +36,8 @@ def test_log_gamma_matches_exp_on_disk():
     rng = np.random.default_rng(7)
     for _ in range(50):
         z = complex(rng.uniform(-49, 49), rng.uniform(-49, 49))
-        if nx._is_nonpositive_integer(z) or abs(z) > 50:
+        if z.real <= 0 or abs(z) > 50:
             continue
-        if abs(z - round(z.real)) < 1e-2 and z.real <= 0:
-            continue  # too close to a pole for the relative target
         g = cmath.exp(nx.log_gamma(z))
         # Gamma(z+1) = z*Gamma(z) as an independent consistency probe
         g1 = cmath.exp(nx.log_gamma(z + 1))
@@ -47,10 +45,10 @@ def test_log_gamma_matches_exp_on_disk():
 
 
 def test_log_gamma_pole_error():
-    with pytest.raises(nx.PoleError):
-        nx.log_gamma(0.0)
-    with pytest.raises(nx.PoleError):
-        nx.log_gamma(-4.0)
+    # poles and the rest of Re z <= 0 alike
+    for z in (0.0, -4.0, -2.5, 1e-300j, -0.5 + 3j):
+        with pytest.raises(ValueError):
+            nx.log_gamma(z)
 
 
 def _log_gamma_grids():
@@ -93,14 +91,6 @@ def test_log_gamma_scalar_matches_scipy(name, z):
     assert np.max(_mod_2pi_error(got, scipy.special.loggamma(z))) < 1e-14
 
 
-def test_log_gamma_left_half_plane_mod_2pi():
-    rng = np.random.default_rng(5)
-    z = rng.uniform(-30.0, 0.0, 300) + 1j * rng.uniform(-12.0, 12.0, 300)
-    z = z[np.abs(z - np.round(z.real)) > 1e-3]
-    got = np.array([nx.log_gamma(v) for v in z])
-    assert np.max(_mod_2pi_error(got, scipy.special.loggamma(z))) < 1e-14
-
-
 def test_log_gamma_array_value_does_not_depend_on_the_batch():
     # in the Taylor disc about 1 each point is summed to its own depth:
     # alone, beside a point at the disc's edge, or among all of them
@@ -138,56 +128,42 @@ def test_polygamma_recurrence_random_grid():
 
 
 # psi^(k)(z) from 30-digit mpmath, rounded to double; 1.46 sits near the
-# zero of psi, -2.5 is a negative half-integer where psi^(12) is 1e11 times
-# smaller than its largest shift term; -60.5 and -178.5 are reached by
-# reflection, and -178.5 lies past the deepest centre of the residue series
+# zero of psi
 POLYGAMMA_REFS = [
-    (0, -60.5, 4.110885061353463),
-    (3, -60.5, 194.81817325787839),
-    (12, -60.5, -1.5012037448676867e-14),
-    (0, -178.5, 5.187387106250826),
-    (3, -178.5, 194.8181817192951),
-    (12, -178.5, -3.6883425687507057e-20),
     (0, 0.5, -1.9635100260214235),
     (0, 1.0, -0.5772156649015329),
     (0, 1.46, -0.0015805619870834522),
     (0, 7.5, 1.9467574842460869),
-    (0, -2.5, 1.103156640645243),
     (0, 0.3 + 4j, complex(1.3849293523158994, 1.6210197716815968)),
     (0, 15 - 12j, complex(2.9350234898466327, -0.6912214059558269)),
     (1, 0.5, 4.934802200544679),
     (1, 1.0, 1.6449340668482264),
     (1, 1.46, 0.9691196215098878),
     (1, 7.5, 0.1426158966967038),
-    (1, -2.5, 9.539246644989124),
     (1, 0.3 + 4j, complex(-0.012670063832095277, -0.25068810261755137)),
     (1, 15 - 12j, complex(0.04093756104705762, 0.03386342965014345)),
     (2, 0.5, -16.82879664423432),
     (2, 1.0, -2.4041138063191885),
     (2, 1.46, -0.8880630425818332),
     (2, 7.5, -0.020305252536644666),
-    (2, -2.5, -0.1082040516417274),
     (2, 0.3 + 4j, complex(0.06302186862849432, -0.006423313820031893)),
     (2, 15 - 12j, complex(-0.0005297686603296614, -0.0027723269195575606)),
     (5, 0.5, 7691.113548602436),
     (5, 1.0, 122.0811674381339),
     (5, 1.46, 13.024059586928812),
     (5, 7.5, 0.0013927076560043099),
-    (5, -2.5, 15382.140048026304),
     (5, 0.3 + 4j, complex(-0.006479818735702193, -0.02447079677877429)),
     (5, 15 - 12j, complex(-9.665130972860771e-06, -3.11338076967304e-06)),
     (11, 0.5, 163499521134.7588),
     (11, 1.0, 39926622.987731084),
     (11, 1.46, 426348.4194083104),
     (11, 7.5, 0.0016490341849347435),
-    (11, -2.5, 326999042257.0655),
     (11, 0.3 + 4j, complex(0.7456623129270022, 1.1044858006936065)),
     (11, 15 - 12j, complex(9.006958118101919e-09, 3.3256962541409754e-08)),
     (12, 0.5, -3923983571677.6094),
     (12, 1.0, -479060379.8898314),
     (12, 1.46, -3501449.8370378995),
     (12, 7.5, -0.0025431917396943953),
-    (12, -2.5, -42.17265738445786),
     (12, 0.3 + 4j, complex(-3.2742172429061003, 2.444843248251452)),
     (12, 15 - 12j, complex(8.281540248416534e-09, -1.8342629224247997e-08)),
 ]
@@ -198,30 +174,12 @@ def test_polygamma_frozen_references(k, z, ref):
     assert abs(nx.polygamma(k, z) - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
-def test_polygamma_reflection_keeps_relative_accuracy():
-    # the frozen test above is absolute below |psi| = 1; psi^(12) at a
-    # negative half-integer is psi^(12)(1 - z) exactly and is tiny
-    for k, z, ref in POLYGAMMA_REFS:
-        if z in (-60.5, -178.5):
-            assert abs(nx.polygamma(k, z) - ref) <= 1e-14 * abs(ref)
-
-
-@pytest.mark.parametrize("z", [-0.1, -2.1, -3.8, -7.01, -20.15, -33.9])
-def test_polygamma_near_negative_integers_matches_mpmath(z):
-    # within 1/4 of an integer the reflection reads cot(pi r) as
-    # cos / sin; the worst reading is 2.6e-15 relative
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        for k in (0, 1, 2, 3, 5, 8, 12):
-            ref = complex(mpmath.polygamma(k, mpmath.mpf(z)))
-            assert abs(nx.polygamma(k, z) - ref) <= 1e-14 * abs(ref)
-
-
 def test_polygamma_order_and_pole_errors():
     with pytest.raises(ValueError):
         nx.polygamma(nx.MAX_JET_ORDER + 1, 1.0)
-    with pytest.raises(nx.PoleError):
-        nx.polygamma(3, -2.0)
+    for z in (-2.0, 0.0, -2.5, -0.5 + 3j):
+        with pytest.raises(ValueError):
+            nx.polygamma(3, z)
 
 
 def test_import_leaves_mpmath_unloaded():
@@ -267,6 +225,24 @@ def test_recip_gamma_jet_pole_center_small_values():
     j = nx.recip_gamma_jet(-6.0, 3)
     assert abs(j[0]) < 1e-12
     assert abs(j[1] - 720.0) < 1e-9 * 720  # derivative is (-1)^6 * 6!
+
+
+def test_recip_gamma_jet_matches_mpmath_at_half_integers():
+    # every center the period series and the residue table start from lies
+    # in 1/2 Z; below Re z = 5.5 the jet is built from linear factors, and
+    # the zero of 1/Gamma at a nonpositive integer comes out exact
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for x in np.arange(-30.5, 14.0, 0.5):
+            ref = [complex(c) for c in
+                   mpmath.taylor(mpmath.rgamma, mpmath.mpf(float(x)), 12)]
+            for k in (8, 12):
+                got = nx.recip_gamma_jet(float(x), k)
+                for g, r in zip(got, ref):
+                    if r == 0:
+                        assert g == 0, (x, k)
+                    else:
+                        assert abs(g - r) <= 1e-12 * abs(r), (x, k)
 
 
 def test_recip_times_gamma_is_one():
