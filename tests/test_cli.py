@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -432,10 +433,12 @@ def test_console_script_usage_error():
 
 
 def test_console_script_target_usage_error(capsys):
-    # the [project.scripts] target, run without installing the script
-    tomllib = pytest.importorskip("tomllib")    # Python 3.11+
-    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"]["gamma-monodromy"]
+    # the [project.scripts] target, run without installing the script; the
+    # table is read by pattern, as Python 3.10 has no tomllib
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    target = re.search(r'^gamma-monodromy\s*=\s*"([^"]+)"$', scripts,
+                       re.M).group(1)
     module, name = target.split(":")
     main = getattr(importlib.import_module(module), name)
     assert main(["reflections", "--space", "nope"]) == cli.EXIT_USAGE
