@@ -2,9 +2,9 @@
 
 Three subcommands: ``reflections`` extracts reflection vectors from
 monodromy and scores them against the Gamma-structure candidates,
-``phi`` tabulates the oscillatory integral against its residue series,
-and ``suite`` runs the package acceptance checks.  Each takes only the
-flags it reads; any other flag is a usage error:
+``phi`` formats ``mirror.phi_check``, the oscillatory integral against
+its residue series, and ``suite`` runs the package acceptance checks.
+Each takes only the flags it reads; any other flag is a usage error:
 
 - ``reflections``: --space, --q, --q-arg, --Q, --Q-arg, --k, --m, --tol,
   --out
@@ -237,65 +237,46 @@ def cmd_phi(cfg: RunConfig) -> int:
     q = float(cfg.q[0])
     n = par + 2
     m = cfg.m if cfg.m is not None else n
-    if m < 1:
-        raise UsageError("phi requires --m >= 1")
+    # at m = 1 the contour cannot reach the comparison's 1e-7 at all
+    if m < 2:
+        raise UsageError("phi requires --m >= 2")
     try:
         with np.errstate(over="raise", invalid="raise"):
-            u = mirror.u_of_q(n, q)
-
-            scan = mirror.zero_region_scan(n, q, m, npts=20, tol=tol)
-            lams = u * np.linspace(1.5, 4.0, 10)
-            mb_cfg = mirror.make_mb_config(n, q, m, float(lams[-1]),
-                                           min(tol, 1e-7))
-            mb = mirror.phi_mb_batch(n, q, m, lams, mb_cfg)
-            # the d-th residue falls like (u/lambda)^((n-1) d): enough
-            # terms for a 2^-54 relative tail at the smallest lambda, and
-            # no deeper poles, whose 1/Gamma factor overflows on odd m
-            terms = math.ceil(54 * math.log(2)
-                              / ((n - 1) * math.log(lams[0] / u))) + 1
-            ser = mirror.phi_residue_series(n, q, m, lams, terms)
-            rows = [[float(lv), float(sv.real), float(mv.real),
-                     float(abs(sv - mv))]
-                    for lv, sv, mv in zip(lams, ser, mb)]
-            max_diff = max(r[3] for r in rows)
-            fit = mirror.local_exponent_fit(n, q, m)
-            exp_dev = abs(fit["slope"] - (m - 0.5))
-    except (FloatingPointError, OverflowError) as exc:
+            check = mirror.phi_check(n, q, m, tol)
+    except (NumericsError, FloatingPointError, OverflowError) as exc:
         print("gamma-monodromy: numerical failure: %s at q = %g" % (exc, q),
               file=sys.stderr)
         return EXIT_NUMERIC
-
-    ok = (scan["max_abs"] < max(tol, 1e-6)
-          and max_diff < max(tol, 1e-6) and exp_dev < 0.02)
-
+    code = EXIT_OK if check["pass"] else EXIT_FAIL
+    zero, comp, expo, mb = (check[key] for key in (
+        "zero_window", "series_contour", "exponent", "config"))
+    columns = ["lambda", "re_phi_series", "re_phi_mb", "abs_diff"]
     if cfg.format == "csv":
-        lines = ["lambda,re_phi_series,re_phi_mb,abs_diff"]
-        lines += ["%.12g,%.12g,%.12g,%.12g" % tuple(r) for r in rows]
+        lines = [",".join(columns)]
+        lines += ["%.12g,%.12g,%.12g,%.12g" % tuple(r) for r in comp["rows"]]
         _emit("\n".join(lines) + "\n", cfg.out)
-        return EXIT_OK if ok else EXIT_FAIL
+        return code
 
     payload = {
         "schema": SCHEMA, "config": _config_dict(cfg),
-        "n": n, "m": m, "branch_point": float(u),
-        "zero_region": {"max_abs": scan["max_abs"],
-                        "tolerance": max(tol, 1e-6),
-                        "points": len(scan["lambdas"])},
-        "comparison": {"rows": rows, "max_abs_diff": max_diff,
-                       "tolerance": max(tol, 1e-6),
-                       "quadrature_error": mb_cfg.error_estimate,
-                       "quadrature_h": mb_cfg.h,
-                       "nodes_per_lambda": mb_cfg.nodes,
-                       "columns": ["lambda", "re_phi_series",
-                                   "re_phi_mb", "abs_diff"]},
-        "exponent_fit": {"slope": fit["slope"],
-                         "expected": m - 0.5,
-                         "deviation": exp_dev,
-                         "tolerance": 0.02,
-                         "r_squared": fit["r2"]},
-        "pass": ok,
+        "n": n, "m": m, "branch_point": float(check["u"]),
+        "zero_region": {"max_abs": zero["residual"],
+                        "tolerance": zero["bound"],
+                        "points": len(zero["scan"]["lambdas"])},
+        "comparison": {"rows": comp["rows"], "max_abs_diff": comp["residual"],
+                       "tolerance": comp["bound"],
+                       "quadrature_error": mb.error_estimate,
+                       "quadrature_h": mb.h, "nodes_per_lambda": mb.nodes,
+                       "columns": columns},
+        "exponent_fit": {"slope": expo["fit"]["slope"],
+                         "expected": expo["expected"],
+                         "deviation": expo["residual"],
+                         "tolerance": expo["bound"],
+                         "r_squared": expo["fit"]["r2"]},
+        "pass": check["pass"],
     }
     _emit(payload, cfg.out)
-    return EXIT_OK if ok else EXIT_FAIL
+    return code
 
 
 def cmd_suite(cfg: RunConfig, only: str | None) -> int:

@@ -576,6 +576,40 @@ def local_exponent_fit(n: int, q: float, m: int) -> dict:
             "config": cfg}
 
 
+def _gate(residual: float, bound: float, **data) -> dict:
+    return {**data, "residual": residual, "bound": bound,
+            "margin": residual / bound}
+
+
+def phi_check(n: int, q: float, m: int, tol: float) -> dict:
+    """Phi's three checks at one (n, q, m), each a gate with its residual,
+    bound and margin = residual / bound, and ``pass`` if every margin is
+    below 1.  ``zero_window``: ``zero_region_scan`` at tol.
+    ``series_contour``: rows [lambda, Re series, Re contour, |difference|]
+    on u linspace(1.5, 4, 10), the contour (``config``) at min(tol, 1e-7),
+    the residue series to a 2^-54 tail at 1.5 u; deeper poles overflow
+    1/Gamma on odd m.  ``exponent``: ``local_exponent_fit`` against m - 1/2.
+    """
+    u = u_of_q(n, q)
+    bound = max(tol, 1e-6)
+    scan = zero_region_scan(n, q, m, npts=20, tol=tol)
+    lams = u * np.linspace(1.5, 4.0, 10)
+    cfg = make_mb_config(n, q, m, float(lams[-1]), min(tol, 1e-7))
+    mb = phi_mb_batch(n, q, m, lams, cfg)
+    terms = math.ceil(54 * math.log(2) / ((n - 1) * math.log(1.5))) + 1
+    ser = phi_residue_series(n, q, m, lams, terms)
+    rows = [[float(lv), float(sv.real), float(mv.real), float(abs(sv - mv))]
+            for lv, sv, mv in zip(lams, ser, mb)]
+    fit = local_exponent_fit(n, q, m)
+    gates = {
+        "zero_window": _gate(scan["max_abs"], bound, scan=scan),
+        "series_contour": _gate(max(r[3] for r in rows), bound, rows=rows),
+        "exponent": _gate(abs(fit["slope"] - (m - 0.5)), 0.02, fit=fit,
+                          expected=m - 0.5)}
+    return {**gates, "u": u, "config": cfg,
+            "pass": all(g["margin"] < 1.0 for g in gates.values())}
+
+
 # ---------------------------------------------------------------------------
 # the inversion-integral cross checks
 # ---------------------------------------------------------------------------

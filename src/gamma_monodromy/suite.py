@@ -212,69 +212,52 @@ def criterion_pairing() -> dict:
             "details": {"variation": worst_var, "match": worst_match}}
 
 
+_PHI_CASES = [(n, q, n) for n in (3, 4) for q in (0.5, 1.0, 2.0)] \
+    + [(3, 1.0, 6)]
+
+
 def criterion_mirror() -> dict:
-    """Vanishing window, series/contour agreement, local exponent,
+    """The worst of each piece of ``mirror.phi_check`` on _PHI_CASES,
     inversion consistency, and the Laplace spot check; details["margins"]
     holds residual/tol of each of the five sub-gates.  The residual is the
     largest of the four sub-residuals gated at 1e-4 or below (the exponent
     is a slope, gated at 0.02); details["j_calls"] and details["j_nodes"]
     sum the counters of both inversion checks."""
     t0 = time.perf_counter()
-    tols = {"zero_window": 1e-6, "series_contour": 1e-6, "exponent": 0.02,
-            "inversion": 1e-4, "laplace": 1e-4}
+    tols = {"inversion": 1e-4, "laplace": 1e-4}
+    residuals = {"inversion": 0.0}
     details = {}
 
-    worst_zero = 0.0
-    for n in (3, 4):
-        for q in (0.5, 1.0, 2.0):
-            scan = mirror.zero_region_scan(n, q, n, npts=20, tol=1e-7)
-            worst_zero = max(worst_zero, scan["max_abs"])
-    details["zero_region_max"] = worst_zero
+    checks = [mirror.phi_check(n, q, m, 1e-8) for n, q, m in _PHI_CASES]
+    for key, reading in (("zero_window", "zero_region_max"),
+                         ("series_contour", "series_contour_max"),
+                         ("exponent", "exponent_worst_dev")):
+        worst = max((check[key] for check in checks),
+                    key=lambda gate: gate["margin"])
+        residuals[key], tols[key] = worst["residual"], worst["bound"]
+        details[reading] = worst["residual"]
+    details.update(("exponent_%d_%d" % (n, m), c["exponent"]["fit"]["slope"])
+                   for (n, q, m), c in zip(_PHI_CASES, checks) if q == 1.0)
 
-    worst_sc = 0.0
-    for n in (3, 4):
-        q = 1.0
-        u = mirror.u_of_q(n, q)
-        lams = u * np.linspace(1.5, 4.0, 10)
-        cfg = mirror.make_mb_config(n, q, n, float(lams[-1]), 1e-8)
-        mb = mirror.phi_mb_batch(n, q, n, lams, cfg)
-        ser = mirror.phi_residue_series(n, q, n, lams)
-        worst_sc = max(worst_sc, float(np.max(np.abs(mb - ser))))
-    details["series_contour_max"] = worst_sc
-
-    worst_exp = 0.0
-    for n, m in ((3, 3), (3, 6), (4, 4)):
-        fit = mirror.local_exponent_fit(n, 1.0, m)
-        dev = abs(fit["slope"] - (m - 0.5))
-        details["exponent_%d_%d" % (n, m)] = fit["slope"]
-        worst_exp = max(worst_exp, dev)
-    details["exponent_worst_dev"] = worst_exp
-
-    worst_inv = 0.0
     details["j_calls"] = details["j_nodes"] = 0
     for n in (3, 4):
         inv = mirror.inversion_consistency(n, 1.0)
-        worst_inv = max(worst_inv, inv["rel_diff"])
+        residuals["inversion"] = max(residuals["inversion"], inv["rel_diff"])
         details["j_calls"] += inv["j_calls"]
         details["j_nodes"] += inv["j_nodes"]
-    details["inversion_rel"] = worst_inv
+    details["inversion_rel"] = residuals["inversion"]
 
     lap = mirror.laplace_spot_check(3, 1.0, 3)
     details["laplace_rel"] = float(np.max(lap["rel_errors"]))
     details["laplace_sensitivity"] = lap["extension_sensitivity"]
+    residuals["laplace"] = details["laplace_rel"]
 
-    residuals = {"zero_window": worst_zero, "series_contour": worst_sc,
-                 "exponent": worst_exp, "inversion": worst_inv,
-                 "laplace": details["laplace_rel"]}
     details["margins"] = {key: residuals[key] / tols[key] for key in tols}
-    ok = all(residuals[key] < tols[key] for key in tols)
-
-    seconds = time.perf_counter() - t0
-    details["seconds"] = seconds
-    ok = ok and seconds < 300.0
+    details["seconds"] = seconds = time.perf_counter() - t0
+    ok = seconds < 300.0 and all(residuals[key] < tols[key] for key in tols)
     return {"name": "mirror", "pass": bool(ok), "tol": 1e-4,
-            "residual": max(worst_zero, worst_sc, worst_inv,
-                            details["laplace_rel"]),
+            "residual": max(residuals[key] for key in residuals
+                            if key != "exponent"),
             "details": details}
 
 

@@ -59,3 +59,16 @@ def test_mirror_reports_the_j_counters(results):
     runs = [mirror.inversion_consistency(n, 1.0) for n in (3, 4)]
     assert details["j_calls"] == sum(run["j_calls"] for run in runs) > 0
     assert details["j_nodes"] == sum(run["j_nodes"] for run in runs)
+
+
+def test_mirror_details_are_the_worst_phi_check(results):
+    details = results["mirror"]["details"]
+    cases = [(n, q, n) for n in (3, 4) for q in (0.5, 1.0, 2.0)] \
+        + [(3, 1.0, 6)]
+    checks = [mirror.phi_check(n, q, m, 1e-8) for n, q, m in cases]
+    for key, reading in (("zero_window", "zero_region_max"),
+                         ("series_contour", "series_contour_max"),
+                         ("exponent", "exponent_worst_dev")):
+        worst = max(check[key]["residual"] for check in checks)
+        assert details[reading] == worst
+        assert details["margins"][key] == worst / checks[0][key]["bound"]

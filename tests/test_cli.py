@@ -238,7 +238,16 @@ def test_phi_fit_quality_error_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(mirror, "local_exponent_fit", poor_fit)
     assert cli.main(["phi", "--space", "proj:1", "--q", "1"]) \
         == cli.EXIT_NUMERIC
-    assert "numerical failure: exponent fit" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("gamma-monodromy: numerical failure: "
+                                       "exponent fit r^2 = 0.5 at q = 1\n")
+
+
+def test_phi_output_is_deterministic(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    args = ["phi", "--space", "proj:2", "--q", "1"]
+    assert cli.main(args + ["--out", str(a)]) == 0
+    assert cli.main(args + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_phi_csv_contract(tmp_path):
@@ -293,7 +302,10 @@ def test_phi_without_q_exits_64(capsys):
     (["reflections", "--space", "twisted:3", "--Q", "1", "--Q-arg", "0.5"],
      "twisted spaces require real positive --Q"),
     (["phi", "--space", "proj:1", "--q", "1", "--m", "0"],
-     "phi requires --m >= 1"),
+     "phi requires --m >= 2"),
+    # at m = 1 the contour cannot reach the 1e-7 the comparison asks for
+    (["phi", "--space", "proj:1", "--q", "1", "--m", "1"],
+     "phi requires --m >= 2"),
 ])
 def test_out_of_domain_flags_exit_64(argv, message, capsys):
     # both died with a traceback and exit 1, the code of a tolerance breach

@@ -389,6 +389,33 @@ def test_local_exponent_near_the_edge():
     assert abs(fit4["slope"] - 3.5) < 0.02
 
 
+@pytest.mark.parametrize("n, tol, passes", [
+    (3, 1e-4, True), (3, 1e-8, True),
+    # the exponent fit is 0.025 from m - 1/2, against 0.02
+    (7, 1e-4, False)])
+def test_phi_check_reports_each_gate(n, tol, passes):
+    check = mr.phi_check(n, 1.0, n, tol)
+    gates = ("zero_window", "series_contour", "exponent")
+    assert sorted(check) == sorted(gates + ("u", "config", "pass"))
+    assert check["u"] == mr.u_of_q(n, 1.0)
+    bounds = {"zero_window": max(tol, 1e-6),
+              "series_contour": max(tol, 1e-6), "exponent": 0.02}
+    for key in gates:
+        gate = check[key]
+        assert gate["bound"] == bounds[key]
+        assert gate["margin"] == gate["residual"] / gate["bound"]
+    assert check["pass"] is all(check[key]["margin"] < 1.0 for key in gates)
+    assert check["pass"] is passes
+    assert check["zero_window"]["residual"] \
+        == check["zero_window"]["scan"]["max_abs"]
+    rows = check["series_contour"]["rows"]
+    assert [r[0] for r in rows] == list(check["u"] * np.linspace(1.5, 4, 10))
+    assert check["series_contour"]["residual"] == max(r[3] for r in rows)
+    assert check["config"].error_estimate <= min(tol, 1e-7)
+    fit = check["exponent"]["fit"]
+    assert check["exponent"]["residual"] == abs(fit["slope"] - (n - 0.5))
+
+
 def test_exponent_fit_rejects_noise(monkeypatch):
     rng = np.random.default_rng(7)
 
