@@ -264,6 +264,7 @@ def cmd_phi(cfg: RunConfig) -> int:
                         "tolerance": zero["bound"],
                         "points": len(zero["scan"]["lambdas"])},
         "comparison": {"rows": comp["rows"], "max_abs_diff": comp["residual"],
+                       "max_rel_diff": comp["max_rel_diff"],
                        "tolerance": comp["bound"],
                        "quadrature_error": mb.error_estimate,
                        "quadrature_h": mb.h, "nodes_per_lambda": mb.nodes,

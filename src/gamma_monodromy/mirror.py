@@ -24,6 +24,11 @@ step h by halving.  H is lambda^(n+c-2) times a lambda-free G(b), and each
 node takes G from the cheapest exact form of its band: one joint Stirling
 series of both log Gamma far out on the line, three moments of a Taylor jet
 for the nodes next to the real axis, and log Gamma in between.
+
+With lambda = u t, q^{-x} lambda^{(n-1)x} = ((n-1) t)^{(n-1)x}: Phi(q, lambda)
+= u^{c-1} Phi_1(t), Phi_1 being Phi at q_1 = (n-1)^{-(n-1)}, where u = 1.
+The private functions take Phi_1 in t; q enters only at ``make_mb_config``,
+``phi_mb_batch`` and ``phi_residue_series``, as u and u^{c-1}.
 """
 
 from __future__ import annotations
@@ -77,6 +82,13 @@ _MB_BLOCK = 4096
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """arrays, each made read-only: cached values are shared."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 class FitQualityError(NumericsError):
     pass
 
@@ -92,7 +104,10 @@ class MBConfig:
 
 
 def u_of_q(n: int, q: float) -> float:
-    """Principal real root (n-1) q^{1/(n-1)} bounding the vanishing region."""
+    """Principal real root (n-1) q^{1/(n-1)} bounding the vanishing region;
+    ValueError unless q > 0."""
+    if q <= 0:
+        raise ValueError("q must be real positive")
     return (n - 1) * q ** (1.0 / (n - 1))
 
 
@@ -105,17 +120,17 @@ def _far_series(n: int, m: int) -> tuple:
     """Radius R, constant C0 and the read-only coefficients p_0 = 0, p_1,
     .., p_D of the far band: with N = n-1, v = 1/x and |x| >= R,
 
-        N log Gamma(x) - log Gamma(Nx + c) - x log q
-            = -(m - 1/2) log x - N x log u + C0 + sum_k p_k v^k.
+        N log Gamma(x) - log Gamma(Nx + c) + N x log N
+            = -(m - 1/2) log x + C0 + sum_k p_k v^k.
 
     Stirling's series of both log Gamma (DLMF 5.11.1, beta_j =
     B_2j / (2j (2j-1)), j <= 8) and log(Nx + c) = log N + log x
     + log(1 + a v), a = c/N, leave C0 = (N-1)/2 log 2 pi - (c-1/2) log N
     and the series of -(N/v + c - 1/2) log(1 + a v) + c
     + N sum_j beta_j v^(2j-1) - sum_j beta_j N^(1-2j) v^(2j-1)
-    (1 + a v)^(1-2j): the x log x, the N x and, with
-    log q = N log u - N log N, the N x log N terms cancel exactly, where
-    the difference of two log Gamma loses six digits at |x| = 3e4.
+    (1 + a v)^(1-2j): the x log x, the N x and the N x log N terms cancel
+    exactly, where the difference of two log Gamma loses six digits at
+    |x| = 3e4.
     R >= 8 |a| keeps |a v| <= 1/8, so the terms past _FAR_DEGREE add up to
     less than |c| 8^-40; the series is cut further where the rest is below
     2^-60 at |v| = 1/R (degree 11 to 16 at m = n .. n+3)."""
@@ -125,8 +140,7 @@ def _far_series(n: int, m: int) -> tuple:
     deg = _FAR_DEGREE
     k = np.arange(1, deg + 2)
     # log(1 + a v) = sum_k log1p[k] v^k
-    log1p = np.zeros(deg + 2)
-    log1p[1:] = -(-a) ** k / k
+    log1p = np.append(0.0, -(-a) ** k / k)
     p = np.zeros(deg + 1)
     p[1:] = -big_n * log1p[2:] - (c - 0.5) * log1p[1:-1]
     for j, beta in enumerate(LOG_GAMMA_STIRLING, start=1):
@@ -140,25 +154,22 @@ def _far_series(n: int, m: int) -> tuple:
     radius = max(_FAR_RADIUS, 8.0 * abs(a))
     rest = np.cumsum((np.abs(p) * radius ** -np.arange(len(p)))[::-1])
     deg = len(p) - 1 - int(np.count_nonzero(rest < 2.0 ** -60))
-    p = p[:deg + 1].copy()
-    p.flags.writeable = False
     const = (0.5 * (big_n - 1) * math.log(2.0 * math.pi)
              - (c - 0.5) * math.log(big_n))
-    return radius, const, p
+    return (radius, const, *_read_only(p[:deg + 1].copy()))
 
 
-def _folded(n: int, q: float, m: int, b: np.ndarray) -> np.ndarray:
-    """G(b) at nodes b >= 0 of any shape: the integrand at x = 1 + ib
-    (_LINE = 1) of lambda > 0 is e^{i omega b} lambda^(n+c-2) G(b), and G
-    is free of lambda, since the lambda^(i(n-1)b) of the power and the
-    e^{-i omega b} leave u^(i(n-1)b).
+def _folded(n: int, m: int, b: np.ndarray) -> np.ndarray:
+    """G(b) of Phi_1 at nodes b >= 0 of any shape: the integrand at
+    x = 1 + ib (_LINE = 1) of t > 0 is e^{i omega b} t^(n+c-2) G(b), and G
+    is free of t, since the t^(i(n-1)b) of the power and the e^{-i omega b}
+    cancel.
 
     Nodes with b >= R take the series of ``_far_series``, one log, one
     reciprocal and one Horner sum each, and the 1/x joins its log x; the
     others take log_gamma_array at x and (n-1)x + c."""
     big_n = n - 1
-    logq = math.log(q)
-    logu = math.log(u_of_q(n, q))
+    logq = -big_n * math.log(big_n)  # log q_1
     radius, const, poly = _far_series(n, m)
     out = np.empty(b.shape, dtype=complex)
     far = b >= radius
@@ -170,40 +181,35 @@ def _folded(n: int, q: float, m: int, b: np.ndarray) -> np.ndarray:
         s *= v
     s.real -= (m + 0.5) * 0.5 * np.log1p(bf * bf)
     s.imag -= (m + 0.5) * np.arctan(bf)
-    s.real += const - big_n * logu
+    s.real += const
     out[far] = np.exp(s)
     x = _LINE + 1j * b[~far]
     size = len(x)
     lg = log_gamma_array(np.concatenate([x, big_n * x + _c_exp(n, m)]))
-    out[~far] = np.exp(big_n * lg[:size] - lg[size:] - logq
-                       + 1j * (big_n * logu - logq) * x.imag) / x
+    out[~far] = np.exp(big_n * lg[:size] - lg[size:] - logq * x) / x
     return out
 
 
 @lru_cache(maxsize=64)
-def _axis_jet(n: int, q: float, m: int) -> np.ndarray:
+def _axis_jet(n: int, m: int) -> np.ndarray:
     """Read-only real Taylor coefficients kappa_0 .. kappa_4 of
     K(w) = G(b), w = ib, about the axis: K = exp(Lambda) with the real jet
-    Lambda(w) = N log Gamma(1 + w) - log Gamma(N + c + N w) - log q
-    + w (N log u - log q) - log(1 + w), N = n-1."""
+    Lambda(w) = N log Gamma(1 + w) - log Gamma(N + c + N w)
+    + (1 + w) N log N - log(1 + w), N = n-1."""
     big_n = n - 1
     order = 4
     k = np.arange(order + 1)
-    logq = math.log(q)
     log_k = (big_n * np.array(LOG_GAMMA_1P[:order + 1])
              - log_gamma_jet(big_n + _c_exp(n, m), order) * float(big_n) ** k)
-    log_k[0] -= logq
-    log_k[1] += big_n * math.log(u_of_q(n, q)) - logq
+    log_k[:2] += big_n * math.log(big_n)  # -log q_1
     log_k[1:] += (-1.0) ** k[1:] / k[1:]
-    kappa = jet_exp(log_k).real.copy()
-    kappa.flags.writeable = False
-    return kappa
+    return _read_only(jet_exp(log_k).real.copy())[0]
 
 
 def _axis_tail(kappa: np.ndarray, moments: np.ndarray, omega: np.ndarray,
                stretch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The axis tail's part of sum_j w_j (cos(omega b_j) Re G(b_j)
-    - sin(omega b_j) Im G(b_j)) and of sum_j w_j |G(b_j)|, per lambda.
+    - sin(omega b_j) Im G(b_j)) and of sum_j w_j |G(b_j)|, per t.
 
     There b = stretch phi < _TAIL_B and |omega b| < 1e-6: G(b) = K(ib),
     the cosine, the sine and |K(ib)| go to order b^4, and the sums become
@@ -237,23 +243,22 @@ def _de_nodes(h: float) -> tuple:
     double-exponentially as t -> -inf.
     """
     big_m = math.pi / h
-    beta = _DE_BETA
-    alpha = beta / math.sqrt(1.0 + big_m * math.log1p(big_m)
-                             / (4.0 * math.pi))
+    alpha = _DE_BETA / math.sqrt(1.0 + big_m * math.log1p(big_m)
+                                 / (4.0 * math.pi))
     lo, hi = int(round(_DE_TLO / h)), int(round(_DE_THI / h))
     t = np.concatenate([np.arange(lo, hi + 1) * h,
                         (np.arange(lo, hi) + 0.5) * h])
-    g = 2.0 * math.pi * t - alpha * np.expm1(-t) + beta * np.expm1(t)
-    dg = 2.0 * math.pi + alpha * np.exp(-t) + beta * np.exp(t)
+    g = 2.0 * math.pi * t - alpha * np.expm1(-t) + _DE_BETA * np.expm1(t)
+    dg = 2.0 * math.pi + alpha * np.exp(-t) + _DE_BETA * np.exp(t)
     one_minus = -np.expm1(-g)
     zero = t == 0.0
     safe = np.where(zero, 1.0, one_minus)
     phi = t / safe
     dphi = (one_minus - t * np.exp(-g) * dg) / safe ** 2
     # limits at t = 0 (g = 0 there), needed by the sine sum
-    a = 2.0 * math.pi + alpha + beta
+    a = 2.0 * math.pi + alpha + _DE_BETA
     phi[zero] = 1.0 / a
-    dphi[zero] = ((alpha - beta) + a * a) / (2.0 * a * a)
+    dphi[zero] = ((alpha - _DE_BETA) + a * a) / (2.0 * a * a)
     return big_m, phi, h * dphi, hi - lo + 1
 
 
@@ -275,60 +280,56 @@ def _de_rule(h: float) -> tuple:
     moments = np.array([[weights[part] @ phi[part] ** (2 * p)
                          for p in range(3)]
                         for part in (tail & ~sine, tail & sine)])
-    rule = (phi[~tail], weights[~tail], moments)
-    for arr in rule:
-        arr.flags.writeable = False
-    return (big_m, rule[0], rule[1], int(np.count_nonzero(~tail[:nsin])),
-            moments)
+    phi, weights, moments = _read_only(phi[~tail], weights[~tail], moments)
+    return big_m, phi, weights, int(np.count_nonzero(~tail[:nsin])), moments
 
 
-def _real_lams(lams) -> np.ndarray:
-    """lams as a float array; ValueError unless real and positive."""
+def _ts(lams, u: float) -> np.ndarray:
+    """lambda/u as a float array; ValueError unless lambda > 0."""
     lams = np.asarray(lams)
     if np.any(np.imag(lams) != 0.0) or not np.all(np.real(lams) > 0.0):
         raise ValueError("Phi is taken at real positive lambda")
-    return np.real(lams).astype(float)
+    return np.real(lams).astype(float) / u
 
 
-def _phi_de(n: int, q: float, m: int, lams: np.ndarray,
+def _phi_de(n: int, m: int, ts: np.ndarray,
             h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Phi at each real positive lambda by the Ooura-Mori rule of step h on
+    """Phi_1 at each real positive t by the Ooura-Mori rule of step h on
     Re x = _LINE, and the scale pref sum_j w_j |F(b_j)| + |F(-b_j)| of its
     roundoff.
 
-    Phi = pref int F(b) db over the whole line, F(b) = e^{i omega b} H(b)
-    (x = _LINE + ib).  For real lambda H(-b) = conj H(b), so folding
+    Phi_1 = pref int F(b) db over the whole line, F(b) = e^{i omega b} H(b)
+    (x = _LINE + ib).  For real t H(-b) = conj H(b), so folding
     b -> -b gives int_0^inf of 2 cos(omega b) Re H(b) - 2 sin(omega b) Im H(b):
     the cosine part goes to the cosine nodes, the sine part to the sine
-    nodes, on b = M phi(t) / max(|omega|, _OMEGA_FLOOR).  H is
-    lambda^(n+c-2) times the lambda-free G of ``_folded``, so each node
-    takes G from the cheapest form of its band: the moments of the axis
-    tail (``_axis_tail``), the far series, or log Gamma.  Each lambda has
-    its own nodes; the integrands of up to _MB_BLOCK nodes are formed as
-    one (lambdas, nodes) array, and each lambda's sums are its own row's,
-    so a value does not depend on the other lambdas of the call.
+    nodes, on b = M phi(s) / max(|omega|, _OMEGA_FLOOR), omega
+    = (n-1) log t.  H is t^(n+c-2) times the t-free G of ``_folded``, so
+    each node takes G from the cheapest form of its band: the moments of
+    the axis tail (``_axis_tail``), the far series, or log Gamma.  Each t
+    has its own nodes; the integrands of up to _MB_BLOCK nodes are formed
+    as one (t, nodes) array, and each t's sums are its own row's, so a
+    value does not depend on the other t of the call.
     """
     big_m, phi, weights, nsin, moments = _de_rule(h)
-    logu = math.log(u_of_q(n, q))
-    kappa = _axis_jet(n, q, m)
+    kappa = _axis_jet(n, m)
     power = (n - 1) * _LINE + _c_exp(n, m) - 1.0
     pref = (2.0 * math.pi) ** ((1 - n) / 2.0)
-    vals = np.empty(len(lams), dtype=complex)
-    mags = np.empty(len(lams))
+    vals = np.empty(len(ts), dtype=complex)
+    mags = np.empty(len(ts))
     rows = max(1, _MB_BLOCK // len(phi))
-    for lo in range(0, len(lams), rows):
+    for lo in range(0, len(ts), rows):
         # rounded as in phi_residue_series
-        loglam = np.array([cmath.log(lam).real for lam in lams[lo:lo + rows]])
-        omega = (n - 1) * (loglam - logu)
+        omega = (n - 1) * np.array([cmath.log(t).real
+                                    for t in ts[lo:lo + rows]])
         stretch = big_m / np.maximum(np.abs(omega), _OMEGA_FLOOR)
         b = stretch[:, None] * phi
         theta = omega[:, None] * b
-        g = _folded(n, q, m, b)
+        g = _folded(n, m, b)
         even = np.cos(theta[:, nsin:]) * g.real[:, nsin:]
         odd = np.sin(theta[:, :nsin]) * g.imag[:, :nsin]
         modulus = np.abs(g)
         tail, tail_mag = _axis_tail(kappa, moments, omega, stretch)
-        norm = 2.0 * pref * stretch * lams[lo:lo + rows] ** power
+        norm = 2.0 * pref * stretch * ts[lo:lo + rows] ** power
         for i in range(len(norm)):
             vals[lo + i] = norm[i] * (even[i] @ weights[nsin:]
                                       - odd[i] @ weights[:nsin] + tail[i])
@@ -337,15 +338,22 @@ def _phi_de(n: int, q: float, m: int, lams: np.ndarray,
 
 
 @lru_cache(maxsize=256)
-def _probe(n: int, q: float, m: int, lam: float,
-           h: float) -> tuple[complex, float]:
-    """Phi at one lambda by the rule of step h and its roundoff scale, as
-    numbers.  Cached because every ``make_mb_config`` call for (n, q, m)
-    probes the edge lambda = u(q) at the same h sequence, whatever its
-    lam_max; a value does not depend on the other lambdas of a
-    ``_phi_de`` call, so a cached one is the bits a batch would give."""
-    vals, mags = _phi_de(n, q, m, np.array([lam]), h)
+def _probe(n: int, m: int, t: float, h: float) -> tuple[complex, float]:
+    """Phi_1 at one t by the rule of step h and its roundoff scale, as
+    numbers.  Cached because every ``make_mb_config`` call for (n, m)
+    probes the edge t = 1 at the same h sequence, whatever its q and
+    lam_max; a value does not depend on the other t of a ``_phi_de`` call,
+    so a cached one is the bits a batch would give."""
+    vals, mags = _phi_de(n, m, np.array([t]), h)
     return complex(vals[0]), float(mags[0])
+
+
+def _scale(n: int, m: int, u: float) -> float:
+    """u^(c-1); NumericsError where it overflows or underflows to 0."""
+    power = _c_exp(n, m) - 1.0
+    if power * math.log(u) < _LOG_DBL_MAX and u ** power > 0.0:
+        return u ** power
+    raise NumericsError("u^(c-1) = %g^%g is 0 or overflows" % (u, power))
 
 
 def make_mb_config(n: int, q: float, m: int, lam_max: float,
@@ -358,19 +366,17 @@ def make_mb_config(n: int, q: float, m: int, lam_max: float,
     larger of |I_h - I_2h| + roundoff there, so it exceeds tol only when
     roundoff sets the floor.  h = _DE_H0 only serves as I_2h: that rule is
     too coarse to be in its asymptotic regime, and the difference can come
-    out small by accident.  Each probe is read one lambda at a time through
-    ``_probe``, which keeps the last 256 by (n, q, m, lambda, h): the h
-    sequence does not depend on lam_max, so the u probes of one (n, q, m)
-    repeat from call to call."""
+    out small by accident.  Each probe is ``_probe``'s Phi_1 at
+    t = lambda/u times u^(c-1), so tol bounds Phi itself."""
     if m <= 0.5:
         raise ValueError("contour needs m > 1/2 for a decaying integrand")
-    if q <= 0:
-        raise ValueError("q must be real positive")
-    probes = sorted({u_of_q(n, q), float(lam_max)})
+    u = u_of_q(n, q)
+    scale = _scale(n, m, u)
+    probes = sorted({1.0, float(lam_max) / u})
 
     def read(h: float) -> tuple[np.ndarray, np.ndarray]:
-        vals, mags = zip(*(_probe(n, q, m, lam, h) for lam in probes))
-        return np.array(vals), np.array(mags)
+        vals, mags = zip(*(_probe(n, m, t, h) for t in probes))
+        return scale * np.array(vals), scale * np.array(mags)
 
     h = _DE_H0
     coarse, _ = read(h)
@@ -396,16 +402,15 @@ def _gl_panels(lo: float, hi: float,
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[:-1] + edges[1:])
     nodes = (mids[:, None] + half * _GL_X[None, :]).ravel()
-    weights = np.broadcast_to(half * _GL_W[None, :],
-                              (npanels, _GL_NODES)).ravel()
-    return nodes, weights
+    return nodes, np.tile(half * _GL_W, npanels)
 
 
 def phi_mb_batch(n: int, q: float, m: int, lams: np.ndarray,
                  cfg: MBConfig) -> np.ndarray:
     """Phi at an array of real positive lambda by the contour rule of
     ``cfg``; ValueError for any other lambda."""
-    return _phi_de(n, q, m, _real_lams(lams), cfg.h)[0]
+    u = u_of_q(n, q)
+    return _scale(n, m, u) * _phi_de(n, m, _ts(lams, u), cfg.h)[0]
 
 
 def _log_lead(x: float) -> complex:
@@ -429,18 +434,18 @@ def _rows_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _residue_table(n: int, q: float, m: int, terms: int) -> tuple:
-    """Lambda-independent residue data at the poles x = -d, d < terms, as
-    read-only arrays (exponent, log_scale, p): the d-th residue is
-    exp(log_scale[d] + exponent[d] log lam) sum_t p[d, t] log(lam)^t, the
-    rows of p padded with zeros to n entries.  The pole has order n-1 from
+def _residue_table(n: int, m: int, terms: int) -> tuple:
+    """Residue data of Phi_1 at the poles x = -d, d < terms, as read-only
+    arrays (exponent, log_scale, p): the d-th residue is
+    exp(log_scale[d] + exponent[d] log t) sum_k p[d, k] log(t)^k, the rows
+    of p padded with zeros to n entries.  The pole has order n-1 from
     Gamma(x)^{n-1}, plus one at d = 0 from the 1/x.
 
     At x = -d + w the Laurent data are jets in w to order n-1.  Each jet is
     kept unit-leading (first nonzero coefficient 1) and the log of its
     leading coefficient, from math.lgamma, goes to log_scale: the 1/Gamma
     factor alone overflows a double at large d while the residue with its
-    lambda power stays finite.  The jets move from pole to pole by linear
+    t power stays finite.  The jets move from pole to pole by linear
     factors: w Gamma(-d+w) = w Gamma(-d+1+w) / (w - d), so the unit jet of
     (w Gamma(-d+w))^{n-1} picks up (1 - w/d)^{-(n-1)}; and with
     c_d = c - (n-1) d, 1/Gamma(c_d + w) is (c_d + w) .. (c_d + n-2 + w)
@@ -448,24 +453,20 @@ def _residue_table(n: int, q: float, m: int, terms: int) -> tuple:
     chain starts from ``recip_gamma_jet(c, n-1)`` over its first nonzero
     coefficient, whether c is an integer or not.
     """
-    size = n
     c = _c_exp(n, m)
-    logq = math.log(q)
-    powers = np.arange(size)
+    logq = -(n - 1) * math.log(n - 1)  # log q_1
+    powers = np.arange(n)
     # (1 - w/d)^{-(n-1)} = sum_k binom(n-2+k, k) (w/d)^k
-    binom = np.array([math.comb(n - 2 + k, k) for k in range(size)],
-                     dtype=float)
-    # q^{-w} (w Gamma(w))^{n-1} = exp(-w log q + (n-1) log Gamma(1+w))
-    log_gam = (n - 1) * np.array(LOG_GAMMA_1P[:size], dtype=complex)
+    binom = np.array([math.comb(n - 2 + k, k) for k in range(n)], dtype=float)
+    # q_1^{-w} (w Gamma(w))^{n-1} = exp(-w log q_1 + (n-1) log Gamma(1+w))
+    log_gam = (n - 1) * np.array(LOG_GAMMA_1P[:n], dtype=complex)
     log_gam[1] -= logq
     gam = jet_exp(log_gam)
     # real at real c, and a real division makes the leading 1 exact
-    recip = recip_gamma_jet(c, size - 1).real
+    recip = recip_gamma_jet(c, n - 1).real
     recip = recip / recip[np.flatnonzero(recip)[0]]
     scale = (n - 1.0) ** powers
-    gams = np.empty((terms, size), dtype=complex)
-    recips = np.empty((terms, size), dtype=complex)
-    log_scales = np.empty(terms, dtype=complex)
+    gams, recips, log_scales = [], [], []
     for d in range(terms):
         center = c - (n - 1) * d
         if d:
@@ -483,36 +484,34 @@ def _residue_table(n: int, q: float, m: int, terms: int) -> tuple:
             raise NumericsError(
                 "residue term %d overflows at center %d; reduce terms"
                 % (d, rounded))
-        gams[d] = gam
-        recips[d] = recip
-        log_scales[d] = d * logq - (n - 1) * _log_lead(-d) + lead
-    prod = _rows_mul(gams, recips * scale)
+        gams.append(gam)
+        recips.append(recip * scale)
+        log_scales.append(d * logq - (n - 1) * _log_lead(-d) + lead)
+    prod = _rows_mul(np.array(gams), np.array(recips))
     # 1/x = 1/(-d + w) = -(1/d) sum_t (w/d)^t at d >= 1; at d = 0 the 1/w
     # raises the pole order
     inv = 1.0 / np.arange(1, terms)
     prod[1:] = _rows_mul(prod[1:], -inv[:, None] ** (powers + 1))
-    coef = scale / np.array([math.factorial(t) for t in range(size)])
+    coef = scale / np.array([math.factorial(t) for t in range(n)])
     poly = np.zeros((terms, n), dtype=complex)
     poly[0] = prod[0, ::-1] * coef
     poly[1:, :n - 1] = prod[1:, n - 2::-1] * coef[:n - 1]
-    table = (-(n - 1) * np.arange(terms) + c - 1.0, log_scales, poly)
-    for arr in table:
-        arr.flags.writeable = False
-    return table
+    return _read_only(-(n - 1) * np.arange(terms) + c - 1.0,
+                      np.array(log_scales), poly)
 
 
 def phi_residue_series(n: int, q: float, m: int, lam, terms: int = 60):
-    """Residue series of Phi at real lambda > u(q), a number or an array,
-    its poles summed in order for every lambda at once."""
-    if q <= 0:
-        raise ValueError("q must be real positive")
-    lams = _real_lams(lam)
-    if np.any(lams <= u_of_q(n, q)):
+    """Residue series of Phi at real lambda > u(q), a number or an array:
+    u^(c-1) times Phi_1's, its poles summed in order for every t at once."""
+    u = u_of_q(n, q)
+    ts = _ts(lam, u)
+    if np.any(ts <= 1.0):
         raise ValueError("residue series needs lambda > u(q)")
-    expo, log_scale, poly = _residue_table(n, q, m, terms)
+    scale = _scale(n, m, u)
+    expo, log_scale, poly = _residue_table(n, m, terms)
     # cmath's log and an unfused complex product: numpy's log and complex
     # multiply round differently, and the payloads print these bits
-    loglam = np.array([cmath.log(v).real for v in lams.flat])
+    loglam = np.array([cmath.log(v).real for v in ts.flat])
     total = np.empty(loglam.size, dtype=complex)
     for lo in range(0, loglam.size, _SERIES_BLOCK):
         ll = loglam[lo:lo + _SERIES_BLOCK]
@@ -525,8 +524,7 @@ def phi_residue_series(n: int, q: float, m: int, lam, terms: int = 60):
             np.cumsum(e.real * val.real - e.imag * val.imag, axis=0)[-1]
             + 1j * np.cumsum(e.real * val.imag + e.imag * val.real,
                              axis=0)[-1])
-    pref = (2.0 * math.pi) ** ((1 - n) / 2.0)
-    out = (2.0 * math.pi * pref * total).reshape(lams.shape)
+    out = (scale * (2 * math.pi) ** ((3 - n) / 2) * total).reshape(ts.shape)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -586,9 +584,10 @@ def phi_check(n: int, q: float, m: int, tol: float) -> dict:
     bound and margin = residual / bound, and ``pass`` if every margin is
     below 1.  ``zero_window``: ``zero_region_scan`` at tol.
     ``series_contour``: rows [lambda, Re series, Re contour, |difference|]
-    on u linspace(1.5, 4, 10), the contour (``config``) at min(tol, 1e-7),
-    the residue series to a 2^-54 tail at 1.5 u; deeper poles overflow
-    1/Gamma on odd m.  ``exponent``: ``local_exponent_fit`` against m - 1/2.
+    on u linspace(1.5, 4, 10) and max_rel_diff, max |difference| / |contour|;
+    the contour (``config``) at min(tol, 1e-7), the residue series to a
+    2^-54 tail at 1.5 u; deeper poles overflow 1/Gamma on odd m.
+    ``exponent``: ``local_exponent_fit`` against m - 1/2.
     """
     u = u_of_q(n, q)
     bound = max(tol, 1e-6)
@@ -603,7 +602,9 @@ def phi_check(n: int, q: float, m: int, tol: float) -> dict:
     fit = local_exponent_fit(n, q, m)
     gates = {
         "zero_window": _gate(scan["max_abs"], bound, scan=scan),
-        "series_contour": _gate(max(r[3] for r in rows), bound, rows=rows),
+        "series_contour": _gate(max(r[3] for r in rows), bound, rows=rows,
+                                max_rel_diff=max(r[3] / abs(r[2])
+                                                 for r in rows)),
         "exponent": _gate(abs(fit["slope"] - (m - 0.5)), 0.02, fit=fit,
                           expected=m - 0.5)}
     return {**gates, "u": u, "config": cfg,
@@ -653,10 +654,7 @@ def _torus_rule(n: int) -> tuple:
                           wt.reshape(-1, _GL_NODES)):
             prof += np.exp(-amp[:, None] * np.cosh(np.outer(stretch, tp))) @ wp
         prof *= 2.0 * stretch
-    rule = (w * prof, np.exp(-sigma))
-    for arr in rule:
-        arr.flags.writeable = False
-    return rule
+    return _read_only(w * prof, np.exp(-sigma))
 
 
 def oscillatory_j(n: int, q: float) -> float:

@@ -202,6 +202,8 @@ def test_phi_json_payload(tmp_path):
     comp = data["comparison"]
     assert comp["max_abs_diff"] < comp["tolerance"]
     assert len(comp["rows"]) == 10
+    # the comparison relative to the contour, next to the absolute one
+    assert comp["max_rel_diff"] == max(r[3] / abs(r[2]) for r in comp["rows"])
     # the contour's own error estimate, step and rule size travel along
     assert "tail_bound" not in comp
     assert 0.0 < comp["quadrature_error"] <= 1e-7
@@ -419,10 +421,11 @@ def test_extreme_q_fails_at_every_loop_and_keeps_the_payload(argv, tmp_path):
 
 @pytest.mark.parametrize("q", ["1e-300", "1e300"])
 def test_phi_extreme_q_is_a_numerical_failure(q):
-    # in a fresh interpreter, where numpy would warn on stderr: overflow
-    # and invalid values stop the command with one line that names q
+    # in a fresh interpreter, where numpy would warn on stderr: at m = 6
+    # Phi's scale u^(c-1) = (3e+-100)^3.5 underflows to 0 or overflows, and
+    # the command stops with one line that names q
     proc = subprocess.run([sys.executable, "-m", "gamma_monodromy.cli",
-                           "phi", "--space", "proj:2", "--q", q],
+                           "phi", "--space", "proj:2", "--q", q, "--m", "6"],
                           capture_output=True, text=True)
     assert proc.returncode == cli.EXIT_NUMERIC
     assert proc.stdout == ""
@@ -432,6 +435,30 @@ def test_phi_extreme_q_is_a_numerical_failure(q):
     assert lines[0].endswith(" at q = %s" % q.replace("e3", "e+3"))
     assert "RuntimeWarning" not in proc.stderr
     assert "nan" not in proc.stderr
+
+
+def _finite(value):
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or np.isfinite(value)
+
+
+@pytest.mark.parametrize("q", ["1e-300", "1e300"])
+def test_phi_extreme_q_fails_a_gate_with_finite_numbers(q, tmp_path):
+    # at the default m = 4 the scale u^(c-1) = (3e+-100)^1.5 is a double:
+    # the comparison reads 1e137 against 1e-4 at q = 1e300, the exponent
+    # 0.0243 against 0.02 at q = 1e-300
+    out = tmp_path / "phi.json"
+    proc = subprocess.run([sys.executable, "-m", "gamma_monodromy.cli",
+                           "phi", "--space", "proj:2", "--q", q,
+                           "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_FAIL
+    assert proc.stderr == ""
+    payload = json.loads(out.read_text())
+    assert payload["pass"] is False and _finite(payload)
 
 
 def test_console_script_usage_error():

@@ -28,8 +28,9 @@ INVERSION_N3_Q1 = 0.90923943249776
 PHI33 = {1.5: 0.43616936203784354629, 1.0001: 3.0168488664925214693e-10}
 # the lambda-free folded integrand G(b) = q^{-x} Gamma(x)^(n-1) u^{i(n-1)b}
 # / (Gamma((n-1)x + c) x) at x = 1 + ib, q = 0.7, keyed by (n, m, b); from
-# 40-digit mpmath.  Through log_gamma_array the two log Gamma cancel six
-# digits at b = 3e4 and read 1e-10 off these
+# 40-digit mpmath.  G of Phi_1, at q_1 = (n-1)^(-(n-1)), is u^(n-1)
+# = 0.7 (n-1)^(n-1) times these.  Through log_gamma_array the two log Gamma
+# cancel six digits at b = 3e4 and read 1e-10 off these
 FAR_G = {
     (3, 3, 20.0): complex(4.908127035884244e-6, 7.3007392184341252e-6),
     (3, 3, 450.0): complex(1.1477601676801899e-10, 1.1676992924854211e-10),
@@ -60,6 +61,11 @@ FAR_G = {
 # its axis tail
 EVALUATED_NODES = {0.1: 174, 0.05: 354, 0.025: 720, 0.0125: 1463,
                    0.00625: 2969, 0.003125: 6021}
+
+
+def q_one(n):
+    """q_1 = (n-1)^(-(n-1)), where u = 1."""
+    return float(n - 1) ** (1 - n)
 
 
 def phi_mellin_barnes(n, q, m, lam):
@@ -122,8 +128,8 @@ def test_error_estimate_bounds_the_true_error():
 def test_cached_rule_is_read_only():
     _, phi, weights, _, moments = mr._de_rule(0.025)
     for arr in (phi, weights, moments, mr._far_series(3, 3)[2],
-                mr._axis_jet(3, 1.0, 3), *mr._torus_rule(3),
-                *mr._torus_rule(4), *mr._residue_table(3, 1.0, 3, 60)):
+                mr._axis_jet(3, 3), *mr._torus_rule(3),
+                *mr._torus_rule(4), *mr._residue_table(3, 3, 60)):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -191,13 +197,13 @@ def _recip_gamma_jet_scaled(z, order):
     return jet, log_s
 
 
-def residue_table_per_pole(n, q, m, terms):
+def residue_table_per_pole(n, m, terms):
     """(exponent, log_scale, p) of ``mr._residue_table`` built pole by pole
     from the 1/Gamma jets of ``recip_gamma_jet`` at each centre: at -d,
-    for its reciprocal and power, and at c - (n-1) d."""
+    for its reciprocal and power, and at c - (n-1) d; Phi_1's, at q_1."""
     order = n + 1
     c = mr._c_exp(n, m)
-    logq = math.log(q)
+    logq = math.log(q_one(n))
     qjet = np.array([(-logq) ** t / math.factorial(t)
                      for t in range(order + 1)], dtype=complex)
     scale = np.array([(n - 1.0) ** t for t in range(order + 1)])
@@ -232,11 +238,11 @@ def residue_table_per_pole(n, q, m, terms):
     return expo, log_scales, poly
 
 
-def _series_terms(table, lam):
-    """The terms exp(log_scale + exponent log lam) p[d, t] log(lam)^t of
-    the residue series, one row per pole."""
+def _series_terms(table, t):
+    """The terms exp(log_scale + exponent log t) p[d, k] log(t)^k of the
+    residue series of Phi_1, one row per pole."""
     expo, log_scale, poly = table
-    ll = math.log(lam)
+    ll = math.log(t)
     return (np.exp(log_scale + expo * ll)[:, None] * poly
             * ll ** np.arange(poly.shape[1]))
 
@@ -244,7 +250,7 @@ def _series_terms(table, lam):
 def test_residue_table_recurrence_matches_per_pole_jets():
     # every term within 1e-13 of the largest, where the series is summed,
     # and within 1e-12 of its own pole's largest, so the deepest poles
-    # count too (worst 2.4e-13 at n = 4, m = 4, q = 2, pole 51).
+    # count too (worst 3.4e-13 at n = 4, m = 7, pole 54).
     # c = m + 1/2 - n/2 runs from 2 up to 5.5, and below zero at an integer
     # (n, m) = (5, 1), c = -1, and a half-integer (6, 1), c = -1.5, where
     # the table starts from a zero of 1/Gamma or left of the origin.  At
@@ -254,28 +260,65 @@ def test_residue_table_recurrence_matches_per_pole_jets():
              + [(4, m, 60) for m in range(4, 8)]
              + [(5, 1, 30), (6, 1, 30)])
     for n, m, terms in cases:
-        for q in (0.5, 1.0, 2.0):
-            table = mr._residue_table(n, q, m, terms)
-            oracle = residue_table_per_pole(n, q, m, terms)
-            assert np.array_equal(table[0], oracle[0])
-            for ratio in (1.05, 1.5, 4.0):
-                lam = ratio * mr.u_of_q(n, q)
-                got = _series_terms(table, lam)
-                want = _series_terms(oracle, lam)
-                assert (np.max(np.abs(got - want))
-                        <= 1e-13 * np.max(np.abs(want)))
-                assert np.all(np.max(np.abs(got - want), axis=1)
-                              <= 1e-12 * np.max(np.abs(want), axis=1))
+        table = mr._residue_table(n, m, terms)
+        oracle = residue_table_per_pole(n, m, terms)
+        assert np.array_equal(table[0], oracle[0])
+        for t in (1.05, 1.5, 4.0):
+            got = _series_terms(table, t)
+            want = _series_terms(oracle, t)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.all(np.max(np.abs(got - want), axis=1)
+                          <= 1e-12 * np.max(np.abs(want), axis=1))
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (4, 7), (10, 10)])
+@pytest.mark.parametrize("q", [0.3, 2.5])
+def test_phi_is_u_power_times_phi_at_q_one(n, m, q):
+    # Phi(q, lambda) = u^(c-1) Phi(q_1, t), both by the contour rule of one
+    # step h and by the residue series.  t is lambda/u as the entry points
+    # round it: the contour's nodes move with the last bit of omega, by
+    # 2.6e-14 relative at n = 10 and tol 1e-8
+    u = mr.u_of_q(n, q)
+    assert mr.u_of_q(n, q_one(n)) == 1.0
+    scale = u ** (mr._c_exp(n, m) - 1.0)
+    lams = u * np.linspace(1.5, 4.0, 6)
+    cfg = mr.make_mb_config(n, q_one(n), m, 4.0, 1e-8)
+    for phi in (lambda qq, x: mr.phi_mb_batch(n, qq, m, x, cfg),
+                lambda qq, x: mr.phi_residue_series(n, qq, m, x)):
+        want = scale * phi(q_one(n), lams / u)
+        assert np.all(np.abs(phi(q, lams) - want) <= 1e-14 * np.abs(want))
+
+
+def test_phi_check_shares_its_table_and_edge_probes(monkeypatch):
+    # the residue table and the t = 1 probes are q-free: phi_check at a
+    # second and third q builds no table and evaluates no t = 1 probe
+    edge = []
+    phi_de = mr._phi_de
+
+    def counted(n, m, ts, h):
+        if list(ts) == [1.0]:
+            edge.append(h)
+        return phi_de(n, m, ts, h)
+
+    monkeypatch.setattr(mr, "_phi_de", counted)
+    mr._residue_table.cache_clear()
+    mr._probe.cache_clear()
+    mr.phi_check(3, 0.5, 3, 1e-8)
+    assert edge and mr._residue_table.cache_info().misses == 1
+    edge.clear()
+    for q in (1.0, 2.0):
+        mr.phi_check(3, q, 3, 1e-8)
+    assert edge == [] and mr._residue_table.cache_info().misses == 1
 
 
 def test_contour_value_does_not_depend_on_the_batch():
-    # a lambda's value is the same bits alone or among others, so the
-    # probes that make_mb_config caches are the ones it would recompute
-    lams = mr.u_of_q(4, 1.3) * np.linspace(0.05, 4.0, 23)
+    # a t's value is the same bits alone or among others, so the probes
+    # that make_mb_config caches are the ones it would recompute
+    ts = np.linspace(0.05, 4.0, 23)
     for h in (0.05, 0.0125):
-        vals, mags = mr._phi_de(4, 1.3, 5, lams, h)
-        for lam, val, mag in zip(lams, vals, mags):
-            one_val, one_mag = mr._phi_de(4, 1.3, 5, np.array([lam]), h)
+        vals, mags = mr._phi_de(4, 5, ts, h)
+        for t, val, mag in zip(ts, vals, mags):
+            one_val, one_mag = mr._phi_de(4, 5, np.array([t]), h)
             assert one_val[0] == val and one_mag[0] == mag
     mr._probe.cache_clear()
     first = mr.make_mb_config(4, 1.3, 5, 6.0, 1e-9)
@@ -285,15 +328,15 @@ def test_contour_value_does_not_depend_on_the_batch():
 
 
 def test_edge_probes_are_kept_across_configs(monkeypatch):
-    # make_mb_config probes u and lam_max one lambda at a time; a second
-    # config for the same (n, q, m) reads every u probe from the cache, so
+    # make_mb_config probes t = 1 and lam_max/u one t at a time; a second
+    # config for the same (n, m) reads every t = 1 probe from the cache, so
     # only the new lam_max is evaluated, once per h
     calls = []
     phi_de = mr._phi_de
 
-    def counted(n, q, m, lams, h):
-        calls.append((list(lams), h))
-        return phi_de(n, q, m, lams, h)
+    def counted(n, m, ts, h):
+        calls.append((list(ts), h))
+        return phi_de(n, m, ts, h)
 
     monkeypatch.setattr(mr, "_phi_de", counted)
     mr._probe.cache_clear()
@@ -301,14 +344,15 @@ def test_edge_probes_are_kept_across_configs(monkeypatch):
     calls.clear()
     mr.make_mb_config(3, 0.8, 4, 6.0, 1e-9)
     steps = [h for _, h in calls]
-    assert calls and all(lams == [6.0] for lams, _ in calls)
+    assert calls and all(ts == [6.0 / mr.u_of_q(3, 0.8)] for ts, _ in calls)
     assert len(set(steps)) == len(steps)
 
 
 def test_far_series_against_mpmath():
     for (n, m, b), want in FAR_G.items():
         assert b >= mr._far_series(n, m)[0]
-        got = complex(mr._folded(n, 0.7, m, np.array([b]))[0])
+        got = complex(mr._folded(n, m, np.array([b]))[0])
+        want *= 0.7 * (n - 1) ** (n - 1)
         assert abs(got - want) <= 1e-13 * abs(want)
 
 
@@ -331,9 +375,8 @@ def test_axis_tail_moments_match_the_direct_sum(n):
     # the tail's part of both rule sums against the sums over its nodes,
     # G from log_gamma_array; measured in sum_j w_j |G(b_j)| over the
     # whole rule, the scale of the rule's roundoff
-    q = 1.3
     for m in (n, n + 3):
-        kappa = mr._axis_jet(n, q, m)
+        kappa = mr._axis_jet(n, m)
         for h in EVALUATED_NODES:
             big_m, phi, weights, nsin = mr._de_nodes(h)
             moments = mr._de_rule(h)[4]
@@ -342,7 +385,7 @@ def test_axis_tail_moments_match_the_direct_sum(n):
             for omega in (0.0, 4e-4, 0.5, -0.5):
                 stretch = big_m / max(abs(omega), mr._OMEGA_FLOOR)
                 b = stretch * phi
-                g = mr._folded(n, q, m, b)
+                g = mr._folded(n, m, b)
                 scale = weights @ np.abs(g)
                 cos_part = tail & ~sine
                 sin_part = tail & sine
@@ -411,6 +454,8 @@ def test_phi_check_reports_each_gate(n, tol, passes):
     rows = check["series_contour"]["rows"]
     assert [r[0] for r in rows] == list(check["u"] * np.linspace(1.5, 4, 10))
     assert check["series_contour"]["residual"] == max(r[3] for r in rows)
+    assert check["series_contour"]["max_rel_diff"] \
+        == max(r[3] / abs(r[2]) for r in rows)
     assert check["config"].error_estimate <= min(tol, 1e-7)
     fit = check["exponent"]["fit"]
     assert check["exponent"]["residual"] == abs(fit["slope"] - (n - 0.5))
